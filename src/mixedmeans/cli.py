@@ -30,7 +30,14 @@ from .functionals import (
     rado_increment,
     violation_tolerance,
 )
-from .means import InputError, WeightSequence, as_samples, mixed_mean, partial_mean_sequence
+from .means import (
+    InputError,
+    WeightSequence,
+    _positive_array,
+    as_samples,
+    mixed_mean,
+    partial_mean_sequence,
+)
 from .reduction import certify
 from .search import SCAN_FIELDS, SearchConfig, violation_search, weight_scan
 
@@ -66,7 +73,7 @@ def _load_head(path: str) -> np.ndarray:
     data = _load_json(path)
     if "w" not in data:
         raise InputError(f'{path}: missing "w" field')
-    return np.asarray(data["w"], dtype=float)
+    return _positive_array(data["w"], "head weights")
 
 
 def _load_samples(path: str, n: int) -> np.ndarray:
@@ -77,7 +84,11 @@ def _load_samples(path: str, n: int) -> np.ndarray:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"result is not finite (NaN or infinity): {exc}") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_means(args) -> int:
@@ -234,6 +245,9 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except (InputError, NotApplicableError) as exc:
         sys.stderr.write(f"mixedmeans: error: {exc}\n")
+        return 1
+    except OverflowError as exc:
+        sys.stderr.write(f"mixedmeans: error: floating-point overflow: {exc}\n")
         return 1
 
 

@@ -13,9 +13,15 @@ increment inequality, ordered by generality:
 ``existence_check`` verifies that for any positive head w_1..w_{n-1} the
 critical tail weight (which puts Holland exactly on its boundary) has a
 right-neighborhood where the Gao conditions hold.
+
+``ReducedProblem`` is the one table of the reduced problem (box, exponents,
+second bases, corner log-products).  The Gao product margins read its
+corners; ``reduction`` and ``search`` build F, g, the elimination step, the
+grids and the bounds from it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,35 +110,114 @@ def _excess(w: WeightSequence) -> float:
     return float(w.w[-1]) * float(w.S[-3]) / float(w.W[-2]) ** 2 - 1.0
 
 
+class ReducedProblem:
+    """The reduced form of the level-n increment inequality, derived once
+    from the weights and shared by F, g, the elimination step, the grids
+    and the bounds.
+
+    With y_i = A_i / A_{i+1} the inequality reads F(y) <= 1 on the box
+    0 <= y_i <= ``upper[i]`` = W_{i+1}/W_i, where
+
+        F(y) = p_1 prod y_i^alpha_i + p_2 prod second_i(y)^beta_i,
+        second_i(y) = (W_{i+1} - W_i y_i) / w_{i+1},
+
+    p_1 = W_{n-1}/W_n and p_2 = w_n/W_n.  Maximizing over the last
+    coordinate leaves, with c and c' the two products over the first n-2
+    coordinates and r = W_n/W_{n-1},
+
+        g = p_1 c^r + p_2 c'^r,   max over y_{n-1} of F = g^(1/r).
+
+    ``log_corners`` holds log g at the upper corner, where every second base
+    is exactly 0, and at the origin, where every y_i is 0.
+    """
+
+    def __init__(self, w: WeightSequence):
+        if w.n < 2:
+            raise InputError("need at least two entries")
+        W = w.W
+        self.W_n1, self.W_n = float(W[-2]), float(W[-1])
+        self.w_1, self.w_n = float(w.w[0]), float(w.w[-1])
+        self.r = self.W_n / self.W_n1
+        self.p = (self.W_n1 / self.W_n, self.w_n / self.W_n)
+        self.log_p = (math.log(self.p[0]), math.log(self.p[1]))
+        self.W_prev, self.W_next, self.w_next = W[:-1], W[1:], w.w[1:]
+        self.upper = self.W_next / self.W_prev
+        self.alpha = self.W_prev * self.w_n / (self.W_n1 * self.W_n)
+        self.beta = self.w_next / self.W_n
+
+    def second(self, y, i):
+        """The second bases second_i(y) on axis or axes ``i``, clipped at 0."""
+        return np.maximum((self.W_next[i] - self.W_prev[i] * y) / self.w_next[i], 0.0)
+
+    def log_terms(self, y, i):
+        """(alpha_i log y_i, beta_i log second_i(y)) on axis or axes ``i``;
+        a zero base gives -inf even where its exponent underflowed to 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return tuple(
+                np.where(base == 0.0, -np.inf, e * np.log(base))
+                for e, base in ((self.alpha[i], y), (self.beta[i], self.second(y, i)))
+            )
+
+    def log_products(self, y):
+        """log of both products of F over the leading len(y) coordinates, as
+        0-d arrays for ``F`` and ``log_g``."""
+        terms = self.log_terms(y, slice(0, len(y)))
+        return tuple(np.array(t.sum()) for t in terms)
+
+    def F(self, L1, L2):
+        """F from its two log-products; overwrites and returns ``L1``."""
+        np.exp(L1, out=L1)
+        L1 *= self.p[0]
+        np.exp(L2, out=L2)
+        L2 *= self.p[1]
+        L1 += L2
+        return L1
+
+    def log_g(self, L1, L2):
+        """log g from log c and log c'; overwrites and returns ``L1``.  A
+        vanishing product (-inf) leaves the other term alone."""
+        L1 *= self.r
+        L1 += self.log_p[0]
+        L2 *= self.r
+        L2 += self.log_p[1]
+        return np.logaddexp(L1, L2, out=L1)
+
+    def envelope(self, L1, L2):
+        """g^(1/r), the maximum of F over the last coordinate, from log c
+        and log c'; overwrites and returns ``L1``."""
+        L = self.log_g(L1, L2)
+        L /= self.r
+        return np.exp(L, out=L)
+
+    @functools.cached_property
+    def log_corners(self) -> tuple[float, float]:
+        head = slice(0, self.upper.size - 1)
+        log_c_top = np.sum(self.alpha[head] * np.log(self.upper[head]))
+        log_cp_zero = np.sum(self.beta[head] * np.log(self.second(0.0, head)))
+        L = self.log_g(
+            np.array([log_c_top, -np.inf]), np.array([-np.inf, log_cp_zero])
+        )
+        return float(L[0]), float(L[1])
+
+    def interior_bound(self, e: float) -> float:
+        """Bound on g at interior critical points past d_0 = (w_1/w_n)/e:
+        g at the origin times 1 + e W_{n-1}/w_1."""
+        return math.exp(self.log_corners[1]) * (1.0 + e * self.W_n1 / self.w_1)
+
+
 def gao_conditions(w: WeightSequence) -> ConditionReport:
     """Four margins: (a) strict positivity of the excess e, (b) e bounded by
     w_1/w_n, (c) the head product bound, (d) the tail product bound.  The
-    products are accumulated in the log domain; their margins are reported
-    as 1 minus the exponentiated value.
+    products are the corner values of the reduced objective g, accumulated
+    in the log domain; their margins are reported as 1 minus the value.
     """
     if w.n < 3:
         raise NotApplicableError("needs at least three weights")
-    W = w.W
-    W_n = float(W[-1])
-    W_n1 = float(W[-2])
-    w_n = float(w.w[-1])
-    w_1 = float(w.w[0])
-
+    rp = ReducedProblem(w)
     e = _excess(w)
-    margin_b = w_1 / w_n - e
-
-    # head product: (W_{n-1}/W_n) * prod (W_{i+1}/W_i)^{W_i w_n / W_{n-1}^2}
-    log_head = float(
-        np.sum((W[:-2] * w_n / W_n1**2) * np.log(W[1:-1] / W[:-2]))
-    )
-    margin_c = -math.expm1(math.log(W_n1 / W_n) + log_head)
-
-    # tail product: prod (W_{i+1}/w_{i+1})^{w_{i+1}/W_{n-1}}
-    log_tail = float(
-        np.sum((w.w[1:-1] / W_n1) * np.log(W[1:-1] / w.w[1:-1]))
-    )
-    factor = (W_n1 * w_n / (W_n * w_1)) * e + w_n / W_n
-    margin_d = 1.0 - factor * math.exp(log_tail)
+    margin_b = rp.w_1 / rp.w_n - e
+    margin_c = -math.expm1(rp.log_corners[0])
+    margin_d = 1.0 - rp.interior_bound(e)
 
     on_boundary = abs(e) <= STRICT_TOL
     holds = (
@@ -161,14 +246,19 @@ def d_zero(w: WeightSequence) -> float:
     return (float(w.w[0]) / float(w.w[-1])) / e
 
 
-def critical_weight(head) -> float:
-    """The tail weight W_{n-1}^2 / S_{n-2} that, appended to the head,
-    makes the excess vanish (Holland exactly on its boundary)."""
+def _head_sums(head) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A validated head w_1..w_{n-1} with its prefix sums W and S."""
     head = _positive_array(head, "head weights")
     if head.size < 2:
         raise InputError("head must have at least two weights")
     W = np.cumsum(head)
-    S = np.cumsum(W)
+    return head, W, np.cumsum(W)
+
+
+def critical_weight(head) -> float:
+    """The tail weight W_{n-1}^2 / S_{n-2} that, appended to the head,
+    makes the excess vanish (Holland exactly on its boundary)."""
+    _, W, S = _head_sums(head)
     return float(W[-1]) ** 2 / float(S[-2])
 
 
@@ -184,11 +274,7 @@ def existence_check(head) -> ConditionReport:
     Both hold for every positive head; a failing margin signals an
     implementation bug, not a mathematical possibility.
     """
-    head = _positive_array(head, "head weights")
-    if head.size < 2:
-        raise InputError("head must have at least two weights")
-    W = np.cumsum(head)
-    S = np.cumsum(W)
+    head, W, S = _head_sums(head)
     W_n1 = float(W[-1])
     S_n2 = float(S[-2])
     S_n1 = float(S[-1])
@@ -212,11 +298,7 @@ def existence_check(head) -> ConditionReport:
 def tail_sum_maximizer(head) -> float:
     """The total weight W_n = W_{n-1} S_{n-1} / S_{n-2} at which the
     right side of the induction bound (see ``induction_gap``) peaks."""
-    head = _positive_array(head, "head weights")
-    if head.size < 2:
-        raise InputError("head must have at least two weights")
-    W = np.cumsum(head)
-    S = np.cumsum(W)
+    _, W, S = _head_sums(head)
     return float(W[-1]) * float(S[-1]) / float(S[-2])
 
 
@@ -229,13 +311,9 @@ def induction_gap(head, W_n: float) -> float:
 
     where S_n = S_{n-1} + W_n.  The gap vanishes at the maximizing W_n.
     """
-    head = _positive_array(head, "head weights")
-    if head.size < 2:
-        raise InputError("head must have at least two weights")
+    head, W, S = _head_sums(head)
     if W_n <= 0.0:
         raise InputError("W_n must be positive")
-    W = np.cumsum(head)
-    S = np.cumsum(W)
     W_n1 = float(W[-1])
     S_n2 = float(S[-2])
     S_n1 = float(S[-1])

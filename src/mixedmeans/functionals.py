@@ -9,17 +9,10 @@ mean and rearranged into a sum of two products of powers bounded by 1.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .means import (
-    InputError,
-    WeightSequence,
-    as_samples,
-    partial_mean_sequence,
-    power_mean,
-)
+from .conditions import ReducedProblem
+from .means import InputError, WeightSequence, as_samples, partial_mean_sequence
 
 __all__ = [
     "rado_value",
@@ -30,6 +23,19 @@ __all__ = [
 ]
 
 
+def _profile(w: WeightSequence, x, s: float, log: bool = False) -> np.ndarray:
+    """Entry k-1 is W_k * (s-mean of running arithmetic means - arithmetic
+    mean of running s-means) over the first k points, with both means
+    logged first when ``log`` is set.  Level 1 is exactly zero: both sides
+    are the same ``partial_mean_sequence`` value x_1.
+    """
+    outer = partial_mean_sequence(w, partial_mean_sequence(w, x, 1.0), s)
+    inner = partial_mean_sequence(w, partial_mean_sequence(w, x, s), 1.0)
+    if log:
+        outer, inner = np.log(outer), np.log(inner)
+    return w.W * (outer - inner)
+
+
 def rado_value(w: WeightSequence, x, s: float, k: int) -> float:
     """W_k * (s-mean of running arithmetic means - arithmetic mean of
     running s-means), over the first k points.  Zero at k = 1, where both
@@ -38,46 +44,29 @@ def rado_value(w: WeightSequence, x, s: float, k: int) -> float:
     x = as_samples(x, w.n)
     if not 1 <= k <= w.n:
         raise InputError(f"level {k} out of range 1..{w.n}")
-    if k == 1:
-        return 0.0
-    wk = w.head(k)
-    xk = x[:k]
-    arith = partial_mean_sequence(wk, xk, 1.0)
-    s_means = partial_mean_sequence(wk, xk, s)
-    q = wk.normalized()
-    return wk.total * (power_mean(q, arith, s) - power_mean(q, s_means, 1.0))
+    return float(_profile(w, x, s)[k - 1])
 
 
 def rado_increment(w: WeightSequence, x, s: float, k: int) -> float:
     """Level-k increment of ``rado_value``; nonnegative certifies the
     level-k mixed-mean inequality (for s < 1; the sign flips for s > 1).
     """
-    if not 2 <= k <= w.n:
-        raise InputError(f"level {k} out of range 2..{w.n}")
-    return rado_value(w, x, s, k) - rado_value(w, x, s, k - 1)
-
-
-def _log_gap(w: WeightSequence, x, k: int) -> float:
-    """W_k * (ln of geometric mean of arithmetic means - ln of arithmetic
-    mean of geometric means) over the first k points."""
-    if k == 1:
-        return 0.0
-    wk = w.head(k)
-    xk = x[:k]
-    arith = partial_mean_sequence(wk, xk, 1.0)
-    geo = partial_mean_sequence(wk, xk, 0.0)
-    q = wk.normalized()
-    g_of_a = float(q @ np.log(arith))
-    a_of_g = math.log(power_mean(q, geo, 1.0))
-    return wk.total * (g_of_a - a_of_g)
-
-
-def popoviciu_increment(w: WeightSequence, x, k: int) -> float:
-    """Logarithmic analogue of ``rado_increment`` at level k."""
     x = as_samples(x, w.n)
     if not 2 <= k <= w.n:
         raise InputError(f"level {k} out of range 2..{w.n}")
-    return _log_gap(w, x, k) - _log_gap(w, x, k - 1)
+    profile = _profile(w, x, s)
+    return float(profile[k - 1] - profile[k - 2])
+
+
+def popoviciu_increment(w: WeightSequence, x, k: int) -> float:
+    """Logarithmic analogue of ``rado_increment`` at level k: the increment
+    of W_k * (ln of geometric mean of arithmetic means - ln of arithmetic
+    mean of geometric means)."""
+    x = as_samples(x, w.n)
+    if not 2 <= k <= w.n:
+        raise InputError(f"level {k} out of range 2..{w.n}")
+    profile = _profile(w, x, 0.0, log=True)
+    return float(profile[k - 1] - profile[k - 2])
 
 
 def product_form_lhs(w: WeightSequence, x) -> float:
@@ -88,19 +77,17 @@ def product_form_lhs(w: WeightSequence, x) -> float:
       + (w_n/W_n)     * prod_i (x_i/A_i)^{w_i/W_n}
 
     A value <= 1 is equivalent to ``rado_increment(w, x, 0, n) >= 0``.
+    It is F at y_i = A_i/A_{i+1}, evaluated from the data: there
+    second_i(y) = x_{i+1}/A_{i+1}, and the i = 1 factor x_1/A_1 is 1.
     """
     if w.n < 2:
         raise InputError("need at least two entries")
     x = as_samples(x, w.n)
-    A = partial_mean_sequence(w, x, 1.0)
-    log_A = np.log(A)
-    W_n = w.W[-1]
-    W_n1 = w.W[-2]
-    w_n = w.w[-1]
-
-    exp1 = float(np.sum((w.W[:-1] * w_n / (W_n1 * W_n)) * (log_A[:-1] - log_A[1:])))
-    exp2 = float(np.sum((w.w / W_n) * (np.log(x) - log_A)))
-    return (W_n1 / W_n) * math.exp(exp1) + (w_n / W_n) * math.exp(exp2)
+    log_A = np.log(partial_mean_sequence(w, x, 1.0))
+    rp = ReducedProblem(w)
+    L1 = np.array(np.sum(rp.alpha * (log_A[:-1] - log_A[1:])))
+    L2 = np.array(np.sum(rp.beta * (np.log(x[1:]) - log_A[1:])))
+    return float(rp.F(L1, L2))
 
 
 def violation_tolerance(w: WeightSequence, x) -> float:

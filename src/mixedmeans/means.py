@@ -33,7 +33,10 @@ class InputError(ValueError):
 
 
 def _positive_array(values, label: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{label} must be numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise InputError(f"{label} must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -66,12 +69,6 @@ class WeightSequence:
     @property
     def total(self) -> float:
         return float(self.W[-1])
-
-    def head(self, k: int) -> "WeightSequence":
-        """The sub-sequence w_1..w_k."""
-        if not 1 <= k <= self.n:
-            raise InputError(f"head length {k} out of range 1..{self.n}")
-        return WeightSequence(self.w[:k])
 
     def normalized(self) -> np.ndarray:
         """w / W_n, a probability vector."""

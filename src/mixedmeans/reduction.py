@@ -9,6 +9,10 @@ n-2 coordinates.  Interior critical points of g form a one-parameter
 family a_i(d) = W_{i+1} / (d w_{i+1} + W_i); d = 1 gives the constant
 point where g = 1 exactly.  ``certify`` packages the case analysis:
 Holland margin, then the Gao conditions, then a numeric search.
+
+The box, the exponents of F and g, the second bases and the corner
+log-products come from the table ``conditions.ReducedProblem``, built once
+per call from the weights.
 """
 from __future__ import annotations
 
@@ -18,11 +22,12 @@ from typing import Optional
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
 from .conditions import (
     ConditionReport,
     NotApplicableError,
+    ReducedProblem,
+    _excess,
     d_zero,
     gao_conditions,
     holland_condition,
@@ -82,13 +87,7 @@ class YPoint:
 
 def box_upper(w: WeightSequence) -> np.ndarray:
     """Per-coordinate upper bounds W_{i+1}/W_i of the y-box (length n-1)."""
-    return w.W[1:] / w.W[:-1]
-
-
-def _coerce_y(y) -> np.ndarray:
-    if isinstance(y, YPoint):
-        return y.y
-    return np.asarray(y, dtype=float)
+    return ReducedProblem(w).upper
 
 
 def x_to_y(w: WeightSequence, x) -> YPoint:
@@ -161,39 +160,25 @@ def y_to_x(w: WeightSequence, y, scale: float) -> np.ndarray:
     return x
 
 
-def _check_box(w: WeightSequence, y: np.ndarray, length: int) -> np.ndarray:
+def _check_box(rp: ReducedProblem, y, length: int) -> np.ndarray:
+    y = np.asarray(y.y if isinstance(y, YPoint) else y, dtype=float)
     if y.size != length:
         raise InputError(f"expected {length} coordinates, got {y.size}")
-    upper = box_upper(w)[:length]
+    upper = rp.upper[:length]
     if np.any(y < 0.0) or np.any(y > upper * (1.0 + 1e-15)):
         raise InputError("coordinates outside the box")
     return np.minimum(y, upper)
 
 
-def _sum_pow_logs(bases: np.ndarray, exps: np.ndarray) -> float:
-    """log of prod bases^exps, with 0^positive = 0 (returns -inf)."""
-    if np.any(bases < 0.0):
-        raise InputError("negative base in product of powers")
-    if np.any(bases == 0.0):
-        return -math.inf
-    return float(np.sum(exps * np.log(bases)))
-
-
 def objective_F(w: WeightSequence, y) -> float:
     """The full reduced objective on the (n-1)-dimensional box; F <= 1 is
     the level-n increment inequality and F(1,...,1) = 1 exactly."""
-    if w.n < 2:
-        raise InputError("need at least two entries")
-    y = _check_box(w, _coerce_y(y), w.n - 1)
-    W_n = float(w.W[-1])
-    W_n1 = float(w.W[-2])
-    w_n = float(w.w[-1])
-    alpha = w.W[:-1] * w_n / (W_n1 * W_n)
-    beta = w.w[1:] / W_n
-    second = np.maximum((w.W[1:] - w.W[:-1] * y) / w.w[1:], 0.0)
-    t1 = math.exp(_sum_pow_logs(y, alpha))
-    t2 = math.exp(_sum_pow_logs(second, beta))
-    return (W_n1 / W_n) * t1 + (w_n / W_n) * t2
+    rp = ReducedProblem(w)
+    return float(rp.F(*rp.log_products(_check_box(rp, y, w.n - 1))))
+
+
+def _g(rp: ReducedProblem, y: np.ndarray) -> float:
+    return float(np.exp(rp.log_g(*rp.log_products(y))))
 
 
 def objective_g(w: WeightSequence, y_head) -> float:
@@ -201,16 +186,8 @@ def objective_g(w: WeightSequence, y_head) -> float:
     coordinate, on the first n-2 coordinates; g(1,...,1) = 1 exactly."""
     if w.n < 3:
         raise InputError("need at least three entries")
-    y = _check_box(w, np.asarray(_coerce_y(y_head), dtype=float), w.n - 2)
-    W_n = float(w.W[-1])
-    W_n1 = float(w.W[-2])
-    w_n = float(w.w[-1])
-    alpha = w.W[:-2] * w_n / W_n1**2
-    beta = w.w[1:-1] / W_n1
-    second = np.maximum((w.W[1:-1] - w.W[:-2] * y) / w.w[1:-1], 0.0)
-    t1 = math.exp(_sum_pow_logs(y, alpha))
-    t2 = math.exp(_sum_pow_logs(second, beta))
-    return (W_n1 / W_n) * t1 + (w_n / W_n) * t2
+    rp = ReducedProblem(w)
+    return _g(rp, _check_box(rp, y_head, w.n - 2))
 
 
 @dataclass(frozen=True)
@@ -225,44 +202,22 @@ class Elimination:
 
 
 def eliminate_last(w: WeightSequence, y_head) -> Elimination:
-    """Maximize F over y_{n-1} for a fixed head.  For interior heads the
-    maximizer and maximum are closed forms in the two head products c, c';
-    the maximum equals g(head)^(W_{n-1}/W_n)."""
-    if w.n < 2:
-        raise InputError("need at least two entries")
-    y = _check_box(w, np.asarray(_coerce_y(y_head), dtype=float), w.n - 2)
-    W_n = float(w.W[-1])
-    W_n1 = float(w.W[-2])
-    w_n = float(w.w[-1])
-    last_hi = W_n / W_n1
-    r = W_n / W_n1
-
-    alpha = w.W[:-2] * w_n / (W_n1 * W_n)
-    beta = w.w[1:-1] / W_n
-    second = np.maximum((w.W[1:-1] - w.W[:-2] * y) / w.w[1:-1], 0.0)
-    log_c = _sum_pow_logs(y, alpha)
-    log_cp = _sum_pow_logs(second, beta)
-
-    if math.isinf(log_c) and math.isinf(log_cp):
-        return Elimination(0.0, 0.0, degenerate=True)
+    """Maximize F over y_{n-1} for a fixed head.  In every case, boundary
+    heads included, the maximum is g(head)^(W_{n-1}/W_n).  For interior
+    heads the maximizer is a closed form in the two head products c, c';
+    when c = 0 it is 0, and when c' = 0 it is the top W_n/W_{n-1}."""
+    rp = ReducedProblem(w)
+    log_c, log_cp = rp.log_products(_check_box(rp, y_head, w.n - 2))
+    degenerate = math.isinf(log_c) or math.isinf(log_cp)
     if math.isinf(log_c):
-        # first product vanishes: F decreases in the last coordinate
-        value = (w_n / W_n) * math.exp(log_cp) * (W_n / w_n) ** (w_n / W_n)
-        return Elimination(0.0, value, degenerate=True)
-    if math.isinf(log_cp):
-        # second product vanishes: F increases in the last coordinate
-        value = (W_n1 / W_n) * math.exp(log_c) * last_hi ** (w_n / W_n)
-        return Elimination(last_hi, value, degenerate=True)
-
-    ratio = math.exp((log_cp - log_c) * r)
-    y_star = 1.0 / (W_n1 / W_n + (w_n / W_n) * ratio)
-    # log-sum-exp of the two r-th powers keeps skewed heads in range
-    a = math.log(W_n1 / W_n) + r * log_c
-    b = math.log(w_n / W_n) + r * log_cp
-    m = max(a, b)
-    log_sum = m + math.log(math.exp(a - m) + math.exp(b - m))
-    max_value = math.exp(log_sum * (W_n1 / W_n))
-    return Elimination(y_star, max_value)
+        y_star = 0.0
+    elif math.isinf(log_cp):
+        y_star = rp.r
+    else:
+        ratio = math.exp((log_cp - log_c) * rp.r)
+        y_star = 1.0 / (rp.p[0] + rp.p[1] * ratio)
+    max_value = float(rp.envelope(log_c, log_cp))
+    return Elimination(y_star, max_value, degenerate)
 
 
 @dataclass(frozen=True)
@@ -279,67 +234,40 @@ class StationaryPoint:
     residual: float
 
 
+def _stationary(rp: ReducedProblem, d: float) -> StationaryPoint:
+    w_tail, W_prev, W_mid = rp.w_next[:-1], rp.W_prev[:-1], rp.W_next[:-1]
+    shifted = d * w_tail + W_prev
+    a = W_mid / shifted
+    coef = rp.r * (rp.alpha[:-1] - rp.beta[:-1])
+    h = float(np.sum(coef * np.log(shifted))) - (rp.w_1 / rp.W_n1) * math.log(d)
+    residual = h - float(np.sum(coef * np.log(W_mid)))
+    h_prime = float(np.sum(coef / (d + W_prev / w_tail))) - (rp.w_1 / rp.W_n1) / d
+    g_value = _g(rp, _check_box(rp, a, a.size))
+    return StationaryPoint(d, a, g_value, h, h_prime, residual)
+
+
 def stationary_analysis(w: WeightSequence, d: float) -> StationaryPoint:
     if w.n < 3:
         raise InputError("need at least three entries")
     if not (d > 0.0 and math.isfinite(d)):
         raise InputError("d must be positive and finite")
-    W_n1 = float(w.W[-2])
-    w_n = float(w.w[-1])
-    w_tail = w.w[1:-1]
-    W_prev = w.W[:-2]
-
-    shifted = d * w_tail + W_prev
-    a = w.W[1:-1] / shifted
-    coef = W_prev * w_n / W_n1**2 - w_tail / W_n1
-    h = float(np.sum(coef * np.log(shifted))) - (float(w.w[0]) / W_n1) * math.log(d)
-    target = float(np.sum(coef * np.log(w.W[1:-1])))
-    residual = h - target
-    h_prime = float(np.sum(coef / (d + W_prev / w_tail))) - (
-        float(w.w[0]) / W_n1
-    ) / d
-    return StationaryPoint(
-        d=d,
-        a=a,
-        g_value=objective_g(w, a),
-        h=h,
-        h_prime=h_prime,
-        residual=residual,
-    )
+    return _stationary(ReducedProblem(w), d)
 
 
 def boundary_bound(w: WeightSequence) -> float:
-    """Upper bound for g on the faces of its box: the larger of the two
-    corner products (log-domain evaluation)."""
+    """Upper bound for g on the faces of its box: the larger of g's values
+    at the two corners, from their exact log-products."""
     if w.n < 3:
         raise InputError("need at least three entries")
-    W_n = float(w.W[-1])
-    W_n1 = float(w.W[-2])
-    w_n = float(w.w[-1])
-    log_a = float(
-        np.sum((w.W[:-2] * w_n / W_n1**2) * np.log(w.W[1:-1] / w.W[:-2]))
-    )
-    log_b = float(
-        np.sum((w.w[1:-1] / W_n1) * np.log(w.W[1:-1] / w.w[1:-1]))
-    )
-    return max(
-        (W_n1 / W_n) * math.exp(log_a),
-        (w_n / W_n) * math.exp(log_b),
-    )
+    return math.exp(max(ReducedProblem(w).log_corners))
 
 
 def interior_bound(w: WeightSequence) -> float:
     """Upper bound for g at interior critical points with d beyond the
     monotonicity threshold; equals 1 minus the tail-product margin of the
     Gao conditions."""
-    d0 = d_zero(w)
-    W_n = float(w.W[-1])
-    W_n1 = float(w.W[-2])
-    w_n = float(w.w[-1])
-    log_tail = float(
-        np.sum((w.w[1:-1] / W_n1) * np.log(w.W[1:-1] / w.w[1:-1]))
-    )
-    return (W_n1 / (d0 * W_n) + w_n / W_n) * math.exp(log_tail)
+    d_zero(w)  # raises unless the excess is positive
+    return ReducedProblem(w).interior_bound(_excess(w))
 
 
 def find_stationary_d(
@@ -348,14 +276,19 @@ def find_stationary_d(
     """Diagnostic scan for roots of the stationarity residual on (0, d_max];
     reports every root bracketed on a log grid (no completeness claim).
     d = 1 is always a root."""
+    # deferred: only this diagnostic needs scipy.optimize, whose import
+    # adds ~20 MB to every process that imports the package
+    from scipy.optimize import brentq
+
     if w.n < 3:
         raise InputError("need at least three entries")
+    rp = ReducedProblem(w)
     grid = np.exp(np.linspace(math.log(1e-6), math.log(d_max), samples))
-    res = np.array([stationary_analysis(w, float(d)).residual for d in grid])
+    res = np.array([_stationary(rp, float(d)).residual for d in grid])
     roots: list[float] = []
 
     def f(d: float) -> float:
-        return stationary_analysis(w, d).residual
+        return _stationary(rp, d).residual
 
     for i in range(len(grid) - 1):
         lo, hi = res[i], res[i + 1]

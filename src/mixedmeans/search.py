@@ -5,6 +5,8 @@ region scans.
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
 order.  Grid argmax ties break to the lexicographically smallest index.
+Both grids and the multistart ascent evaluate the reduced objective from
+the table ``conditions.ReducedProblem``; the two grids share one lattice.
 """
 from __future__ import annotations
 
@@ -17,12 +19,13 @@ import numpy as np
 
 from .conditions import (
     NotApplicableError,
+    ReducedProblem,
     gao_conditions,
     holland_condition,
 )
 from .functionals import rado_increment, violation_tolerance
 from .means import InputError, WeightSequence, _positive_array
-from .reduction import boundary_bound, interior_bound, objective_F
+from .reduction import boundary_bound, interior_bound
 
 __all__ = [
     "GRID_DIM_LIMIT",
@@ -60,6 +63,8 @@ class SearchConfig:
             raise InputError("grid resolution must be at least 2")
         if not 0.0 < self.box_padding < 1.0:
             raise InputError("box padding must be in (0, 1)")
+        if self.local_steps < 0:
+            raise InputError("local steps must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,28 @@ def _axis(upper: float, resolution: int) -> np.ndarray:
     return pts
 
 
+def _lattice_max(
+    rp: ReducedProblem, dims: int, resolution: int, combine
+) -> SearchResult:
+    """Evaluate ``combine(L1, L2)`` on the lattice over the first ``dims``
+    box axes, where L1 and L2 are the summed per-axis log-terms, and take
+    the argmax.  ``combine`` may overwrite L1 and L2: at most these two
+    full-size arrays are alive at once."""
+    axes = [_axis(float(rp.upper[i]), resolution) for i in range(dims)]
+    terms = [rp.log_terms(axes[i], i) for i in range(dims)]
+    L1, L2 = (
+        sum(np.meshgrid(*(t[j] for t in terms), indexing="ij", sparse=True))
+        for j in (0, 1)
+    )
+    vals = combine(L1, L2)
+    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return SearchResult(
+        best_value=float(vals[idx]),
+        best_point=tuple(float(axes[i][idx[i]]) for i in range(dims)),
+        trials_run=int(vals.size),
+    )
+
+
 def grid_max_F(w: WeightSequence, resolution: int) -> SearchResult:
     """Exhaustive lattice maximization of the reduced objective over the
     closed box, faces included.  Deterministic; ties go to the first
@@ -102,78 +129,22 @@ def grid_max_F(w: WeightSequence, resolution: int) -> SearchResult:
         raise InputError(f"grid limited to {GRID_DIM_LIMIT} box dimensions")
     if resolution < 2:
         raise InputError("grid resolution must be at least 2")
-    W_n = float(w.W[-1])
-    W_n1 = float(w.W[-2])
-    w_n = float(w.w[-1])
-    upper = w.W[1:] / w.W[:-1]
-    alpha = w.W[:-1] * w_n / (W_n1 * W_n)
-    beta = w.w[1:] / W_n
-
-    axes = [_axis(float(upper[i]), resolution) for i in range(dims)]
-    log1, log2 = [], []
-    with np.errstate(divide="ignore"):
-        for i in range(dims):
-            y = axes[i]
-            log1.append(alpha[i] * np.log(y))
-            base = np.maximum((w.W[i + 1] - w.W[i] * y) / w.w[i + 1], 0.0)
-            log2.append(beta[i] * np.log(base))
-    L1 = sum(np.meshgrid(*log1, indexing="ij", sparse=True))
-    L2 = sum(np.meshgrid(*log2, indexing="ij", sparse=True))
-    F = (W_n1 / W_n) * np.exp(L1) + (w_n / W_n) * np.exp(L2)
-    flat = int(np.argmax(F))
-    idx = np.unravel_index(flat, F.shape)
-    point = tuple(float(axes[i][idx[i]]) for i in range(dims))
-    return SearchResult(
-        best_value=float(F[idx]),
-        best_point=point,
-        trials_run=int(F.size),
-    )
+    rp = ReducedProblem(w)
+    return _lattice_max(rp, dims, resolution, rp.F)
 
 
 def grid_max_envelope(w: WeightSequence, resolution: int) -> SearchResult:
     """Lattice maximization over the head coordinates with the last
-    coordinate maximized analytically; agrees with ``grid_max_F`` up to
-    grid placement of the eliminated coordinate."""
+    coordinate maximized analytically, by the same formula as
+    ``eliminate_last``; agrees with ``grid_max_F`` up to grid placement of
+    the eliminated coordinate."""
     if w.n < 3:
         raise InputError("need at least three entries")
     dims = w.n - 2
     if dims > GRID_DIM_LIMIT:
         raise InputError(f"grid limited to {GRID_DIM_LIMIT} box dimensions")
-    W_n = float(w.W[-1])
-    W_n1 = float(w.W[-2])
-    w_n = float(w.w[-1])
-    r = W_n / W_n1
-    upper = w.W[1:-1] / w.W[:-2]
-    alpha = w.W[:-2] * w_n / (W_n1 * W_n)
-    beta = w.w[1:-1] / W_n
-
-    axes = [_axis(float(upper[i]), resolution) for i in range(dims)]
-    logc, logcp = [], []
-    with np.errstate(divide="ignore"):
-        for i in range(dims):
-            y = axes[i]
-            logc.append(alpha[i] * np.log(y))
-            base = np.maximum((w.W[i + 1] - w.W[i] * y) / w.w[i + 1], 0.0)
-            logcp.append(beta[i] * np.log(base))
-    LC = sum(np.meshgrid(*logc, indexing="ij", sparse=True))
-    LCP = sum(np.meshgrid(*logcp, indexing="ij", sparse=True))
-    C = np.exp(LC)
-    CP = np.exp(LCP)
-    interior = (
-        (W_n1 / W_n) * C**r + (w_n / W_n) * CP**r
-    ) ** (W_n1 / W_n)
-    # degenerate faces: one product vanishes, the supremum is an endpoint
-    at_zero = (w_n / W_n) * CP * (W_n / w_n) ** (w_n / W_n)
-    at_top = (W_n1 / W_n) * C * (W_n / W_n1) ** (w_n / W_n)
-    vals = np.where(C == 0.0, at_zero, np.where(CP == 0.0, at_top, interior))
-    flat = int(np.argmax(vals))
-    idx = np.unravel_index(flat, vals.shape)
-    point = tuple(float(axes[i][idx[i]]) for i in range(dims))
-    return SearchResult(
-        best_value=float(vals[idx]),
-        best_point=point,
-        trials_run=int(vals.size),
-    )
+    rp = ReducedProblem(w)
+    return _lattice_max(rp, dims, resolution, rp.envelope)
 
 
 def _coordinate_ascent(fun, z, steps, lo, hi, local_steps):
@@ -202,10 +173,11 @@ def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
     """Multistart coordinate ascent of the reduced objective over the open
     box; used when the box has too many dimensions for a dense grid."""
     dims = w.n - 1
-    upper = (w.W[1:] / w.W[:-1]).astype(float)
+    rp = ReducedProblem(w)
+    upper = rp.upper
 
     def fun(u: np.ndarray) -> float:
-        return objective_F(w, u * upper)
+        return float(rp.F(*rp.log_products(u * upper)))
 
     pad = config.box_padding
     best_val = fun(np.minimum(1.0 / upper, 1.0 - pad))  # constant point

@@ -96,6 +96,21 @@ class TestCertify:
         assert data["numeric_max"]["value"] > 1.0
 
 
+    def test_stdout_is_strict_json(self, capsys, tmp_path):
+        # tail weights far apart underflow an exponent of F to 0
+        p = tmp_path / "wide.json"
+        p.write_text('{"w": [1, 1e-300, 1e300]}')
+        code, out, _ = invoke(capsys, ["certify", str(p)])
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} on stdout")
+
+        if code == 1:
+            assert out == ""
+        else:
+            json.loads(out, parse_constant=reject)
+
+
 class TestVerify:
     def test_uniform_example(self, capsys, files):
         code, out, _ = invoke(capsys, ["verify", files["w111"], files["x123"]])
@@ -131,6 +146,15 @@ class TestSearch:
         )
         assert code == 2
         assert json.loads(out)["violation"] is True
+
+
+    def test_negative_local_steps_exits_one(self, capsys, files):
+        code, out, err = invoke(
+            capsys, ["search", files["w6"], "--local-steps", "-1"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "local steps" in err
 
 
 class TestScan:
@@ -202,6 +226,30 @@ class TestErrorPaths:
         p.write_text('{"w": [1, -1, 2]}')
         code, _, err = invoke(capsys, ["check", str(p)])
         assert code == 1
+
+
+    def _one_line_error(self, capsys, argv):
+        code, out, err = invoke(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_non_numeric_weights(self, capsys, tmp_path):
+        for i, text in enumerate(('{"w": [1, 1, "a"]}', '{"w": {"a": 1}}')):
+            p = tmp_path / f"nan{i}.json"
+            p.write_text(text)
+            for command in ("check", "certify", "gen-weights"):
+                self._one_line_error(capsys, [command, str(p)])
+
+    def test_overflow(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text('{"w": [1, 1e200, 1]}')
+        for command in ("check", "certify"):
+            self._one_line_error(capsys, [command, str(big)])
+        wide = tmp_path / "wide.json"
+        wide.write_text('{"w": [1, 1e-300, 1e300]}')
+        self._one_line_error(capsys, ["gen-weights", str(wide)])
 
 
 class TestDeterminism:

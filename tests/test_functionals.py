@@ -68,8 +68,9 @@ class TestRadoIncrement:
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(21)
-        for _ in range(25):
-            n = int(rng.integers(2, 9))
+        for trial in range(28):
+            # 25 short sequences, then n = 20, 40, 60 for the accumulated profile
+            n = int(rng.integers(2, 9)) if trial < 25 else 20 * (trial - 24)
             w = random_weights(rng, n)
             x = random_samples(rng, n)
             s = float(rng.choice([-1.0, 0.0, 0.5, 2.0]))
@@ -97,8 +98,9 @@ class TestPopoviciuIncrement:
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(22)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
+        for trial in range(23):
+            # 20 short sequences, then n = 20, 40, 60 for the accumulated profile
+            n = int(rng.integers(2, 9)) if trial < 20 else 20 * (trial - 19)
             w = random_weights(rng, n)
             x = random_samples(rng, n, 0.1, 10.0)
             k = int(rng.integers(2, n + 1))

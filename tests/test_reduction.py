@@ -14,6 +14,7 @@ from mixedmeans import (
     eliminate_last,
     find_stationary_d,
     gao_conditions,
+    grid_max_envelope,
     interior_bound,
     objective_F,
     objective_g,
@@ -188,6 +189,28 @@ class TestEliminateLast:
         el_top = eliminate_last(w, [2.0])
         assert el_top.degenerate
         assert el_top.y_star == pytest.approx(6.05 / 2.0, rel=1e-15)
+
+
+    def test_max_is_g_power(self):
+        # one envelope formula: max over the last coordinate is g^(W_{n-1}/W_n)
+        rng = np.random.default_rng(53)
+        ref = WeightSequence([1, 1, 4.05])
+        cases = [(ref, [0.0]), (ref, [2.0])]  # both degenerate heads
+        for _ in range(30):
+            n = int(rng.integers(3, 7))
+            w = random_weights(rng, n)
+            cases.append((w, box_upper(w)[: n - 2] * rng.uniform(0.05, 0.95, n - 2)))
+        for w, y_head in cases:
+            power = float(w.W[-2] / w.W[-1])
+            assert eliminate_last(w, y_head).max_value == pytest.approx(
+                objective_g(w, y_head) ** power, rel=1e-13
+            )
+        for ws in ([1, 1, 4.05], [1, 1, 6], [2, 1, 3, 5], [1, 2, 3, 4, 20]):
+            w = WeightSequence(ws)
+            res = grid_max_envelope(w, 41)
+            assert res.best_value == pytest.approx(
+                eliminate_last(w, res.best_point).max_value, rel=1e-14
+            )
 
 
 class TestStationaryAnalysis:

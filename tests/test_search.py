@@ -125,6 +125,8 @@ class TestSearchConfig:
             SearchConfig(grid_resolution=1)
         with pytest.raises(InputError):
             SearchConfig(box_padding=0.0)
+        with pytest.raises(InputError):
+            SearchConfig(local_steps=-1)
 
 
 class TestWeightScan:
