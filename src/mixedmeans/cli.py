@@ -25,11 +25,7 @@ from .conditions import (
     holland_condition,
     nanjundiah_condition,
 )
-from .functionals import (
-    popoviciu_increment,
-    rado_increment,
-    violation_tolerance,
-)
+from .functionals import _profile, violation_tolerance
 from .means import (
     InputError,
     WeightSequence,
@@ -51,7 +47,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_json(path: str) -> dict:
+def _load_field(path: str, key: str):
+    """Field ``key`` of the JSON object in the file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -59,28 +56,9 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
-    return data
-
-
-def _load_weights(path: str) -> WeightSequence:
-    data = _load_json(path)
-    if "w" not in data:
-        raise InputError(f'{path}: missing "w" field')
-    return WeightSequence(data["w"])
-
-
-def _load_head(path: str) -> np.ndarray:
-    data = _load_json(path)
-    if "w" not in data:
-        raise InputError(f'{path}: missing "w" field')
-    return _positive_array(data["w"], "head weights")
-
-
-def _load_samples(path: str, n: int) -> np.ndarray:
-    data = _load_json(path)
-    if "x" not in data:
-        raise InputError(f'{path}: missing "x" field')
-    return as_samples(data["x"], n)
+    if key not in data:
+        raise InputError(f'{path}: missing "{key}" field')
+    return data[key]
 
 
 def _emit(obj) -> None:
@@ -92,8 +70,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_means(args) -> int:
-    w = _load_weights(args.weights)
-    x = _load_samples(args.samples, w.n)
+    w = WeightSequence(_load_field(args.weights, "w"))
+    x = as_samples(_load_field(args.samples, "x"), w.n)
     out = {
         "r": args.r,
         "s": args.s,
@@ -107,7 +85,7 @@ def _cmd_means(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    w = _load_weights(args.weights)
+    w = WeightSequence(_load_field(args.weights, "w"))
     nan = nanjundiah_condition(w)
     hol = holland_condition(w)
     try:
@@ -127,35 +105,30 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    w = _load_weights(args.weights)
+    w = WeightSequence(_load_field(args.weights, "w"))
     cert = certify(w, grid_resolution=args.resolution)
     _emit(cert.to_dict())
     return 2 if cert.route == "refuted-numeric" else 0
 
 
 def _cmd_verify(args) -> int:
-    w = _load_weights(args.weights)
-    x = _load_samples(args.samples, w.n)
-    levels = []
-    failed = False
-    tol = violation_tolerance(w, x)
+    w = WeightSequence(_load_field(args.weights, "w"))
+    x = as_samples(_load_field(args.samples, "x"), w.n)
+    rado = np.diff(_profile(w, x, args.s))
+    pop = np.diff(_profile(w, x, 0.0, log=True))
+    levels = [
+        {"k": k, "rado_increment": inc, "popoviciu_increment": p}
+        for k, inc, p in zip(range(2, w.n + 1), rado.tolist(), pop.tolist())
+    ]
     direction = 1.0 if args.s < 1.0 else -1.0
-    for k in range(2, w.n + 1):
-        inc = rado_increment(w, x, args.s, k)
-        pop = popoviciu_increment(w, x, k)
-        levels.append({
-            "k": k,
-            "rado_increment": inc,
-            "popoviciu_increment": pop,
-        })
-        if args.s != 1.0 and direction * inc < -tol:
-            failed = True
+    tol = violation_tolerance(w, x)
+    failed = args.s != 1.0 and bool(np.any(direction * rado < -tol))
     _emit({"s": args.s, "levels": levels})
     return 2 if failed else 0
 
 
 def _cmd_search(args) -> int:
-    w = _load_weights(args.weights)
+    w = WeightSequence(_load_field(args.weights, "w"))
     config = SearchConfig(
         seed=args.seed, trials=args.trials, local_steps=args.local_steps
     )
@@ -165,7 +138,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    head = _load_head(args.head)
+    head = _positive_array(_load_field(args.head, "w"), "head weights")
     try:
         lo_s, hi_s = args.range.split(":", 1)
         lo, hi = float(lo_s), float(hi_s)
@@ -182,7 +155,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_gen_weights(args) -> int:
-    head = _load_head(args.head)
+    head = _positive_array(_load_field(args.head, "w"), "head weights")
     sys.stdout.write("%.17g\n" % critical_weight(head))
     return 0
 

@@ -81,7 +81,11 @@ def nanjundiah_condition(w: WeightSequence) -> ConditionReport:
     W_n = w.W[-1]
     w_n = w.w[-1]
     ks = range(2, w.n)
-    margins = tuple(float(W_n * w.w[k - 1] - w.W[k - 1] * w_n) for k in ks)
+    try:
+        with np.errstate(over="raise"):
+            margins = tuple(float(W_n * w.w[k - 1] - w.W[k - 1] * w_n) for k in ks)
+    except FloatingPointError as exc:
+        raise OverflowError(f"nanjundiah margin: {exc}") from None
     details = tuple(f"k={k}" for k in ks)
     return ConditionReport(
         name="nanjundiah",
@@ -159,10 +163,11 @@ class ReducedProblem:
             )
 
     def log_products(self, y):
-        """log of both products of F over the leading len(y) coordinates, as
-        0-d arrays for ``F`` and ``log_g``."""
-        terms = self.log_terms(y, slice(0, len(y)))
-        return tuple(np.array(t.sum()) for t in terms)
+        """log of both products of F over the leading coordinates, for points
+        y of shape (..., d), summed over the last axis; arrays (0-d for one
+        point) for ``F`` and ``log_g``."""
+        terms = self.log_terms(y, slice(0, np.shape(y)[-1]))
+        return tuple(np.asarray(t.sum(axis=-1)) for t in terms)
 
     def F(self, L1, L2):
         """F from its two log-products; overwrites and returns ``L1``."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conditions import ReducedProblem
-from .means import InputError, WeightSequence, as_samples, partial_mean_sequence
+from .means import InputError, WeightSequence, _partial_means, as_samples
 
 __all__ = [
     "rado_value",
@@ -23,17 +23,26 @@ __all__ = [
 ]
 
 
-def _profile(w: WeightSequence, x, s: float, log: bool = False) -> np.ndarray:
+def _profile(w: WeightSequence, x: np.ndarray, s: float, log: bool = False):
     """Entry k-1 is W_k * (s-mean of running arithmetic means - arithmetic
     mean of running s-means) over the first k points, with both means
     logged first when ``log`` is set.  Level 1 is exactly zero: both sides
-    are the same ``partial_mean_sequence`` value x_1.
+    are the same running-mean value x_1.  ``x`` holds validated samples of
+    shape (..., n); the profile runs along the last axis.
     """
-    outer = partial_mean_sequence(w, partial_mean_sequence(w, x, 1.0), s)
-    inner = partial_mean_sequence(w, partial_mean_sequence(w, x, s), 1.0)
+    outer = _partial_means(w, _partial_means(w, x, 1.0), s)
+    inner = _partial_means(w, _partial_means(w, x, s), 1.0)
     if log:
         outer, inner = np.log(outer), np.log(inner)
     return w.W * (outer - inner)
+
+
+def _increment(w: WeightSequence, x: np.ndarray, s: float, k: int, log: bool = False):
+    """Level-k increment of ``_profile`` for validated samples (..., n)."""
+    if not 2 <= k <= w.n:
+        raise InputError(f"level {k} out of range 2..{w.n}")
+    profile = _profile(w, x, s, log)
+    return profile[..., k - 1] - profile[..., k - 2]
 
 
 def rado_value(w: WeightSequence, x, s: float, k: int) -> float:
@@ -51,22 +60,14 @@ def rado_increment(w: WeightSequence, x, s: float, k: int) -> float:
     """Level-k increment of ``rado_value``; nonnegative certifies the
     level-k mixed-mean inequality (for s < 1; the sign flips for s > 1).
     """
-    x = as_samples(x, w.n)
-    if not 2 <= k <= w.n:
-        raise InputError(f"level {k} out of range 2..{w.n}")
-    profile = _profile(w, x, s)
-    return float(profile[k - 1] - profile[k - 2])
+    return float(_increment(w, as_samples(x, w.n), s, k))
 
 
 def popoviciu_increment(w: WeightSequence, x, k: int) -> float:
     """Logarithmic analogue of ``rado_increment`` at level k: the increment
     of W_k * (ln of geometric mean of arithmetic means - ln of arithmetic
     mean of geometric means)."""
-    x = as_samples(x, w.n)
-    if not 2 <= k <= w.n:
-        raise InputError(f"level {k} out of range 2..{w.n}")
-    profile = _profile(w, x, 0.0, log=True)
-    return float(profile[k - 1] - profile[k - 2])
+    return float(_increment(w, as_samples(x, w.n), 0.0, k, log=True))
 
 
 def product_form_lhs(w: WeightSequence, x) -> float:
@@ -83,7 +84,7 @@ def product_form_lhs(w: WeightSequence, x) -> float:
     if w.n < 2:
         raise InputError("need at least two entries")
     x = as_samples(x, w.n)
-    log_A = np.log(partial_mean_sequence(w, x, 1.0))
+    log_A = np.log(_partial_means(w, x, 1.0))
     rp = ReducedProblem(w)
     L1 = np.array(np.sum(rp.alpha * (log_A[:-1] - log_A[1:])))
     L2 = np.array(np.sum(rp.beta * (np.log(x[1:]) - log_A[1:])))

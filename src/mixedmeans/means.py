@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "InputError",
@@ -104,25 +103,34 @@ def power_mean(q, x, r: float) -> float:
         raise InputError("probability weights must be strictly positive")
     if abs(float(q.sum()) - 1.0) > NORMALIZATION_TOL:
         raise InputError("probability weights must sum to 1 within 1e-12")
+    # deferred: only this function needs scipy.special, whose import adds
+    # ~25 MB to every process that imports the package
+    from scipy.special import logsumexp
+
     log_x = np.log(x)
     if r == 0.0:
         return float(math.exp(float(q @ log_x)))
     return float(math.exp(float(logsumexp(r * log_x, b=q)) / r))
 
 
+def _partial_means(w: WeightSequence, x: np.ndarray, r: float) -> np.ndarray:
+    """``partial_mean_sequence`` along the last axis of validated samples of
+    shape (..., n); each row gives the same values as a call on that row."""
+    log_x = np.log(x)
+    if r == 0.0:
+        values = np.exp(np.cumsum(w.w * log_x, axis=-1) / w.W)
+    else:
+        acc = np.logaddexp.accumulate(np.log(w.w) + r * log_x, axis=-1)
+        values = np.exp((acc - np.log(w.W)) / r)
+    values[..., 0] = x[..., 0]  # single-point mean is exact
+    return values
+
+
 def partial_mean_sequence(w: WeightSequence, x, r: float) -> np.ndarray:
     """The running r-means: entry i is the r-mean of x_1..x_{i+1} under the
     prefix weights w_1..w_{i+1} normalized by W_{i+1}.
     """
-    x = as_samples(x, w.n)
-    log_x = np.log(x)
-    if r == 0.0:
-        values = np.exp(np.cumsum(w.w * log_x) / w.W)
-    else:
-        acc = np.logaddexp.accumulate(np.log(w.w) + r * log_x)
-        values = np.exp((acc - np.log(w.W)) / r)
-    values[0] = x[0]  # single-point mean is exact
-    return values
+    return _partial_means(w, as_samples(x, w.n), r)
 
 
 def mixed_mean(w: WeightSequence, x, outer: float, inner: float) -> float:
@@ -143,7 +151,7 @@ def identity_residuals(w: WeightSequence, x) -> tuple[float, float]:
     if w.n < 2:
         raise InputError("need at least two entries")
     x = as_samples(x, w.n)
-    A = partial_mean_sequence(w, x, 1.0)
+    A = _partial_means(w, x, 1.0)
     log_A = np.log(A)
     # log of the running geometric mean of A_1..A_k, for each k
     log_G_of_A = np.cumsum(w.w * log_A) / w.W

@@ -32,7 +32,7 @@ from .conditions import (
     gao_conditions,
     holland_condition,
 )
-from .means import InputError, WeightSequence, as_samples, partial_mean_sequence
+from .means import InputError, WeightSequence, as_samples
 
 __all__ = [
     "YPoint",

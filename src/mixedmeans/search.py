@@ -7,6 +7,11 @@ All randomness flows through a counter-based generator keyed by
 order.  Grid argmax ties break to the lexicographically smallest index.
 Both grids and the multistart ascent evaluate the reduced objective from
 the table ``conditions.ReducedProblem``; the two grids share one lattice.
+
+Both multistart searches run a batched line ascent over blocks of trials:
+per coordinate and step size, one array call evaluates the candidates of
+every walk in the block and the greedy walk is replayed from the values.
+It reaches exactly the points and values of the serial one-point walk.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from .conditions import (
     gao_conditions,
     holland_condition,
 )
-from .functionals import rado_increment, violation_tolerance
+from .functionals import _increment, violation_tolerance
 from .means import InputError, WeightSequence, _positive_array
 from .reduction import boundary_bound, interior_bound
 
@@ -42,6 +47,15 @@ __all__ = [
 # Dense grids are limited to four box dimensions; larger instances fall
 # back to multistart.
 GRID_DIM_LIMIT = 4
+
+# A walk moves at most _MAX_MOVES steps along one coordinate at one step
+# size.  Its rounds look 4, 8, 16, ... steps ahead on each side, and at
+# least _ROUND steps summed over their rows: a small round costs mostly
+# fixed overhead.  The candidates of one round and the rows of one
+# evaluation stay under _CELL_CAP float64 elements, for any trial count.
+_MAX_MOVES = 50
+_ROUND = 32
+_CELL_CAP = 1 << 16
 
 # Sampling range for data entries: the functionals are scale invariant,
 # so only the dynamic range matters.
@@ -147,26 +161,90 @@ def grid_max_envelope(w: WeightSequence, resolution: int) -> SearchResult:
     return _lattice_max(rp, dims, resolution, rp.envelope)
 
 
-def _coordinate_ascent(fun, z, steps, lo, hi, local_steps):
-    """Greedy coordinate ascent with a geometrically shrinking step."""
-    best = fun(z)
-    for p in range(local_steps):
-        step = steps * 0.5**p
-        for i in range(z.size):
-            for _ in range(50):
-                moved = False
-                for sgn in (1.0, -1.0):
-                    cand = z.copy()
-                    cand[i] = min(max(cand[i] + sgn * step, lo), hi)
-                    val = fun(cand)
-                    if val > best:
-                        best = val
-                        z = cand
-                        moved = True
-                        break
-                if not moved:
-                    break
-    return best, z
+def _values(fun, Z: np.ndarray, owner: np.ndarray, i: int, pos: np.ndarray):
+    """``fun`` at the rows ``Z[owner]`` with coordinate ``i`` set to ``pos``,
+    evaluated in chunks of at most ``_CELL_CAP`` elements.  Values may be
+    NaN or infinite without a warning; NaN never wins in the walk."""
+    out = np.empty(pos.size)
+    rows = max(1, _CELL_CAP // Z.shape[1])
+    for a in range(0, pos.size, rows):
+        cand = Z[owner[a : a + rows]]
+        cand[:, i] = pos[a : a + rows]
+        with np.errstate(all="ignore"):
+            out[a : a + rows] = fun(cand)
+    return out
+
+
+def _climb(fun, Z, best, i, step, lo, hi) -> None:
+    """The greedy walk on coordinate ``i`` of every row of ``Z`` at one step
+    size, updating ``Z`` and its values ``best`` in place.
+
+    From c with value b the walk tries c + step, then c - step (clamped to
+    [lo, hi]), moves to the first that beats b, and repeats up to
+    ``_MAX_MOVES`` times.  A round evaluates the next k positions on both
+    sides, reached by repeated addition as the walk reaches them, and the
+    way back from each unless it lands exactly on the previous position
+    (which cannot win); then it replays the walk.  A walk that runs past
+    the k positions or takes a way back goes on in the next round.
+    """
+    left = np.full(len(Z), _MAX_MOVES)
+    act = np.arange(len(Z))
+    steps = np.array([[step], [-step]])
+    k = 2
+    while act.size:
+        A, r = act.size, np.arange(act.size)
+        k = min(max(2 * k, _ROUND // A), int(left[act].max()))
+        inc = np.empty((A, 2, k + 1))
+        inc[:, :, 1:] = steps
+        inc[:, :, 0] = Z[act, i][:, None]
+        line = np.clip(np.add.accumulate(inc, axis=-1), lo, hi)
+        back = np.clip(line[:, :, 1:] - steps, lo, hi)
+        probe = back != line[:, :, :-1]
+        owner = np.concatenate([np.repeat(act, 2 * k), act[np.nonzero(probe)[0]]])
+        pos = np.concatenate([line[:, :, 1:].ravel(), back[probe]])
+        vals = _values(fun, Z, owner, i, pos)
+        v = vals[: 2 * A * k].reshape(A, 2, k)
+        vb = np.full((A, 2, k), np.nan)
+        vb[probe] = vals[2 * A * k :]
+
+        # The walk takes the + line if its first step wins, else the - line
+        # if that one does, and climbs while each step wins; along + the way
+        # back is tried after the next step fails, along - before it.  ``run``
+        # counts the steps up to the first that fails (k if none does), ``m``
+        # the moves within the budget.
+        b, rest = best[act], left[act]
+        up = v[:, 0, 0] > b
+        side = np.where(up, 0, 1)
+        start = up | (v[:, 1, 0] > b)
+        line, back, v, vb = line[r, side], back[r, side], v[r, side], vb[r, side]
+        wins_back = vb > v
+        on = (v[:, 1:] > v[:, :-1]) & (up[:, None] | ~wins_back[:, :-1])
+        on = np.concatenate([on, np.zeros((A, 1), bool)], axis=1)
+        run = 1 + np.argmin(on, axis=1)
+        m = np.where(start, np.minimum(run, rest), 0)
+        rest -= m
+        at = np.maximum(m - 1, 0)
+        # a walk that stopped inside the round, moves left, takes a winning way back
+        leave = (m > 0) & (m == run) & (run < k) & (rest > 0) & wins_back[r, at]
+        Z[act, i] = np.where(leave, back[r, at], line[r, m])
+        best[act] = np.where(leave, vb[r, at], np.where(m > 0, v[r, at], b))
+        left[act] = rest - leave
+        act = act[(left[act] > 0) & (leave | (m == k))]
+
+
+def _multistart(fun, config: SearchConfig, draw, steps: float, lo: float, hi: float):
+    """Yield (value, point) per trial in trial order: ``draw(rng)`` from the
+    trial's own stream, refined by the walk with step ``steps`` halved
+    ``config.local_steps`` times.  A block of trials walks together."""
+    block = max(1, _CELL_CAP // (4 * _MAX_MOVES))  # 4: two sides, way back
+    for first in range(0, config.trials, block):
+        trials = range(first, min(first + block, config.trials))
+        Z = np.array([draw(_trial_rng(config.seed, t)) for t in trials])
+        best = _values(fun, Z, np.arange(len(Z)), 0, Z[:, 0])
+        for p in range(config.local_steps):
+            for i in range(Z.shape[1]):
+                _climb(fun, Z, best, i, steps * 0.5**p, lo, hi)
+        yield from zip(best.tolist(), Z)
 
 
 def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
@@ -176,16 +254,17 @@ def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
     rp = ReducedProblem(w)
     upper = rp.upper
 
-    def fun(u: np.ndarray) -> float:
-        return float(rp.F(*rp.log_products(u * upper)))
+    def fun(U: np.ndarray) -> np.ndarray:
+        return rp.F(*rp.log_products(U * upper))
 
     pad = config.box_padding
-    best_val = fun(np.minimum(1.0 / upper, 1.0 - pad))  # constant point
-    best_u = np.minimum(1.0 / upper, 1.0 - pad)
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, t)
-        u = rng.uniform(pad, 1.0 - pad, dims)
-        val, u = _coordinate_ascent(fun, u, 0.25, pad, 1.0 - pad, config.local_steps)
+    best_u = np.minimum(1.0 / upper, 1.0 - pad)  # constant point
+    best_val = float(fun(best_u))
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(pad, 1.0 - pad, dims)
+
+    for val, u in _multistart(fun, config, draw, 0.25, pad, 1.0 - pad):
         if val > best_val:
             best_val, best_u = val, u
     return SearchResult(
@@ -202,36 +281,22 @@ def _rado_increment_precise(w: WeightSequence, x, s: float, k: int) -> float:
         wv = [mpmath.mpf(float(v)) for v in w.w]
         xv = [mpmath.mpf(float(v)) for v in np.asarray(x, dtype=float)]
 
+        def mean(vals, m: int, r: float) -> mpmath.mpf:
+            """The r-mean of vals[:m] under the weights w_1..w_m."""
+            pairs = list(zip(wv[:m], vals[:m]))
+            Wm = mpmath.fsum(wv[:m])
+            if r == 0.0:
+                return mpmath.exp(mpmath.fsum(a * mpmath.log(b) for a, b in pairs) / Wm)
+            if r == 1.0:
+                return mpmath.fsum(a * b for a, b in pairs) / Wm
+            return (mpmath.fsum(a * b**r for a, b in pairs) / Wm) ** (1 / mpmath.mpf(r))
+
         def value(m: int) -> mpmath.mpf:
             if m == 1:
                 return mpmath.mpf(0)
-            Wm = mpmath.fsum(wv[:m])
-            arith, smean = [], []
-            for i in range(1, m + 1):
-                Wi = mpmath.fsum(wv[:i])
-                arith.append(mpmath.fsum(a * b for a, b in zip(wv[:i], xv[:i])) / Wi)
-                if s == 0.0:
-                    smean.append(
-                        mpmath.exp(
-                            mpmath.fsum(a * mpmath.log(b) for a, b in zip(wv[:i], xv[:i]))
-                            / Wi
-                        )
-                    )
-                else:
-                    smean.append(
-                        (mpmath.fsum(a * b**s for a, b in zip(wv[:i], xv[:i])) / Wi)
-                        ** (1 / mpmath.mpf(s))
-                    )
-            if s == 0.0:
-                outer = mpmath.exp(
-                    mpmath.fsum(a * mpmath.log(b) for a, b in zip(wv[:m], arith)) / Wm
-                )
-            else:
-                outer = (
-                    mpmath.fsum(a * b**s for a, b in zip(wv[:m], arith)) / Wm
-                ) ** (1 / mpmath.mpf(s))
-            inner = mpmath.fsum(a * b for a, b in zip(wv[:m], smean)) / Wm
-            return Wm * (outer - inner)
+            arith = [mean(xv, i, 1.0) for i in range(1, m + 1)]
+            smean = [mean(xv, i, s) for i in range(1, m + 1)]
+            return mpmath.fsum(wv[:m]) * (mean(arith, m, s) - mean(smean, m, 1.0))
 
         return float(value(k) - value(k - 1))
 
@@ -242,22 +307,23 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
     negated increment.  A positive best value beyond the rounding tolerance
     is re-verified in high precision before being flagged."""
     n = w.n
+
+    def fun(Z: np.ndarray) -> np.ndarray:
+        return -_increment(w, np.exp(Z), s, n)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-_LOG10_RANGE, _LOG10_RANGE, n) * math.log(10.0)
+
     best_val = -math.inf
     best_x: Optional[np.ndarray] = None
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, t)
-        z0 = rng.uniform(-_LOG10_RANGE, _LOG10_RANGE, n) * math.log(10.0)
-
-        def fun(z: np.ndarray) -> float:
-            return -rado_increment(w, np.exp(z), s, n)
-
-        val, z = _coordinate_ascent(
-            fun, z0, math.log(2.0), math.log(1e-6), math.log(1e6), config.local_steps
-        )
+    for val, z in _multistart(
+        fun, config, draw, math.log(2.0), math.log(1e-6), math.log(1e6)
+    ):
         if val > best_val:
             best_val = val
             best_x = np.exp(z)
-    assert best_x is not None
+    if best_x is None:
+        raise InputError("the increment is NaN at every trial point")
     violation = False
     if best_val > violation_tolerance(w, best_x):
         violation = _rado_increment_precise(w, best_x, s, n) < -1e-6

@@ -1,0 +1,90 @@
+"""Serial reference for the batched line ascent in ``mixedmeans.search``.
+
+This is the one-point-at-a-time greedy coordinate ascent, with the
+per-trial loops of ``violation_search`` and ``multistart_max_F`` around it.
+The batched search must return results equal to these, field by field.
+"""
+import math
+
+import numpy as np
+
+from mixedmeans import SearchResult, WeightSequence, rado_increment, violation_tolerance
+from mixedmeans.conditions import ReducedProblem
+from mixedmeans.search import _LOG10_RANGE, _rado_increment_precise, _trial_rng
+
+
+def coordinate_ascent(fun, z, steps, lo, hi, local_steps, max_moves=50):
+    """Greedy coordinate ascent with a geometrically shrinking step."""
+    best = fun(z)
+    for p in range(local_steps):
+        step = steps * 0.5**p
+        for i in range(z.size):
+            for _ in range(max_moves):
+                moved = False
+                for sgn in (1.0, -1.0):
+                    cand = z.copy()
+                    cand[i] = min(max(cand[i] + sgn * step, lo), hi)
+                    val = fun(cand)
+                    if val > best:
+                        best = val
+                        z = cand
+                        moved = True
+                        break
+                if not moved:
+                    break
+    return best, z
+
+
+def multistart_max_F(w: WeightSequence, config) -> SearchResult:
+    dims = w.n - 1
+    rp = ReducedProblem(w)
+    upper = rp.upper
+
+    def fun(u):
+        return float(rp.F(*rp.log_products(u * upper)))
+
+    pad = config.box_padding
+    best_val = fun(np.minimum(1.0 / upper, 1.0 - pad))  # constant point
+    best_u = np.minimum(1.0 / upper, 1.0 - pad)
+    for t in range(config.trials):
+        rng = _trial_rng(config.seed, t)
+        u = rng.uniform(pad, 1.0 - pad, dims)
+        val, u = coordinate_ascent(fun, u, 0.25, pad, 1.0 - pad, config.local_steps)
+        if val > best_val:
+            best_val, best_u = val, u
+    return SearchResult(
+        best_value=best_val,
+        best_point=tuple(float(v) for v in best_u * upper),
+        trials_run=config.trials,
+        seed=config.seed,
+    )
+
+
+def violation_search(w: WeightSequence, s: float, config) -> SearchResult:
+    n = w.n
+    best_val = -math.inf
+    best_x = None
+    for t in range(config.trials):
+        rng = _trial_rng(config.seed, t)
+        z0 = rng.uniform(-_LOG10_RANGE, _LOG10_RANGE, n) * math.log(10.0)
+
+        def fun(z):
+            return -rado_increment(w, np.exp(z), s, n)
+
+        val, z = coordinate_ascent(
+            fun, z0, math.log(2.0), math.log(1e-6), math.log(1e6), config.local_steps
+        )
+        if val > best_val:
+            best_val = val
+            best_x = np.exp(z)
+    assert best_x is not None
+    violation = False
+    if best_val > violation_tolerance(w, best_x):
+        violation = _rado_increment_precise(w, best_x, s, n) < -1e-6
+    return SearchResult(
+        best_value=best_val,
+        best_point=tuple(float(v) for v in best_x),
+        trials_run=config.trials,
+        seed=config.seed,
+        violation=violation,
+    )

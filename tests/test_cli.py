@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from mixedmeans import popoviciu_increment, rado_increment
 from mixedmeans.cli import run
+from sampling import random_samples, random_weights
 
 
 @pytest.fixture
@@ -121,6 +124,23 @@ class TestVerify:
         assert levels[1]["popoviciu_increment"] == pytest.approx(
             0.037884820130820694
         )
+
+    def test_levels_match_library(self, capsys, tmp_path):
+        rng = np.random.default_rng(72)
+        for n, s in ((2, 0.0), (5, -1.0), (9, 0.5), (30, 2.0)):
+            w = random_weights(rng, n)
+            x = random_samples(rng, n)
+            wf, xf = tmp_path / "w.json", tmp_path / "x.json"
+            wf.write_text(json.dumps({"w": w.w.tolist()}))
+            xf.write_text(json.dumps({"x": x.tolist()}))
+            code, out, _ = invoke(capsys, ["verify", str(wf), str(xf), "--s", str(s)])
+            assert code in (0, 2)
+            levels = json.loads(out)["levels"]
+            assert [lv["k"] for lv in levels] == list(range(2, n + 1))
+            for lv in levels:
+                k = lv["k"]
+                assert lv["rado_increment"] == rado_increment(w, x, s, k)
+                assert lv["popoviciu_increment"] == popoviciu_increment(w, x, k)
 
     def test_violating_point_exits_two(self, capsys, files, tmp_path):
         xf = tmp_path / "xv.json"
@@ -250,6 +270,29 @@ class TestErrorPaths:
         wide = tmp_path / "wide.json"
         wide.write_text('{"w": [1, 1e-300, 1e300]}')
         self._one_line_error(capsys, ["gen-weights", str(wide)])
+
+    def test_overflow_without_warnings(self, tmp_path):
+        # in a fresh process, so numpy warnings reach stderr uncaptured
+        big = tmp_path / "big.json"
+        big.write_text('{"w": [1, 1e200, 1]}')
+        for command in ("check", "certify"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mixedmeans.cli", command, str(big)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1
+            assert "overflow" in proc.stderr
+
+    def test_search_errors(self, capsys, tmp_path):
+        # one weight has no increment; weights whose sums overflow have no
+        # finite one
+        for i, text in enumerate(('{"w": [2]}', '{"w": [1, 1e308, 1e308]}')):
+            p = tmp_path / f"w{i}.json"
+            p.write_text(text)
+            self._one_line_error(capsys, ["search", str(p), "--trials", "3"])
 
 
 class TestDeterminism:

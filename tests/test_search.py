@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from mixedmeans import (
     violation_search,
     weight_scan,
 )
+import serial_search
+from mixedmeans import search
 from mixedmeans.search import SCAN_FIELDS, _rado_increment_precise
 from sampling import random_samples, random_weights
 
@@ -115,6 +119,113 @@ class TestMultistartMaxF:
         w = WeightSequence([1, 1, 1, 2, 1, 1])
         cfg = SearchConfig(seed=8, trials=10, local_steps=6)
         assert multistart_max_F(w, cfg) == multistart_max_F(w, cfg)
+
+
+class TestSerialReference:
+    """The batched line ascent returns exactly the serial walk's results."""
+
+    def test_violation_search(self):
+        rng = np.random.default_rng(70)
+        cases = [(n, s) for n in range(2, 9) for s in (-1.0, 0.0, 0.5, 2.0)]
+        for j, (n, s) in enumerate(cases):
+            w = random_weights(rng, n, 0.2, 8.0)
+            cfg = SearchConfig(seed=j, trials=1 + j % 12)
+            assert violation_search(w, s, cfg) == serial_search.violation_search(
+                w, s, cfg
+            )
+
+    def test_multistart_max_F(self):
+        rng = np.random.default_rng(71)
+        for j, n in enumerate((6, 6, 7, 7)):
+            w = random_weights(rng, n, 0.2, 8.0)
+            cfg = SearchConfig(seed=j, trials=40, local_steps=6 + j)
+            assert multistart_max_F(w, cfg) == serial_search.multistart_max_F(w, cfg)
+
+    @pytest.mark.parametrize("max_moves", [50, 5, 2])
+    def test_rough_objectives(self, monkeypatch, max_moves):
+        # Values that jump between neighbouring floats make the walk take
+        # its steps back (off the lattice by rounding) and turn at the
+        # clamps, which the smooth objectives above rarely do.  Small move
+        # budgets make those steps back count against the budget.
+        monkeypatch.setattr(search, "_MAX_MOVES", max_moves)
+
+        def rough(Z):
+            return np.sin(1e17 * Z).sum(axis=-1) - (Z**2).sum(axis=-1)
+
+        def serial(z):
+            return float(rough(z[None])[0])
+
+        for d, steps, lo, hi, local_steps in (
+            (1, 0.3, -1.0, 1.0, 6),
+            (3, 0.7, -2.0, 2.0, 4),
+            (5, 0.25, 0.0, 1.0, 3),
+        ):
+            cfg = SearchConfig(seed=d, trials=40, local_steps=local_steps)
+
+            def draw(rng):
+                return rng.uniform(lo, hi, d)
+
+            batched = list(search._multistart(rough, cfg, draw, steps, lo, hi))
+            for t, (val, z) in enumerate(batched):
+                z0 = draw(search._trial_rng(cfg.seed, t))
+                ref_val, ref_z = serial_search.coordinate_ascent(
+                    serial, z0, steps, lo, hi, local_steps, max_moves
+                )
+                assert val == ref_val
+                assert z.tolist() == ref_z.tolist()
+
+    def test_budget_ends_walk_before_step_back(self, monkeypatch):
+        # Row 0 makes its seventh and last move up to 0.31 + 7 steps, where
+        # the step back lands off the lattice and would win; the budget is
+        # spent, so the walk ends there.  Row 1 steps back after one move,
+        # so the second round (after a first one of 4 steps) looks further
+        # ahead than row 0 has moves left.
+        monkeypatch.setattr(search, "_MAX_MOVES", 7)
+        monkeypatch.setattr(search, "_ROUND", 1)
+        step, starts, backs = 0.1, (0.31, -0.45), []
+        for start, moves in zip(starts, (7, 1)):
+            line = [start]
+            for _ in range(moves):
+                line.append(line[-1] + step)
+            backs.append(line[-1] - step)
+            assert backs[-1] != line[-2]
+
+        def fun(Z):
+            z = Z[:, 0]
+            near = np.where(z >= 0.0, -abs(z - 1.03), -abs(z + 0.33))
+            return near + 1000.0 * np.isin(z, backs)
+
+        Z = np.array(starts)[:, None]
+        best = fun(Z)
+        search._climb(fun, Z, best, 0, step, -5.0, 5.0)
+        for t, start in enumerate(starts):
+            ref_val, ref_z = serial_search.coordinate_ascent(
+                lambda z: float(fun(z[None])[0]), np.array([start]), step,
+                -5.0, 5.0, 1, 7,
+            )
+            assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
+        assert Z[1, 0] == backs[1]
+
+    def test_chunking_changes_nothing(self, monkeypatch):
+        w = WeightSequence([1, 2, 0.5, 6])
+        cfg = SearchConfig(seed=5, trials=9, local_steps=5)
+        whole = (violation_search(w, 0.5, cfg), multistart_max_F(w, cfg))
+        monkeypatch.setattr(search, "_CELL_CAP", 8)  # one trial, two rows at a time
+        assert (violation_search(w, 0.5, cfg), multistart_max_F(w, cfg)) == whole
+
+    def test_memory_bounded(self):
+        # 20k trials of 2 x 50 candidate rows of 3 entries would alone be 48 MB
+        tracemalloc.start()
+        try:
+            violation_search(
+                WeightSequence([1, 1, 6]),
+                0.0,
+                SearchConfig(seed=0, trials=20_000, local_steps=1),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSearchConfig:
