@@ -222,6 +222,9 @@ def run(argv: list[str]) -> int:
     except OverflowError as exc:
         sys.stderr.write(f"mixedmeans: error: floating-point overflow: {exc}\n")
         return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"mixedmeans: error: out of memory: {exc}\n")
+        return 1
 
 
 def main() -> None:

@@ -45,21 +45,28 @@ def _positive_array(values, label: str) -> np.ndarray:
 
 
 class WeightSequence:
-    """Positive weights w_1..w_n with cached prefix sums.
+    """Positive weights w_1..w_n with cached prefix sums and logs.
 
     ``W[i]`` is w_1 + ... + w_{i+1} (0-based storage) and ``S[k]`` is
-    W_1 + ... + W_{k+1}.  Zero weights are rejected; callers that want the
-    zero-weight limit should perturb the input themselves.
+    W_1 + ... + W_{k+1}; ``log_w`` and ``log_W`` are the logs of ``w`` and
+    ``W``.  Zero weights are rejected; callers that want the zero-weight
+    limit should perturb the input themselves.  So are weights whose prefix
+    sums overflow float64.
     """
 
-    __slots__ = ("w", "W", "S")
+    __slots__ = ("w", "W", "S", "log_w", "log_W")
 
     def __init__(self, w):
         self.w = _positive_array(w, "weights")
-        self.W = np.cumsum(self.w)
-        self.S = np.cumsum(self.W)
-        self.W.setflags(write=False)
-        self.S.setflags(write=False)
+        with np.errstate(over="ignore"):
+            self.W = np.cumsum(self.w)
+            self.S = np.cumsum(self.W)
+        if not (math.isfinite(self.W[-1]) and math.isfinite(self.S[-1])):
+            raise InputError("prefix sums of the weights overflow float64")
+        self.log_w = np.log(self.w)
+        self.log_W = np.log(self.W)
+        for arr in (self.W, self.S, self.log_w, self.log_W):
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -120,8 +127,8 @@ def _partial_means(w: WeightSequence, x: np.ndarray, r: float) -> np.ndarray:
     if r == 0.0:
         values = np.exp(np.cumsum(w.w * log_x, axis=-1) / w.W)
     else:
-        acc = np.logaddexp.accumulate(np.log(w.w) + r * log_x, axis=-1)
-        values = np.exp((acc - np.log(w.W)) / r)
+        acc = np.logaddexp.accumulate(w.log_w + r * log_x, axis=-1)
+        values = np.exp((acc - w.log_W) / r)
     values[..., 0] = x[..., 0]  # single-point mean is exact
     return values
 

@@ -331,10 +331,10 @@ def certify(
 ) -> Certificate:
     """Select a certification route for the level-n inequality: the Holland
     margin if it is nonnegative, else the Gao conditions, else a numeric
-    maximization of F (dense grid up to four box dimensions, multistart
-    beyond).  A numeric maximum above 1 + 1e-9 is reported as refuted;
-    no such case is expected, so it would point at an implementation bug
-    or at genuinely new territory.
+    maximization of F (exact lattice maximum by branch and bound up to four
+    box dimensions, multistart beyond).  A numeric maximum above 1 + 1e-9
+    is reported as refuted; no such case is expected, so it would point at
+    an implementation bug or at genuinely new territory.
     """
     from . import search  # deferred: search builds on this module
 

@@ -1,12 +1,15 @@
-"""Numeric oracles: dense grid maximization of the reduced objective on
-small boxes, multistart violation search in data space, and tail-weight
-region scans.
+"""Numeric oracles: exact lattice maximization of the reduced objective on
+boxes of up to four dimensions, multistart violation search in data space,
+and tail-weight region scans.
 
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
-order.  Grid argmax ties break to the lexicographically smallest index.
-Both grids and the multistart ascent evaluate the reduced objective from
-the table ``conditions.ReducedProblem``; the two grids share one lattice.
+order.  Both grids and the multistart ascent evaluate the reduced objective
+from the table ``conditions.ReducedProblem``; the two grids share one
+lattice body, a branch and bound over index blocks that returns the maximum
+of the filled lattice (ties break to the lexicographically smallest index)
+while evaluating only the cells of blocks it cannot rule out, in memory
+bounded by ``_CELL_CAP``.
 
 Both multistart searches run a batched line ascent over blocks of trials:
 per coordinate and step size, one array call evaluates the candidates of
@@ -44,7 +47,7 @@ __all__ = [
     "SCAN_FIELDS",
 ]
 
-# Dense grids are limited to four box dimensions; larger instances fall
+# Lattice maxima are limited to four box dimensions; larger instances fall
 # back to multistart.
 GRID_DIM_LIMIT = 4
 
@@ -52,7 +55,8 @@ GRID_DIM_LIMIT = 4
 # size.  Its rounds look 4, 8, 16, ... steps ahead on each side, and at
 # least _ROUND steps summed over their rows: a small round costs mostly
 # fixed overhead.  The candidates of one round and the rows of one
-# evaluation stay under _CELL_CAP float64 elements, for any trial count.
+# evaluation stay under _CELL_CAP float64 elements, for any trial count;
+# the lattice maxima derive their block and batch sizes from it too.
 _MAX_MOVES = 50
 _ROUND = 32
 _CELL_CAP = 1 << 16
@@ -115,28 +119,117 @@ def _axis(upper: float, resolution: int) -> np.ndarray:
 def _lattice_max(
     rp: ReducedProblem, dims: int, resolution: int, combine
 ) -> SearchResult:
-    """Evaluate ``combine(L1, L2)`` on the lattice over the first ``dims``
-    box axes, where L1 and L2 are the summed per-axis log-terms, and take
-    the argmax.  ``combine`` may overwrite L1 and L2: at most these two
-    full-size arrays are alive at once."""
+    """The first maximum in row-major order of ``combine(L1, L2)`` on the
+    lattice over the first ``dims`` box axes, where L1 and L2 are the
+    per-axis log-terms summed in axis order; NaN counts as the largest
+    value, as in ``np.argmax`` of the filled lattice.
+
+    An exact branch and bound over index blocks.  The first log-terms rise
+    along every axis and the second fall, and ``combine`` rises in both, so
+    the prefix maxima of the first at a block's top corner and the suffix
+    maxima of the second at its bottom corner bound every cell of the block.
+    A block is dropped only when its bound is below the best cell found so
+    far by more than 1e-12 relative, which covers rounding in ``combine``;
+    the rest are halved along their longest axis until they are small
+    enough to evaluate cell by cell.  Cells are summed in the same order as
+    on the filled lattice, so each value is bit-identical to it.
+    """
     axes = [_axis(float(rp.upper[i]), resolution) for i in range(dims)]
     terms = [rp.log_terms(axes[i], i) for i in range(dims)]
-    L1, L2 = (
-        sum(np.meshgrid(*(t[j] for t in terms), indexing="ij", sparse=True))
-        for j in (0, 1)
-    )
-    vals = combine(L1, L2)
-    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    top = [np.maximum.accumulate(t1) for t1, _ in terms]
+    bottom = [np.maximum.accumulate(t2[::-1])[::-1] for _, t2 in terms]
+    leaf = max(1, _CELL_CAP >> 13)
+    frontier = max(1, _CELL_CAP // (2 * dims))
+    best = None  # (is NaN, value, negated index): larger is better
+
+    def visit(J: np.ndarray) -> None:
+        """Evaluate the cells with index columns ``J`` and keep the best."""
+        nonlocal best
+        L1, L2 = (sum(t[j][J[i]] for i, t in enumerate(terms)) for j in (0, 1))
+        vals = combine(L1, L2)
+        nan = np.isnan(vals)
+        tied = np.flatnonzero(nan if nan.any() else vals == vals.max())
+        k = tied[np.lexsort(J[::-1, tied])[0]]  # lexsort's last key leads
+        value = 0.0 if nan[k] else float(vals[k])
+        key = (bool(nan[k]), value, tuple((-J[:, k]).tolist()))
+        if best is None or key > best:
+            best = key
+
+    def keep(bound: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """The blocks that may hold a cell better than the best so far."""
+        is_nan, value, neg = best
+        if not is_nan:
+            return ~(bound < value - 1e-12 * abs(value))
+        # no log-term is +inf, so a NaN cell makes its block's bound NaN;
+        # it must also come before the best NaN cell in row-major order
+        first, tie = np.zeros(lo.shape[1], bool), np.ones(lo.shape[1], bool)
+        for i, j in enumerate(neg):
+            first |= tie & (lo[i] < -j)
+            tie &= lo[i] == -j
+        return first & np.isnan(bound)
+
+    # seed the best with the corners and the point 1.0 (where F = 1)
+    seed = [np.unique([0, resolution - 1, *np.flatnonzero(a == 1.0)]) for a in axes]
+    visit(np.stack(np.meshgrid(*seed, indexing="ij")).reshape(dims, -1))
+
+    stack = [(np.zeros((dims, 1), np.intp), np.full((dims, 1), resolution - 1))]
+    while stack:
+        lo, hi = stack.pop()
+        if lo.shape[1] > frontier:
+            stack.append((lo[:, frontier:], hi[:, frontier:]))
+            lo, hi = lo[:, :frontier], hi[:, :frontier]
+        with np.errstate(all="ignore"):
+            bound = combine(
+                sum(t[hi[i]] for i, t in enumerate(top)),
+                sum(t[lo[i]] for i, t in enumerate(bottom)),
+            )
+        alive = keep(bound, lo)
+        lo, hi = lo[:, alive], hi[:, alive]
+        size = hi - lo + 1
+        small = np.prod(size, axis=0, dtype=float) <= leaf
+        for J in _cells(lo[:, small], size[:, small]):
+            visit(J)
+        lo, hi, size = lo[:, ~small], hi[:, ~small], size[:, ~small]
+        if lo.size:
+            ax, r = np.argmax(size, axis=0), np.arange(lo.shape[1])
+            upper_lo, lower_hi = lo.copy(), hi.copy()
+            upper_lo[ax, r] += size[ax, r] // 2
+            lower_hi[ax, r] = upper_lo[ax, r] - 1
+            stack.append((np.hstack([lo, upper_lo]), np.hstack([lower_hi, hi])))
+
+    idx = [-j for j in best[2]]
     return SearchResult(
-        best_value=float(vals[idx]),
-        best_point=tuple(float(axes[i][idx[i]]) for i in range(dims)),
-        trials_run=int(vals.size),
+        best_value=math.nan if best[0] else best[1],
+        best_point=tuple(float(axes[i][j]) for i, j in enumerate(idx)),
+        trials_run=resolution**dims,
     )
+
+
+def _cells(lo: np.ndarray, size: np.ndarray):
+    """Index columns of the cells of the blocks ``lo`` .. ``lo + size - 1``
+    (one block of at most ``_CELL_CAP`` cells per column), in batches of at
+    most ``_CELL_CAP`` cells."""
+    count = np.prod(size, axis=0)
+    ends = np.cumsum(count)
+    a = 0
+    while a < count.size:
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + _CELL_CAP, side="right")))
+        owner = np.repeat(np.arange(a, b), count[a:b])
+        starts = ends[a:b] - count[a:b] - base
+        local = np.arange(ends[b - 1] - base) - np.repeat(starts, count[a:b])
+        J = np.empty((lo.shape[0], local.size), np.intp)
+        for i in reversed(range(lo.shape[0])):
+            J[i] = lo[i, owner] + local % size[i, owner]
+            local //= size[i, owner]
+        yield J
+        a = b
 
 
 def grid_max_F(w: WeightSequence, resolution: int) -> SearchResult:
-    """Exhaustive lattice maximization of the reduced objective over the
-    closed box, faces included.  Deterministic; ties go to the first
+    """Exact lattice maximization of the reduced objective over the closed
+    box, faces included: the maximum over all ``resolution**(n-1)`` cells,
+    which ``trials_run`` counts.  Deterministic; ties go to the first
     lattice point in row-major order."""
     dims = w.n - 1
     if dims > GRID_DIM_LIMIT:
@@ -249,7 +342,7 @@ def _multistart(fun, config: SearchConfig, draw, steps: float, lo: float, hi: fl
 
 def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
     """Multistart coordinate ascent of the reduced objective over the open
-    box; used when the box has too many dimensions for a dense grid."""
+    box; used when the box has too many dimensions for a lattice."""
     dims = w.n - 1
     rp = ReducedProblem(w)
     upper = rp.upper
@@ -352,7 +445,7 @@ SCAN_FIELDS = (
 def weight_scan(head, tail_range, steps: int, resolution: int) -> list[dict]:
     """Sweep the tail weight over a geometric grid and report, per value,
     the Holland margin, the four Gao margins, the two analytic bounds, and
-    the dense-grid maximum of the reduced objective.  Fields that do not
+    the lattice maximum of the reduced objective.  Fields that do not
     apply (threshold undefined, box too large for a grid) are None."""
     head = _positive_array(head, "head weights")
     lo, hi = float(tail_range[0]), float(tail_range[1])

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,7 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from mixedmeans import popoviciu_increment, rado_increment
+from mixedmeans import (
+    WeightSequence,
+    cli,
+    objective_F,
+    popoviciu_increment,
+    rado_increment,
+)
 from mixedmeans.cli import run
 from sampling import random_samples, random_weights
 
@@ -30,6 +37,10 @@ def files(tmp_path):
         "bad": write("bad.json", {"weights": [1, 2]}),
         "garbage": str(garbage),
     }
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-finite {constant} on stdout")
 
 
 def invoke(capsys, argv):
@@ -105,13 +116,21 @@ class TestCertify:
         p.write_text('{"w": [1, 1e-300, 1e300]}')
         code, out, _ = invoke(capsys, ["certify", str(p)])
 
-        def reject(constant):
-            raise ValueError(f"non-finite {constant} on stdout")
-
         if code == 1:
             assert out == ""
         else:
-            json.loads(out, parse_constant=reject)
+            json.loads(out, parse_constant=_reject_constant)
+
+    def test_five_weights_at_default_resolution(self, capsys, tmp_path):
+        # a 4-D lattice of 201^4 cells, which once ran out of memory
+        p = tmp_path / "w5.json"
+        p.write_text('{"w": [1, 1, 1, 1, 9]}')
+        code, out, _ = invoke(capsys, ["certify", str(p)])
+        assert code == 2
+        numeric = json.loads(out, parse_constant=_reject_constant)["numeric_max"]
+        assert len(numeric["argmax"]) == 4
+        w = WeightSequence([1, 1, 1, 1, 9])
+        assert objective_F(w, numeric["argmax"]) == numeric["value"]
 
 
 class TestVerify:
@@ -195,6 +214,17 @@ class TestScan:
         assert float(first[0]) == pytest.approx(3.0)
         # interior bound is blank while the excess is nonpositive
         assert first[7] == ""
+
+    def test_four_weight_head_fills_grid_max(self, capsys, tmp_path):
+        head = tmp_path / "head4.json"
+        head.write_text('{"w": [1, 1, 1, 1]}')
+        code, out, _ = invoke(
+            capsys, ["scan", str(head), "--range", "9:12", "--steps", "2"]
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 2
+        assert all(float(row["grid_max"]) > 1.0 for row in rows)
 
     def test_bad_range_exits_one(self, capsys, files):
         code, _, err = invoke(
@@ -285,6 +315,31 @@ class TestErrorPaths:
             assert proc.stdout == ""
             assert len(proc.stderr.splitlines()) == 1
             assert "overflow" in proc.stderr
+
+    def test_prefix_sum_overflow_without_warnings(self, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text('{"w": [1, 1e308, 1e308]}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedmeans.cli", "search", str(p)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "overflow" in proc.stderr
+
+    def test_out_of_memory(self, capsys, monkeypatch, files):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 12.2 GiB for an array")
+
+        monkeypatch.setattr(cli, "certify", exhausted)
+        code, out, err = invoke(capsys, ["certify", files["w6"]])
+        assert (code, out) == (1, "")
+        assert err == (
+            "mixedmeans: error: out of memory: "
+            "Unable to allocate 12.2 GiB for an array\n"
+        )
 
     def test_search_errors(self, capsys, tmp_path):
         # one weight has no increment; weights whose sums overflow have no

@@ -17,6 +17,21 @@ from mixedmeans import (
 from sampling import random_samples, random_weights
 
 
+class TestWeightSequence:
+    def test_prefix_sum_overflow(self):
+        for w in ([1, 1e308, 1e308], [1e308] * 3):
+            with np.errstate(over="raise"):  # the check itself warns of nothing
+                with pytest.raises(InputError, match="overflow"):
+                    WeightSequence(w)
+
+    def test_cached_logs(self):
+        w = WeightSequence([0.5, 2.0, 3.0])
+        assert w.log_w.tolist() == np.log([0.5, 2.0, 3.0]).tolist()
+        assert w.log_W.tolist() == np.log([0.5, 2.5, 5.5]).tolist()
+        with pytest.raises(ValueError):
+            w.log_W[0] = 0.0
+
+
 class TestPowerMean:
     def test_arithmetic(self):
         assert power_mean([0.5, 0.5], [1, 4], 1.0) == pytest.approx(2.5, abs=1e-15)

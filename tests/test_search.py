@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from mixedmeans import (
     SearchConfig,
     SearchResult,
     WeightSequence,
+    critical_weight,
     gao_conditions,
     grid_max_F,
     grid_max_envelope,
@@ -17,8 +19,10 @@ from mixedmeans import (
     violation_search,
     weight_scan,
 )
+import dense_lattice
 import serial_search
 from mixedmeans import search
+from mixedmeans.conditions import ReducedProblem
 from mixedmeans.search import SCAN_FIELDS, _rado_increment_precise
 from sampling import random_samples, random_weights
 
@@ -60,6 +64,95 @@ class TestGridMaxF:
             full = grid_max_F(w, 801)
             env = grid_max_envelope(w, 801)
             assert env.best_value == pytest.approx(full.best_value, abs=1e-6)
+
+
+def _lattice_cases():
+    """Weights and resolutions for the lattice maxima: random weights and,
+    from n = 3, a head with a Holland, a Gao (just past the critical tail
+    weight) and a refutable tail, at n = 2..5; degenerate weights last."""
+    rng = np.random.default_rng(80)
+    for n in (2, 3, 4, 5):
+        ws = [random_weights(rng, n, 0.2, 8.0)]
+        if n >= 3:
+            head = rng.uniform(0.5, 2.0, n - 1)
+            tail = critical_weight(head)
+            ws += [
+                WeightSequence(np.append(head, tail * f)) for f in (0.6, 1 + 1e-5, 2.5)
+            ]
+        for w in ws:
+            for resolution in (2, 3, 11, 61, 201) if n <= 4 else (2, 3, 11, 41):
+                yield w, resolution
+    # an exponent underflows to 0; exponents are NaN (NaN cells); a tiny weight
+    for w in (
+        [1, 1e-300, 1e300], [1, 1, 1e308], [1, 1, 1, 1, 1e308], [1, 2, 1e-300, 4]
+    ):
+        yield WeightSequence(w), 41
+
+
+class TestDenseReference:
+    """The branch and bound returns exactly the filled lattice's results."""
+
+    @staticmethod
+    def _check_all():
+        for w, resolution in _lattice_cases():
+            pairs = [(grid_max_F, dense_lattice.grid_max_F)]
+            if w.n >= 3:
+                pairs.append((grid_max_envelope, dense_lattice.grid_max_envelope))
+            for fast, dense in pairs:
+                with np.errstate(all="ignore"):
+                    got, want = fast(w, resolution), dense(w, resolution)
+                if math.isnan(want.best_value):  # NaN != NaN: compare the rest
+                    assert math.isnan(got.best_value)
+                    got = SearchResult(0.0, got.best_point, got.trials_run)
+                    want = SearchResult(0.0, want.best_point, want.trials_run)
+                assert got == want, (w, resolution, fast.__name__)
+
+    def test_matches_dense(self):
+        self._check_all()
+
+    def test_small_blocks_and_batches(self, monkeypatch):
+        # one-cell leaves, frontier chunks of 8 to 32 blocks, 64-cell batches
+        monkeypatch.setattr(search, "_CELL_CAP", 64)
+        self._check_all()
+
+    def test_other_monotone_combines(self):
+        # few distinct values, so many cells tie at the top; and log F's
+        # ingredients summed, whose maximum is an interior cell where the
+        # summation order shows in the last bits
+        rp = ReducedProblem(WeightSequence([1, 2, 0.5, 6]))
+
+        def coarse(L1, L2):
+            return np.floor(4.0 * rp.F(L1, L2))
+
+        def total(L1, L2):
+            return np.add(L1, L2, out=L1)
+
+        for combine in (coarse, total):
+            for dims, resolution in ((2, 61), (3, 31), (3, 201)):
+                got = search._lattice_max(rp, dims, resolution, combine)
+                want = dense_lattice.lattice_max(rp, dims, resolution, combine)
+                assert got == want
+
+    def test_five_weights_at_default_resolution(self):
+        # 201^4 cells: the filled lattice would need 12 GB
+        w = WeightSequence([1, 1, 1, 1, 9])
+        res = grid_max_F(w, 201)
+        assert res.trials_run == 201**4
+        assert len(res.best_point) == 4
+        assert res.best_value > 1.0
+
+    def test_memory_bounded(self):
+        head = np.array([1.0, 1.5, 0.7, 1.2])
+        w = WeightSequence(np.append(head, 0.6 * critical_weight(head)))
+        assert holland_condition(w).holds
+        tracemalloc.start()
+        try:
+            res = grid_max_F(w, 201)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.best_value == pytest.approx(1.0, abs=1e-12)
+        assert peak < 64 * 2**20
 
 
 class TestViolationSearch:
