@@ -132,7 +132,13 @@ class ReducedProblem:
         g = p_1 c^r + p_2 c'^r,   max over y_{n-1} of F = g^(1/r).
 
     ``log_corners`` holds log g at the upper corner, where every second base
-    is exactly 0, and at the origin, where every y_i is 0.
+    is exactly 0, and at the origin, where every y_i is 0 and every second
+    base takes its maximum ``second_max[i]`` = W_{i+1}/w_{i+1}.
+
+    Every entry of the table is finite, so the log-terms are finite or -inf
+    and never NaN: weights for which a box bound (the last is r), an
+    exponent, a second-base maximum or the denominator W_{n-1} W_n of alpha
+    overflows, or p_2 underflows to 0, raise ``InputError``.
     """
 
     def __init__(self, w: WeightSequence):
@@ -143,11 +149,20 @@ class ReducedProblem:
         self.w_1, self.w_n = float(w.w[0]), float(w.w[-1])
         self.r = self.W_n / self.W_n1
         self.p = (self.W_n1 / self.W_n, self.w_n / self.W_n)
-        self.log_p = (math.log(self.p[0]), math.log(self.p[1]))
         self.W_prev, self.W_next, self.w_next = W[:-1], W[1:], w.w[1:]
-        self.upper = self.W_next / self.W_prev
-        self.alpha = self.W_prev * self.w_n / (self.W_n1 * self.W_n)
-        self.beta = self.w_next / self.W_n
+        # r is upper[-1], and p_2 underflows to 0 only where second_max[-1]
+        # = 1/p_2 overflows; a numpy scalar lets W_{n-1} W_n overflow raise
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                self.upper = self.W_next / self.W_prev
+                self.alpha = self.W_prev * self.w_n / (np.float64(self.W_n1) * self.W_n)
+                self.beta = self.w_next / self.W_n
+                self.second_max = self.W_next / self.w_next
+        except FloatingPointError:
+            raise InputError(
+                "weights out of float64 range for the reduced problem"
+            ) from None
+        self.log_p = (math.log(self.p[0]), math.log(self.p[1]))
 
     def second(self, y, i):
         """The second bases second_i(y) on axis or axes ``i``, clipped at 0."""
@@ -198,7 +213,7 @@ class ReducedProblem:
     def log_corners(self) -> tuple[float, float]:
         head = slice(0, self.upper.size - 1)
         log_c_top = np.sum(self.alpha[head] * np.log(self.upper[head]))
-        log_cp_zero = np.sum(self.beta[head] * np.log(self.second(0.0, head)))
+        log_cp_zero = np.sum(self.beta[head] * np.log(self.second_max[head]))
         L = self.log_g(
             np.array([log_c_top, -np.inf]), np.array([-np.inf, log_cp_zero])
         )

@@ -7,8 +7,8 @@ All randomness flows through a counter-based generator keyed by
 order.  Both grids and the multistart ascent evaluate the reduced objective
 from the table ``conditions.ReducedProblem``; the two grids share one
 lattice body, a branch and bound over index blocks that returns the maximum
-of the filled lattice (ties break to the lexicographically smallest index)
-while evaluating only the cells of blocks it cannot rule out, in memory
+of the filled lattice (ties break to the lexicographically smallest index).
+It halves the blocks it cannot rule out down to single cells, in memory
 bounded by ``_CELL_CAP``.
 
 Both multistart searches run a batched line ascent over blocks of trials:
@@ -56,7 +56,8 @@ GRID_DIM_LIMIT = 4
 # least _ROUND steps summed over their rows: a small round costs mostly
 # fixed overhead.  The candidates of one round and the rows of one
 # evaluation stay under _CELL_CAP float64 elements, for any trial count;
-# the lattice maxima derive their block and batch sizes from it too.
+# the lattice maxima bound and evaluate at most _CELL_CAP // (2 * dims)
+# blocks at a time.
 _MAX_MOVES = 50
 _ROUND = 32
 _CELL_CAP = 1 << 16
@@ -72,13 +73,10 @@ class SearchConfig:
     trials: int = 200
     local_steps: int = 8
     box_padding: float = 1e-3
-    grid_resolution: int = 201
 
     def __post_init__(self):
         if self.trials < 1:
             raise InputError("trials must be at least 1")
-        if self.grid_resolution < 2:
-            raise InputError("grid resolution must be at least 2")
         if not 0.0 < self.box_padding < 1.0:
             raise InputError("box padding must be in (0, 1)")
         if self.local_steps < 0:
@@ -121,8 +119,8 @@ def _lattice_max(
 ) -> SearchResult:
     """The first maximum in row-major order of ``combine(L1, L2)`` on the
     lattice over the first ``dims`` box axes, where L1 and L2 are the
-    per-axis log-terms summed in axis order; NaN counts as the largest
-    value, as in ``np.argmax`` of the filled lattice.
+    per-axis log-terms summed in axis order, as in ``np.argmax`` of the
+    filled lattice.
 
     An exact branch and bound over index blocks.  The first log-terms rise
     along every axis and the second fall, and ``combine`` rises in both, so
@@ -130,43 +128,28 @@ def _lattice_max(
     maxima of the second at its bottom corner bound every cell of the block.
     A block is dropped only when its bound is below the best cell found so
     far by more than 1e-12 relative, which covers rounding in ``combine``;
-    the rest are halved along their longest axis until they are small
-    enough to evaluate cell by cell.  Cells are summed in the same order as
-    on the filled lattice, so each value is bit-identical to it.
+    the rest are halved along their longest axis down to single cells.  A
+    cell sums its own log-terms in the same order as the filled lattice, so
+    its value is bit-identical to it.  The table's log-terms are never NaN
+    or +inf, so no cell is NaN; a bound may overflow to +inf.
     """
     axes = [_axis(float(rp.upper[i]), resolution) for i in range(dims)]
     terms = [rp.log_terms(axes[i], i) for i in range(dims)]
     top = [np.maximum.accumulate(t1) for t1, _ in terms]
     bottom = [np.maximum.accumulate(t2[::-1])[::-1] for _, t2 in terms]
-    leaf = max(1, _CELL_CAP >> 13)
     frontier = max(1, _CELL_CAP // (2 * dims))
-    best = None  # (is NaN, value, negated index): larger is better
+    best = None  # (value, negated index): larger is better
 
     def visit(J: np.ndarray) -> None:
         """Evaluate the cells with index columns ``J`` and keep the best."""
         nonlocal best
         L1, L2 = (sum(t[j][J[i]] for i, t in enumerate(terms)) for j in (0, 1))
         vals = combine(L1, L2)
-        nan = np.isnan(vals)
-        tied = np.flatnonzero(nan if nan.any() else vals == vals.max())
+        tied = np.flatnonzero(vals == vals.max())
         k = tied[np.lexsort(J[::-1, tied])[0]]  # lexsort's last key leads
-        value = 0.0 if nan[k] else float(vals[k])
-        key = (bool(nan[k]), value, tuple((-J[:, k]).tolist()))
+        key = (float(vals[k]), tuple((-J[:, k]).tolist()))
         if best is None or key > best:
             best = key
-
-    def keep(bound: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        """The blocks that may hold a cell better than the best so far."""
-        is_nan, value, neg = best
-        if not is_nan:
-            return ~(bound < value - 1e-12 * abs(value))
-        # no log-term is +inf, so a NaN cell makes its block's bound NaN;
-        # it must also come before the best NaN cell in row-major order
-        first, tie = np.zeros(lo.shape[1], bool), np.ones(lo.shape[1], bool)
-        for i, j in enumerate(neg):
-            first |= tie & (lo[i] < -j)
-            tie &= lo[i] == -j
-        return first & np.isnan(bound)
 
     # seed the best with the corners and the point 1.0 (where F = 1)
     seed = [np.unique([0, resolution - 1, *np.flatnonzero(a == 1.0)]) for a in axes]
@@ -183,47 +166,26 @@ def _lattice_max(
                 sum(t[hi[i]] for i, t in enumerate(top)),
                 sum(t[lo[i]] for i, t in enumerate(bottom)),
             )
-        alive = keep(bound, lo)
+        alive = ~(bound < best[0] - 1e-12 * abs(best[0]))
         lo, hi = lo[:, alive], hi[:, alive]
-        size = hi - lo + 1
-        small = np.prod(size, axis=0, dtype=float) <= leaf
-        for J in _cells(lo[:, small], size[:, small]):
-            visit(J)
-        lo, hi, size = lo[:, ~small], hi[:, ~small], size[:, ~small]
+        cell = (lo == hi).all(axis=0)
+        if cell.any():
+            visit(lo[:, cell])
+        lo, hi = lo[:, ~cell], hi[:, ~cell]
         if lo.size:
+            size = hi - lo + 1
             ax, r = np.argmax(size, axis=0), np.arange(lo.shape[1])
             upper_lo, lower_hi = lo.copy(), hi.copy()
             upper_lo[ax, r] += size[ax, r] // 2
             lower_hi[ax, r] = upper_lo[ax, r] - 1
             stack.append((np.hstack([lo, upper_lo]), np.hstack([lower_hi, hi])))
 
-    idx = [-j for j in best[2]]
+    idx = [-j for j in best[1]]
     return SearchResult(
-        best_value=math.nan if best[0] else best[1],
+        best_value=best[0],
         best_point=tuple(float(axes[i][j]) for i, j in enumerate(idx)),
         trials_run=resolution**dims,
     )
-
-
-def _cells(lo: np.ndarray, size: np.ndarray):
-    """Index columns of the cells of the blocks ``lo`` .. ``lo + size - 1``
-    (one block of at most ``_CELL_CAP`` cells per column), in batches of at
-    most ``_CELL_CAP`` cells."""
-    count = np.prod(size, axis=0)
-    ends = np.cumsum(count)
-    a = 0
-    while a < count.size:
-        base = ends[a - 1] if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, base + _CELL_CAP, side="right")))
-        owner = np.repeat(np.arange(a, b), count[a:b])
-        starts = ends[a:b] - count[a:b] - base
-        local = np.arange(ends[b - 1] - base) - np.repeat(starts, count[a:b])
-        J = np.empty((lo.shape[0], local.size), np.intp)
-        for i in reversed(range(lo.shape[0])):
-            J[i] = lo[i, owner] + local % size[i, owner]
-            local //= size[i, owner]
-        yield J
-        a = b
 
 
 def grid_max_F(w: WeightSequence, resolution: int) -> SearchResult:

@@ -2,8 +2,8 @@
 
 This fills the whole lattice at once and takes ``np.argmax`` of it.  The
 branch and bound in ``search._lattice_max`` must return results equal to
-these, field by field: the same value, the same argmax (ties and NaN go to
-the first cell in row-major order) and the same cell count.
+these, field by field: the same value, the same argmax (ties go to the
+first cell in row-major order) and the same cell count.
 """
 import numpy as np
 

@@ -329,6 +329,25 @@ class TestErrorPaths:
         assert len(proc.stderr.splitlines()) == 1
         assert "overflow" in proc.stderr
 
+    def test_reduced_problem_out_of_range(self, tmp_path):
+        # p_2 = w_n/W_n underflows to 0; the products in alpha overflow
+        for command, text in (
+            ("check", '{"w": [1e20, 1, 1e-310]}'),
+            ("certify", '{"w": [1, 1, 1, 1e308]}'),
+        ):
+            p = tmp_path / f"{command}.json"
+            p.write_text(text)
+            proc = subprocess.run(
+                [sys.executable, "-m", "mixedmeans.cli", command, str(p)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1
+            assert "Traceback" not in proc.stderr
+            assert "out of float64 range" in proc.stderr
+
     def test_out_of_memory(self, capsys, monkeypatch, files):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 12.2 GiB for an array")

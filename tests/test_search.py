@@ -7,7 +7,6 @@ import pytest
 from mixedmeans import (
     InputError,
     SearchConfig,
-    SearchResult,
     WeightSequence,
     critical_weight,
     gao_conditions,
@@ -82,10 +81,8 @@ def _lattice_cases():
         for w in ws:
             for resolution in (2, 3, 11, 61, 201) if n <= 4 else (2, 3, 11, 41):
                 yield w, resolution
-    # an exponent underflows to 0; exponents are NaN (NaN cells); a tiny weight
-    for w in (
-        [1, 1e-300, 1e300], [1, 1, 1e308], [1, 1, 1, 1, 1e308], [1, 2, 1e-300, 4]
-    ):
+    # an exponent underflows to 0 (-inf log-terms); a tiny weight
+    for w in ([1, 1e-300, 1e300], [1, 2, 1e-300, 4]):
         yield WeightSequence(w), 41
 
 
@@ -101,19 +98,42 @@ class TestDenseReference:
             for fast, dense in pairs:
                 with np.errstate(all="ignore"):
                     got, want = fast(w, resolution), dense(w, resolution)
-                if math.isnan(want.best_value):  # NaN != NaN: compare the rest
-                    assert math.isnan(got.best_value)
-                    got = SearchResult(0.0, got.best_point, got.trials_run)
-                    want = SearchResult(0.0, want.best_point, want.trials_run)
                 assert got == want, (w, resolution, fast.__name__)
 
     def test_matches_dense(self):
         self._check_all()
 
     def test_small_blocks_and_batches(self, monkeypatch):
-        # one-cell leaves, frontier chunks of 8 to 32 blocks, 64-cell batches
+        # frontier chunks of 8 to 32 blocks
         monkeypatch.setattr(search, "_CELL_CAP", 64)
         self._check_all()
+
+    def test_out_of_range_tables_raise(self):
+        # alpha is NaN for the first two; W_{n-1} W_n overflows for the last
+        for w in ([1, 1, 1e308], [1, 1, 1, 1, 1e308], [1e200, 1, 1]):
+            with pytest.raises(InputError, match="out of float64 range"):
+                grid_max_F(WeightSequence(w), 41)
+
+    def test_extreme_weights(self):
+        # each table raises, or both maxima are non-NaN and equal the filled
+        # lattice's
+        rng = np.random.default_rng(81)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            try:
+                w = WeightSequence(10.0 ** rng.uniform(-320.0, 308.0, n))
+                ReducedProblem(w)
+            except InputError:
+                continue
+            pairs = [(grid_max_F, dense_lattice.grid_max_F)]
+            if n >= 3:
+                pairs.append((grid_max_envelope, dense_lattice.grid_max_envelope))
+            for fast, dense in pairs:
+                got = fast(w, 9)
+                with np.errstate(all="ignore"):
+                    want = dense(w, 9)
+                assert not math.isnan(got.best_value)
+                assert got == want, (w.w, fast.__name__)
 
     def test_other_monotone_combines(self):
         # few distinct values, so many cells tie at the top; and log F's
@@ -325,8 +345,6 @@ class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(InputError):
             SearchConfig(trials=0)
-        with pytest.raises(InputError):
-            SearchConfig(grid_resolution=1)
         with pytest.raises(InputError):
             SearchConfig(box_padding=0.0)
         with pytest.raises(InputError):
