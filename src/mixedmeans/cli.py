@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -160,7 +161,10 @@ def _cmd_gen_weights(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser tree, built on the first call and shared after that;
+    parsing leaves it unchanged and fills a fresh namespace every time."""
     parser = _Parser(prog="mixedmeans", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

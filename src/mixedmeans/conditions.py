@@ -15,9 +15,10 @@ critical tail weight (which puts Holland exactly on its boundary) has a
 right-neighborhood where the Gao conditions hold.
 
 ``ReducedProblem`` is the one table of the reduced problem (box, exponents,
-second bases, corner log-products).  The Gao product margins read its
-corners; ``reduction`` and ``search`` build F, g, the elimination step, the
-grids and the bounds from it.
+second bases, corner log-products), built once per weight sequence by
+``ReducedProblem.of``.  The Gao product margins read its corners;
+``reduction`` and ``search`` build F, g, the elimination step, the grids
+and the bounds from it.
 """
 from __future__ import annotations
 
@@ -116,8 +117,8 @@ def _excess(w: WeightSequence) -> float:
 
 class ReducedProblem:
     """The reduced form of the level-n increment inequality, derived once
-    from the weights and shared by F, g, the elimination step, the grids
-    and the bounds.
+    per weight sequence (``ReducedProblem.of``) and shared by F, g, the
+    elimination step, the grids and the bounds.  Its arrays are read-only.
 
     With y_i = A_i / A_{i+1} the inequality reads F(y) <= 1 on the box
     0 <= y_i <= ``upper[i]`` = W_{i+1}/W_i, where
@@ -162,7 +163,17 @@ class ReducedProblem:
             raise InputError(
                 "weights out of float64 range for the reduced problem"
             ) from None
+        for arr in (self.upper, self.alpha, self.beta, self.second_max):
+            arr.setflags(write=False)
         self.log_p = (math.log(self.p[0]), math.log(self.p[1]))
+
+    @classmethod
+    def of(cls, w: WeightSequence) -> ReducedProblem:
+        """The table of ``w``, built on first use and kept in its ``reduced``
+        slot; a build that raises is not kept, so every use raises."""
+        if not hasattr(w, "reduced"):
+            w.reduced = cls(w)
+        return w.reduced
 
     def second(self, y, i):
         """The second bases second_i(y) on axis or axes ``i``, clipped at 0."""
@@ -233,7 +244,7 @@ def gao_conditions(w: WeightSequence) -> ConditionReport:
     """
     if w.n < 3:
         raise NotApplicableError("needs at least three weights")
-    rp = ReducedProblem(w)
+    rp = ReducedProblem.of(w)
     e = _excess(w)
     margin_b = rp.w_1 / rp.w_n - e
     margin_c = -math.expm1(rp.log_corners[0])

@@ -85,7 +85,7 @@ def product_form_lhs(w: WeightSequence, x) -> float:
         raise InputError("need at least two entries")
     x = as_samples(x, w.n)
     log_A = np.log(_partial_means(w, x, 1.0))
-    rp = ReducedProblem(w)
+    rp = ReducedProblem.of(w)
     L1 = np.array(np.sum(rp.alpha * (log_A[:-1] - log_A[1:])))
     L2 = np.array(np.sum(rp.beta * (np.log(x[1:]) - log_A[1:])))
     return float(rp.F(L1, L2))

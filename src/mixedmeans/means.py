@@ -51,10 +51,11 @@ class WeightSequence:
     W_1 + ... + W_{k+1}; ``log_w`` and ``log_W`` are the logs of ``w`` and
     ``W``.  Zero weights are rejected; callers that want the zero-weight
     limit should perturb the input themselves.  So are weights whose prefix
-    sums overflow float64.
+    sums overflow float64.  The slot ``reduced`` holds the weights'
+    ``conditions.ReducedProblem`` once it is built.
     """
 
-    __slots__ = ("w", "W", "S", "log_w", "log_W")
+    __slots__ = ("w", "W", "S", "log_w", "log_W", "reduced")
 
     def __init__(self, w):
         self.w = _positive_array(w, "weights")

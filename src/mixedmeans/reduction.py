@@ -12,7 +12,7 @@ Holland margin, then the Gao conditions, then a numeric search.
 
 The box, the exponents of F and g, the second bases and the corner
 log-products come from the table ``conditions.ReducedProblem``, built once
-per call from the weights.
+per weight sequence.
 """
 from __future__ import annotations
 
@@ -86,8 +86,9 @@ class YPoint:
 
 
 def box_upper(w: WeightSequence) -> np.ndarray:
-    """Per-coordinate upper bounds W_{i+1}/W_i of the y-box (length n-1)."""
-    return ReducedProblem(w).upper
+    """Per-coordinate upper bounds W_{i+1}/W_i of the y-box (length n-1),
+    read-only: the array is the shared table's."""
+    return ReducedProblem.of(w).upper
 
 
 def x_to_y(w: WeightSequence, x) -> YPoint:
@@ -161,32 +162,40 @@ def y_to_x(w: WeightSequence, y, scale: float) -> np.ndarray:
 
 
 def _check_box(rp: ReducedProblem, y, length: int) -> np.ndarray:
-    y = np.asarray(y.y if isinstance(y, YPoint) else y, dtype=float)
-    if y.size != length:
-        raise InputError(f"expected {length} coordinates, got {y.size}")
+    """Points of shape (..., length) in the box, clipped to its top."""
+    y = np.atleast_1d(np.asarray(y.y if isinstance(y, YPoint) else y, dtype=float))
+    if y.shape[-1] != length:
+        raise InputError(f"expected {length} coordinates, got {y.shape[-1]}")
     upper = rp.upper[:length]
     if np.any(y < 0.0) or np.any(y > upper * (1.0 + 1e-15)):
         raise InputError("coordinates outside the box")
     return np.minimum(y, upper)
 
 
-def objective_F(w: WeightSequence, y) -> float:
+def _value(v: np.ndarray):
+    """A float for one point, the array of values for a batch."""
+    return float(v) if v.ndim == 0 else v
+
+
+def objective_F(w: WeightSequence, y):
     """The full reduced objective on the (n-1)-dimensional box; F <= 1 is
-    the level-n increment inequality and F(1,...,1) = 1 exactly."""
-    rp = ReducedProblem(w)
-    return float(rp.F(*rp.log_products(_check_box(rp, y, w.n - 1))))
+    the level-n increment inequality and F(1,...,1) = 1 exactly.  For
+    points of shape (..., n-1), the array of their values."""
+    rp = ReducedProblem.of(w)
+    return _value(rp.F(*rp.log_products(_check_box(rp, y, w.n - 1))))
 
 
-def _g(rp: ReducedProblem, y: np.ndarray) -> float:
-    return float(np.exp(rp.log_g(*rp.log_products(y))))
+def _g(rp: ReducedProblem, y: np.ndarray):
+    return _value(np.exp(rp.log_g(*rp.log_products(y))))
 
 
-def objective_g(w: WeightSequence, y_head) -> float:
+def objective_g(w: WeightSequence, y_head):
     """The reduced objective after closed-form elimination of the last
-    coordinate, on the first n-2 coordinates; g(1,...,1) = 1 exactly."""
+    coordinate, on the first n-2 coordinates; g(1,...,1) = 1 exactly.
+    Batches of shape (..., n-2) as in ``objective_F``."""
     if w.n < 3:
         raise InputError("need at least three entries")
-    rp = ReducedProblem(w)
+    rp = ReducedProblem.of(w)
     return _g(rp, _check_box(rp, y_head, w.n - 2))
 
 
@@ -206,8 +215,11 @@ def eliminate_last(w: WeightSequence, y_head) -> Elimination:
     heads included, the maximum is g(head)^(W_{n-1}/W_n).  For interior
     heads the maximizer is a closed form in the two head products c, c';
     when c = 0 it is 0, and when c' = 0 it is the top W_n/W_{n-1}."""
-    rp = ReducedProblem(w)
-    log_c, log_cp = rp.log_products(_check_box(rp, y_head, w.n - 2))
+    rp = ReducedProblem.of(w)
+    y_head = _check_box(rp, y_head, w.n - 2)
+    if y_head.ndim != 1:
+        raise InputError("eliminate_last takes one head, not a batch")
+    log_c, log_cp = rp.log_products(y_head)
     degenerate = math.isinf(log_c) or math.isinf(log_cp)
     if math.isinf(log_c):
         y_star = 0.0
@@ -251,7 +263,7 @@ def stationary_analysis(w: WeightSequence, d: float) -> StationaryPoint:
         raise InputError("need at least three entries")
     if not (d > 0.0 and math.isfinite(d)):
         raise InputError("d must be positive and finite")
-    return _stationary(ReducedProblem(w), d)
+    return _stationary(ReducedProblem.of(w), d)
 
 
 def boundary_bound(w: WeightSequence) -> float:
@@ -259,7 +271,7 @@ def boundary_bound(w: WeightSequence) -> float:
     at the two corners, from their exact log-products."""
     if w.n < 3:
         raise InputError("need at least three entries")
-    return math.exp(max(ReducedProblem(w).log_corners))
+    return math.exp(max(ReducedProblem.of(w).log_corners))
 
 
 def interior_bound(w: WeightSequence) -> float:
@@ -267,7 +279,7 @@ def interior_bound(w: WeightSequence) -> float:
     monotonicity threshold; equals 1 minus the tail-product margin of the
     Gao conditions."""
     d_zero(w)  # raises unless the excess is positive
-    return ReducedProblem(w).interior_bound(_excess(w))
+    return ReducedProblem.of(w).interior_bound(_excess(w))
 
 
 def find_stationary_d(
@@ -282,7 +294,7 @@ def find_stationary_d(
 
     if w.n < 3:
         raise InputError("need at least three entries")
-    rp = ReducedProblem(w)
+    rp = ReducedProblem.of(w)
     grid = np.exp(np.linspace(math.log(1e-6), math.log(d_max), samples))
     res = np.array([_stationary(rp, float(d)).residual for d in grid])
     roots: list[float] = []

@@ -5,11 +5,11 @@ and tail-weight region scans.
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
 order.  Both grids and the multistart ascent evaluate the reduced objective
-from the table ``conditions.ReducedProblem``; the two grids share one
-lattice body, a branch and bound over index blocks that returns the maximum
-of the filled lattice (ties break to the lexicographically smallest index).
-It halves the blocks it cannot rule out down to single cells, in memory
-bounded by ``_CELL_CAP``.
+from the table ``conditions.ReducedProblem``, built once per weight
+sequence; the two grids share one lattice body, a branch and bound over
+index blocks that returns the maximum of the filled lattice (ties break to
+the lexicographically smallest index).  It halves the blocks it cannot
+rule out down to single cells, in memory bounded by ``_CELL_CAP``.
 
 Both multistart searches run a batched line ascent over blocks of trials:
 per coordinate and step size, one array call evaluates the candidates of
@@ -133,6 +133,10 @@ def _lattice_max(
     its value is bit-identical to it.  The table's log-terms are never NaN
     or +inf, so no cell is NaN; a bound may overflow to +inf.
     """
+    if dims > GRID_DIM_LIMIT:
+        raise InputError(f"grid limited to {GRID_DIM_LIMIT} box dimensions")
+    if resolution < 2:
+        raise InputError("grid resolution must be at least 2")
     axes = [_axis(float(rp.upper[i]), resolution) for i in range(dims)]
     terms = [rp.log_terms(axes[i], i) for i in range(dims)]
     top = [np.maximum.accumulate(t1) for t1, _ in terms]
@@ -193,13 +197,8 @@ def grid_max_F(w: WeightSequence, resolution: int) -> SearchResult:
     box, faces included: the maximum over all ``resolution**(n-1)`` cells,
     which ``trials_run`` counts.  Deterministic; ties go to the first
     lattice point in row-major order."""
-    dims = w.n - 1
-    if dims > GRID_DIM_LIMIT:
-        raise InputError(f"grid limited to {GRID_DIM_LIMIT} box dimensions")
-    if resolution < 2:
-        raise InputError("grid resolution must be at least 2")
-    rp = ReducedProblem(w)
-    return _lattice_max(rp, dims, resolution, rp.F)
+    rp = ReducedProblem.of(w)
+    return _lattice_max(rp, w.n - 1, resolution, rp.F)
 
 
 def grid_max_envelope(w: WeightSequence, resolution: int) -> SearchResult:
@@ -209,11 +208,8 @@ def grid_max_envelope(w: WeightSequence, resolution: int) -> SearchResult:
     the eliminated coordinate."""
     if w.n < 3:
         raise InputError("need at least three entries")
-    dims = w.n - 2
-    if dims > GRID_DIM_LIMIT:
-        raise InputError(f"grid limited to {GRID_DIM_LIMIT} box dimensions")
-    rp = ReducedProblem(w)
-    return _lattice_max(rp, dims, resolution, rp.envelope)
+    rp = ReducedProblem.of(w)
+    return _lattice_max(rp, w.n - 2, resolution, rp.envelope)
 
 
 def _values(fun, Z: np.ndarray, owner: np.ndarray, i: int, pos: np.ndarray):
@@ -306,7 +302,7 @@ def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
     """Multistart coordinate ascent of the reduced objective over the open
     box; used when the box has too many dimensions for a lattice."""
     dims = w.n - 1
-    rp = ReducedProblem(w)
+    rp = ReducedProblem.of(w)
     upper = rp.upper
 
     def fun(U: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared random-instance generators for the property and acceptance tests."""
+"""Shared random-instance generators for the property and acceptance tests,
+and point batches for one-call objective sweeps."""
 import numpy as np
 
 from mixedmeans import WeightSequence, holland_condition
@@ -35,3 +36,8 @@ def nanjundiah_weights(rng, n, lo=0.1, hi=10.0):
     rho = rng.uniform(0.05, 0.95) * float(np.min(head[1:] / W[1:]))
     w_n = rho * W[-1] / (1.0 - rho)
     return WeightSequence(np.append(head, w_n))
+
+
+def with_last(y_head, ts):
+    """The points np.append(y_head, t) for every t in ts, one per row."""
+    return np.column_stack([np.tile(y_head, (ts.size, 1)), ts])

@@ -42,6 +42,7 @@ from sampling import (
     nanjundiah_weights,
     random_samples,
     random_weights,
+    with_last,
 )
 
 
@@ -132,7 +133,7 @@ def _grid_oracle_last(w, y_head):
     best_t = None
     for _ in range(4):
         ts = np.linspace(lo, hi, 2001)
-        vals = [objective_F(w, np.append(y_head, t)) for t in ts]
+        vals = objective_F(w, with_last(y_head, ts))
         i = int(np.argmax(vals))
         best_t = ts[i]
         span = ts[1] - ts[0]

@@ -369,6 +369,33 @@ class TestErrorPaths:
             self._one_line_error(capsys, ["search", str(p), "--trials", "3"])
 
 
+class TestParserReuse:
+    def test_in_process_sequence_matches_fresh_processes(
+        self, capsys, monkeypatch, files
+    ):
+        # one shared parser: no flag or default of one call reaches the next
+        monkeypatch.setenv("COLUMNS", "80")  # same help layout in both
+        sequence = (
+            (["certify", files["w45"], "--resolution", "61"], 0),
+            (["certify", files["w45"]], 0),
+            (["certify", files["w45"], "--resolution", "many"], 1),
+            (["search", files["w6"], "--trials", "3", "--seed", "5"], 2),
+            (["search", files["w6"]], 2),
+            (["--help"], 0),
+        )
+        for argv, expected in sequence:
+            code, out, err = invoke(capsys, argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "mixedmeans.cli", *argv],
+                capture_output=True,
+            )
+            assert code == fresh.returncode == expected, argv
+            assert out.encode() == fresh.stdout, argv
+            if code == 1:
+                assert out == "" and len(err.splitlines()) == 1
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestDeterminism:
     def _run(self, argv):
         return subprocess.run(

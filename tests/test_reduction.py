@@ -6,6 +6,7 @@ import pytest
 import oracle
 from mixedmeans import (
     InputError,
+    SearchConfig,
     WeightSequence,
     YPoint,
     boundary_bound,
@@ -23,8 +24,8 @@ from mixedmeans import (
     x_to_y,
     y_to_x,
 )
-from mixedmeans.conditions import NotApplicableError
-from sampling import log_uniform, random_samples, random_weights
+from mixedmeans.conditions import NotApplicableError, ReducedProblem
+from sampling import log_uniform, random_samples, random_weights, with_last
 
 
 class TestCoordinateChange:
@@ -122,6 +123,27 @@ class TestObjectiveF:
             )
 
 
+    def test_batches_match_single_points(self):
+        # rows of a (2, 40, d) batch, faces and corners included, equal the
+        # per-point values exactly, for F and for g
+        rng = np.random.default_rng(48)
+        for n in range(2, 9):
+            w = random_weights(rng, n)
+            upper = box_upper(w)
+            Y = upper * rng.uniform(0.0, 1.0, (2, 40, n - 1))
+            Y[:, ::3, 0] = 0.0
+            Y[:, ::4, -1] = upper[-1]
+            Y[0, 5], Y[1, 7] = upper, 0.0
+            F = objective_F(w, Y)
+            assert F.shape == (2, 40)
+            for idx in np.ndindex(F.shape):
+                assert F[idx] == objective_F(w, Y[idx])
+            if n >= 3:
+                g = objective_g(w, Y[..., :-1])
+                for idx in np.ndindex(g.shape):
+                    assert g[idx] == objective_g(w, Y[idx][:-1])
+
+
 class TestObjectiveG:
     def test_ones_give_one(self):
         for ws in ([1, 1, 1], [1, 1, 4.05], [2, 0.5, 3, 1]):
@@ -170,11 +192,11 @@ class TestEliminateLast:
             el = eliminate_last(w, y_head)
             last_hi = float(w.W[-1] / w.W[-2])
             ts = np.linspace(0.0, last_hi, 200_001)
-            vals = [objective_F(w, np.append(y_head, t)) for t in ts[:: 2000]]
+            vals = objective_F(w, with_last(y_head, ts[::2000]))
             # coarse sweep then a fine local pass around the best slice
             t0 = ts[::2000][int(np.argmax(vals))]
             fine = np.linspace(max(0.0, t0 - last_hi / 100), min(last_hi, t0 + last_hi / 100), 20_001)
-            best = max(objective_F(w, np.append(y_head, t)) for t in fine)
+            best = objective_F(w, with_last(y_head, fine)).max()
             assert best == pytest.approx(el.max_value, abs=1e-8)
 
     def test_degenerate_head(self):
@@ -190,6 +212,9 @@ class TestEliminateLast:
         assert el_top.degenerate
         assert el_top.y_star == pytest.approx(6.05 / 2.0, rel=1e-15)
 
+    def test_batch_rejected(self):
+        with pytest.raises(InputError, match="batch"):
+            eliminate_last(WeightSequence([1, 1, 1, 4]), np.ones((3, 2)))
 
     def test_max_is_g_power(self):
         # one envelope formula: max over the last coordinate is g^(W_{n-1}/W_n)
@@ -371,3 +396,57 @@ class TestCertify:
         d = cert.to_dict()
         assert set(d) == {"route", "reports", "numeric_max", "slack"}
         assert {"value", "argmax"} == set(d["numeric_max"])
+
+
+class TestSharedTable:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The weight sequences each ``ReducedProblem`` was built from."""
+        seen = []
+        init = ReducedProblem.__init__
+
+        def counting(self, w):
+            seen.append(w)
+            init(self, w)
+
+        monkeypatch.setattr(ReducedProblem, "__init__", counting)
+        return seen
+
+    def test_one_build_per_weight_sequence(self, builds):
+        for ws, routes in (
+            ([1, 1, 3], {"holland"}),
+            ([1, 1, 4.05], {"gao"}),
+            ([1, 1, 4.5], {"numeric-only"}),
+            ([1, 1, 1, 1, 1, 30], {"numeric-only", "refuted-numeric"}),
+        ):
+            builds.clear()
+            w = WeightSequence(ws)
+            cert = certify(w, grid_resolution=61, config=SearchConfig(trials=3))
+            assert cert.route in routes
+            assert len(builds) == (0 if cert.route == "holland" else 1)
+        w = WeightSequence([2, 0.5, 3, 1])
+        builds.clear()
+        for _ in range(5):
+            objective_F(w, np.ones(3))
+            objective_g(w, np.ones(2))
+        assert builds == [w]
+
+    def test_failed_build_raises_every_time(self, builds):
+        w = WeightSequence([1, 1, 1, 1e308])
+        for _ in range(2):
+            with pytest.raises(InputError, match="out of float64 range"):
+                objective_F(w, np.ones(3))
+            with pytest.raises(InputError, match="out of float64 range"):
+                certify(w)
+        assert len(builds) == 4
+
+    def test_table_is_read_only(self):
+        w = WeightSequence([1, 2, 0.5, 6])
+        rp = ReducedProblem.of(w)
+        for arr in (
+            rp.upper, rp.alpha, rp.beta, rp.second_max,
+            rp.W_prev, rp.W_next, rp.w_next, box_upper(w),
+        ):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        np.testing.assert_array_equal(box_upper(w), w.W[1:] / w.W[:-1])

@@ -52,6 +52,13 @@ class TestGridMaxF:
         with pytest.raises(InputError):
             grid_max_F(WeightSequence([1] * 7), 11)
 
+    def test_resolution_guard(self):
+        w = WeightSequence([1, 1, 6])
+        for grid in (grid_max_F, grid_max_envelope):
+            for resolution in (0, 1):
+                with pytest.raises(InputError, match="at least 2"):
+                    grid(w, resolution)
+
     def test_trials_run_counts_lattice(self):
         res = grid_max_F(WeightSequence([1, 1]), 11)
         assert res.trials_run == 11
