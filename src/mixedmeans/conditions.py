@@ -190,10 +190,11 @@ class ReducedProblem:
 
     def log_products(self, y):
         """log of both products of F over the leading coordinates, for points
-        y of shape (..., d), summed over the last axis; arrays (0-d for one
-        point) for ``F`` and ``log_g``."""
+        y of shape (..., d), summed over the last axis in axis order (a
+        running sum, for any d; numpy's pairwise ``sum`` is not in order past
+        seven axes); arrays (0-d for one point) for ``F`` and ``log_g``."""
         terms = self.log_terms(y, slice(0, np.shape(y)[-1]))
-        return tuple(np.asarray(t.sum(axis=-1)) for t in terms)
+        return tuple(np.asarray(t.cumsum(axis=-1)[..., -1]) for t in terms)
 
     def F(self, L1, L2):
         """F from its two log-products; overwrites and returns ``L1``."""

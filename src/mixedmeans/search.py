@@ -15,9 +15,12 @@ Both multistart searches run a batched line ascent over blocks of trials:
 per coordinate and step size, one array call evaluates the candidates of
 every walk in the block and the greedy walk is replayed from the values.
 It reaches exactly the points and values of the serial one-point walk.
+Each product of the reduced objective has one factor per axis, so there a
+candidate recomputes only the log-terms of the axis that moves.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -102,8 +105,10 @@ class SearchResult:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream for one trial; parallel-safe by construction."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), trial]))
+    """Counter-based stream for one trial; parallel-safe by construction.
+    The key's low word is the seed modulo 2**64 and its high word the trial."""
+    key = (seed & (2**64 - 1)) | trial << 64
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _axis(upper: float, resolution: int) -> np.ndarray:
@@ -156,7 +161,9 @@ def _lattice_max(
             best = key
 
     # seed the best with the corners and the point 1.0 (where F = 1)
-    seed = [np.unique([0, resolution - 1, *np.flatnonzero(a == 1.0)]) for a in axes]
+    seed = [
+        sorted({0, resolution - 1, *np.flatnonzero(a == 1.0).tolist()}) for a in axes
+    ]
     visit(np.stack(np.meshgrid(*seed, indexing="ij")).reshape(dims, -1))
 
     stack = [(np.zeros((dims, 1), np.intp), np.full((dims, 1), resolution - 1))]
@@ -213,9 +220,9 @@ def grid_max_envelope(w: WeightSequence, resolution: int) -> SearchResult:
 
 
 def _values(fun, Z: np.ndarray, owner: np.ndarray, i: int, pos: np.ndarray):
-    """``fun`` at the rows ``Z[owner]`` with coordinate ``i`` set to ``pos``,
-    evaluated in chunks of at most ``_CELL_CAP`` elements.  Values may be
-    NaN or infinite without a warning; NaN never wins in the walk."""
+    """Line evaluator: ``fun`` at the rows ``Z[owner]`` with coordinate ``i``
+    set to ``pos``, in chunks of at most ``_CELL_CAP`` elements.  Values may
+    be NaN or infinite without a warning; NaN never wins in the walk."""
     out = np.empty(pos.size)
     rows = max(1, _CELL_CAP // Z.shape[1])
     for a in range(0, pos.size, rows):
@@ -226,9 +233,42 @@ def _values(fun, Z: np.ndarray, owner: np.ndarray, i: int, pos: np.ndarray):
     return out
 
 
-def _climb(fun, Z, best, i, step, lo, hi) -> None:
+class _LinesF:
+    """Line evaluator of F (see ``_values``) for the walk block ``Z`` of box
+    points scaled to [0, 1].  A candidate on axis ``i`` adds that axis's two
+    log-terms to its row's sum over the axes before ``i``, then the cached
+    terms of the later axes one by one: the order of ``log_products``, so it
+    is F of the row bit for bit.  A new ``i`` refreshes the moved axis' terms."""
+
+    def __init__(self, rp: ReducedProblem, Z: np.ndarray):
+        self.rp, self.axis, self.before = rp, 0, None
+        terms = np.array(rp.log_terms(Z * rp.upper, slice(None)))
+        self.terms = terms.transpose(2, 0, 1).copy()  # (dims, 2, rows)
+
+    def __call__(self, Z, owner, i, pos):
+        rp, T = self.rp, self.terms
+        if i != self.axis:
+            j, self.axis = self.axis, i
+            T[j] = rp.log_terms(Z[:, j] * rp.upper[j], j)
+            self.before = T[:i].cumsum(axis=0)[-1] if i else None
+        out = np.empty(pos.size)
+        rows = max(1, _CELL_CAP // T[..., 0].size)
+        for a in range(0, pos.size, rows):
+            o = owner[a : a + rows]
+            L = np.array(rp.log_terms(pos[a : a + rows] * rp.upper[i], i))
+            if i:
+                L += self.before[:, o]
+            for t in np.take(T[i + 1 :], o, axis=2):
+                L += t
+            with np.errstate(all="ignore"):
+                out[a : a + rows] = rp.F(*L)
+        return out
+
+
+def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
     """The greedy walk on coordinate ``i`` of every row of ``Z`` at one step
-    size, updating ``Z`` and its values ``best`` in place.
+    size, updating ``Z`` and its values ``best`` in place, by the line
+    evaluator ``evaluate`` (see ``_values``).
 
     From c with value b the walk tries c + step, then c - step (clamped to
     [lo, hi]), moves to the first that beats b, and repeats up to
@@ -253,7 +293,7 @@ def _climb(fun, Z, best, i, step, lo, hi) -> None:
         probe = back != line[:, :, :-1]
         owner = np.concatenate([np.repeat(act, 2 * k), act[np.nonzero(probe)[0]]])
         pos = np.concatenate([line[:, :, 1:].ravel(), back[probe]])
-        vals = _values(fun, Z, owner, i, pos)
+        vals = evaluate(Z, owner, i, pos)
         v = vals[: 2 * A * k].reshape(A, 2, k)
         vb = np.full((A, 2, k), np.nan)
         vb[probe] = vals[2 * A * k :]
@@ -283,39 +323,45 @@ def _climb(fun, Z, best, i, step, lo, hi) -> None:
         act = act[(left[act] > 0) & (leave | (m == k))]
 
 
-def _multistart(fun, config: SearchConfig, draw, steps: float, lo: float, hi: float):
+def _multistart(lines, config: SearchConfig, draw, steps: float, lo: float, hi: float):
     """Yield (value, point) per trial in trial order: ``draw(rng)`` from the
     trial's own stream, refined by the walk with step ``steps`` halved
-    ``config.local_steps`` times.  A block of trials walks together."""
+    ``config.local_steps`` times.  A block of trials ``Z`` walks together,
+    by the line evaluator ``lines(Z)``; one generator is re-keyed per trial."""
+    rng = _trial_rng(config.seed, 0)
+    fresh = rng.bit_generator.state  # zero counter, empty buffer
     block = max(1, _CELL_CAP // (4 * _MAX_MOVES))  # 4: two sides, way back
     for first in range(0, config.trials, block):
-        trials = range(first, min(first + block, config.trials))
-        Z = np.array([draw(_trial_rng(config.seed, t)) for t in trials])
-        best = _values(fun, Z, np.arange(len(Z)), 0, Z[:, 0])
+        rows = []
+        for t in range(first, min(first + block, config.trials)):
+            fresh["state"]["key"][1] = t
+            rng.bit_generator.state = fresh
+            rows.append(draw(rng))
+        Z = np.array(rows)
+        evaluate = lines(Z)
+        best = evaluate(Z, np.arange(len(Z)), 0, Z[:, 0])
         for p in range(config.local_steps):
             for i in range(Z.shape[1]):
-                _climb(fun, Z, best, i, steps * 0.5**p, lo, hi)
+                _climb(evaluate, Z, best, i, steps * 0.5**p, lo, hi)
         yield from zip(best.tolist(), Z)
 
 
 def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
     """Multistart coordinate ascent of the reduced objective over the open
-    box; used when the box has too many dimensions for a lattice."""
+    box; used when the box has too many dimensions for a lattice.  A
+    candidate recomputes only the log-terms of the axis that moves."""
     dims = w.n - 1
     rp = ReducedProblem.of(w)
     upper = rp.upper
-
-    def fun(U: np.ndarray) -> np.ndarray:
-        return rp.F(*rp.log_products(U * upper))
-
     pad = config.box_padding
     best_u = np.minimum(1.0 / upper, 1.0 - pad)  # constant point
-    best_val = float(fun(best_u))
+    best_val = float(rp.F(*rp.log_products(best_u * upper)))
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(pad, 1.0 - pad, dims)
 
-    for val, u in _multistart(fun, config, draw, 0.25, pad, 1.0 - pad):
+    lines = functools.partial(_LinesF, rp)
+    for val, u in _multistart(lines, config, draw, 0.25, pad, 1.0 - pad):
         if val > best_val:
             best_val, best_u = val, u
     return SearchResult(
@@ -368,7 +414,8 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
     best_val = -math.inf
     best_x: Optional[np.ndarray] = None
     for val, z in _multistart(
-        fun, config, draw, math.log(2.0), math.log(1e-6), math.log(1e6)
+        lambda Z: functools.partial(_values, fun),
+        config, draw, math.log(2.0), math.log(1e-6), math.log(1e6),
     ):
         if val > best_val:
             best_val = val

@@ -143,6 +143,22 @@ class TestObjectiveF:
                 for idx in np.ndindex(g.shape):
                     assert g[idx] == objective_g(w, Y[idx][:-1])
 
+    def test_log_products_sum_in_axis_order(self):
+        # the running sum of the log-terms, axis 0 first, bit for bit, also
+        # past seven axes where numpy's pairwise sum changes the order
+        rng = np.random.default_rng(49)
+        for d in (1, 7, 8, 9, 40):
+            rp = ReducedProblem(random_weights(rng, d + 1))
+            Y = rp.upper * rng.uniform(0.0, 1.0, (3, 50, d))
+            Y[0, 0] = 0.0
+            terms = [rp.log_terms(Y[..., i], i) for i in range(d)]
+            for k, got in enumerate(rp.log_products(Y)):
+                want = sum(t[k] for t in terms)
+                assert got.tolist() == want.tolist()
+            for k, got in enumerate(rp.log_products(Y[1, 7])):
+                assert got.shape == ()
+                assert float(got) == sum(float(t[k][1, 7]) for t in terms)
+
 
 class TestObjectiveG:
     def test_ones_give_one(self):

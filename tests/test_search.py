@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -256,7 +257,7 @@ class TestSerialReference:
 
     def test_multistart_max_F(self):
         rng = np.random.default_rng(71)
-        for j, n in enumerate((6, 6, 7, 7)):
+        for j, n in enumerate((6, 6, 7, 7, 9, 12, 20)):
             w = random_weights(rng, n, 0.2, 8.0)
             cfg = SearchConfig(seed=j, trials=40, local_steps=6 + j)
             assert multistart_max_F(w, cfg) == serial_search.multistart_max_F(w, cfg)
@@ -275,6 +276,9 @@ class TestSerialReference:
         def serial(z):
             return float(rough(z[None])[0])
 
+        def lines(Z):
+            return functools.partial(search._values, rough)
+
         for d, steps, lo, hi, local_steps in (
             (1, 0.3, -1.0, 1.0, 6),
             (3, 0.7, -2.0, 2.0, 4),
@@ -285,7 +289,7 @@ class TestSerialReference:
             def draw(rng):
                 return rng.uniform(lo, hi, d)
 
-            batched = list(search._multistart(rough, cfg, draw, steps, lo, hi))
+            batched = list(search._multistart(lines, cfg, draw, steps, lo, hi))
             for t, (val, z) in enumerate(batched):
                 z0 = draw(search._trial_rng(cfg.seed, t))
                 ref_val, ref_z = serial_search.coordinate_ascent(
@@ -317,7 +321,8 @@ class TestSerialReference:
 
         Z = np.array(starts)[:, None]
         best = fun(Z)
-        search._climb(fun, Z, best, 0, step, -5.0, 5.0)
+        evaluate = functools.partial(search._values, fun)
+        search._climb(evaluate, Z, best, 0, step, -5.0, 5.0)
         for t, start in enumerate(starts):
             ref_val, ref_z = serial_search.coordinate_ascent(
                 lambda z: float(fun(z[None])[0]), np.array([start]), step,
@@ -330,16 +335,40 @@ class TestSerialReference:
         w = WeightSequence([1, 2, 0.5, 6])
         cfg = SearchConfig(seed=5, trials=9, local_steps=5)
         whole = (violation_search(w, 0.5, cfg), multistart_max_F(w, cfg))
-        monkeypatch.setattr(search, "_CELL_CAP", 8)  # one trial, two rows at a time
+        # one trial at a time; two rows of the increment, one candidate of F
+        monkeypatch.setattr(search, "_CELL_CAP", 8)
         assert (violation_search(w, 0.5, cfg), multistart_max_F(w, cfg)) == whole
 
+    def test_trial_streams(self):
+        # one generator re-keyed per trial draws what a new one per trial
+        # does, past the first block of trials and for seeds outside int64
+        def draw(rng):
+            return rng.uniform(0.0, 1.0, 3)
+
+        def lines(Z):
+            return functools.partial(search._values, lambda U: U.sum(axis=-1))
+
+        for seed in (0, -1, 2**63 + 5):
+            cfg = SearchConfig(seed=seed, trials=701, local_steps=0)
+            got = search._multistart(lines, cfg, draw, 0.1, 0.0, 1.0)
+            want = (draw(search._trial_rng(seed, t)) for t in range(701))
+            assert [z.tolist() for _, z in got] == [z.tolist() for z in want]
+        seeds = (0, -1, -2, 2**63, 2**63 + 5)
+        firsts = {tuple(draw(search._trial_rng(s, 0))) for s in seeds}
+        assert len(firsts) == len(seeds)
+
     def test_memory_bounded(self):
-        # 20k trials of 2 x 50 candidate rows of 3 entries would alone be 48 MB
+        # 20k trials of 2 x 50 candidate rows would alone be 48 MB with the
+        # increment's 3 entries and 32 MB with F's 2
         tracemalloc.start()
         try:
             violation_search(
                 WeightSequence([1, 1, 6]),
                 0.0,
+                SearchConfig(seed=0, trials=20_000, local_steps=1),
+            )
+            multistart_max_F(
+                WeightSequence([1, 1, 6]),
                 SearchConfig(seed=0, trials=20_000, local_steps=1),
             )
             peak = tracemalloc.get_traced_memory()[1]
