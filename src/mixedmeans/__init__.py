@@ -43,6 +43,7 @@ from .reduction import (
     objective_F,
     objective_g,
     stationary_analysis,
+    weight_scan,
     x_to_y,
     y_to_x,
 )
@@ -53,7 +54,6 @@ from .search import (
     grid_max_envelope,
     multistart_max_F,
     violation_search,
-    weight_scan,
 )
 
 __version__ = "0.1.0"

@@ -35,8 +35,8 @@ from .means import (
     mixed_mean,
     partial_mean_sequence,
 )
-from .reduction import certify
-from .search import SCAN_FIELDS, SearchConfig, violation_search, weight_scan
+from .reduction import SCAN_FIELDS, certify, weight_scan
+from .search import SearchConfig, violation_search
 
 __all__ = ["run", "main"]
 

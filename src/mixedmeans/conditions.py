@@ -79,15 +79,12 @@ def nanjundiah_condition(w: WeightSequence) -> ConditionReport:
     """Margins W_n w_k - W_k w_n for k = 2..n-1; vacuous at n = 2."""
     if w.n < 2:
         raise InputError("need at least two weights")
-    W_n = w.W[-1]
-    w_n = w.w[-1]
-    ks = range(2, w.n)
     try:
         with np.errstate(over="raise"):
-            margins = tuple(float(W_n * w.w[k - 1] - w.W[k - 1] * w_n) for k in ks)
+            margins = tuple((w.W[-1] * w.w[1:-1] - w.W[1:-1] * w.w[-1]).tolist())
     except FloatingPointError as exc:
         raise OverflowError(f"nanjundiah margin: {exc}") from None
-    details = tuple(f"k={k}" for k in ks)
+    details = tuple(f"k={k}" for k in range(2, w.n))
     return ConditionReport(
         name="nanjundiah",
         holds=all(m >= 0.0 for m in margins),

@@ -111,14 +111,12 @@ def power_mean(q, x, r: float) -> float:
         raise InputError("probability weights must be strictly positive")
     if abs(float(q.sum()) - 1.0) > NORMALIZATION_TOL:
         raise InputError("probability weights must sum to 1 within 1e-12")
-    # deferred: only this function needs scipy.special, whose import adds
-    # ~25 MB to every process that imports the package
-    from scipy.special import logsumexp
-
     log_x = np.log(x)
     if r == 0.0:
         return float(math.exp(float(q @ log_x)))
-    return float(math.exp(float(logsumexp(r * log_x, b=q)) / r))
+    a = r * log_x
+    m = float(a.max())  # the shift keeps exp from overflowing
+    return float(math.exp((math.log(float(q @ np.exp(a - m))) + m) / r))
 
 
 def _partial_means(w: WeightSequence, x: np.ndarray, r: float) -> np.ndarray:

@@ -8,7 +8,9 @@ maximized in closed form, leaving the reduced objective g on the first
 n-2 coordinates.  Interior critical points of g form a one-parameter
 family a_i(d) = W_{i+1} / (d w_{i+1} + W_i); d = 1 gives the constant
 point where g = 1 exactly.  ``certify`` packages the case analysis:
-Holland margin, then the Gao conditions, then a numeric search.
+Holland margin, then the Gao conditions, then a numeric search by the
+``search`` module; ``weight_scan`` reports the same quantities along a
+sweep of the tail weight.
 
 The box, the exponents of F and g, the second bases and the corner
 log-products come from the table ``conditions.ReducedProblem``, built once
@@ -23,6 +25,7 @@ from typing import Optional
 import mpmath
 import numpy as np
 
+from . import search
 from .conditions import (
     ConditionReport,
     NotApplicableError,
@@ -32,7 +35,7 @@ from .conditions import (
     gao_conditions,
     holland_condition,
 )
-from .means import InputError, WeightSequence, as_samples
+from .means import InputError, WeightSequence, _positive_array, as_samples
 
 __all__ = [
     "YPoint",
@@ -50,6 +53,8 @@ __all__ = [
     "interior_bound",
     "find_stationary_d",
     "certify",
+    "weight_scan",
+    "SCAN_FIELDS",
 ]
 
 # Precision used for the coordinate change.  The inverse map divides by
@@ -246,16 +251,26 @@ class StationaryPoint:
     residual: float
 
 
-def _stationary(rp: ReducedProblem, d: float) -> StationaryPoint:
-    w_tail, W_prev, W_mid = rp.w_next[:-1], rp.W_prev[:-1], rp.W_next[:-1]
-    shifted = d * w_tail + W_prev
-    a = W_mid / shifted
+def _h(rp: ReducedProblem, d):
+    """The profile h(d) = sum_i c_i log(d w_{i+1} + W_i) - (w_1/W_{n-1}) log d,
+    c_i = r (alpha_i - beta_i), at every entry of ``d`` > 0.  The terms are
+    added one axis at a time, so memory stays that of ``d``.  The stationarity
+    residual is h(d) - h(1)."""
     coef = rp.r * (rp.alpha[:-1] - rp.beta[:-1])
-    h = float(np.sum(coef * np.log(shifted))) - (rp.w_1 / rp.W_n1) * math.log(d)
-    residual = h - float(np.sum(coef * np.log(W_mid)))
+    h = -(rp.w_1 / rp.W_n1) * np.log(d)
+    for c, w_i, W_i in zip(coef, rp.w_next[:-1], rp.W_prev[:-1]):
+        h += c * np.log(d * w_i + W_i)
+    return h
+
+
+def _stationary(rp: ReducedProblem, d: float) -> StationaryPoint:
+    w_tail, W_prev = rp.w_next[:-1], rp.W_prev[:-1]
+    a = rp.W_next[:-1] / (d * w_tail + W_prev)
+    h, h_one = _h(rp, np.array([d, 1.0])).tolist()
+    coef = rp.r * (rp.alpha[:-1] - rp.beta[:-1])
     h_prime = float(np.sum(coef / (d + W_prev / w_tail))) - (rp.w_1 / rp.W_n1) / d
     g_value = _g(rp, _check_box(rp, a, a.size))
-    return StationaryPoint(d, a, g_value, h, h_prime, residual)
+    return StationaryPoint(d, a, g_value, h, h_prime, h - h_one)
 
 
 def stationary_analysis(w: WeightSequence, d: float) -> StationaryPoint:
@@ -287,32 +302,26 @@ def find_stationary_d(
 ) -> list[float]:
     """Diagnostic scan for roots of the stationarity residual on (0, d_max];
     reports every root bracketed on a log grid (no completeness claim).
-    d = 1 is always a root."""
-    # deferred: only this diagnostic needs scipy.optimize, whose import
-    # adds ~20 MB to every process that imports the package
-    from scipy.optimize import brentq
-
+    The brackets are bisected together down to adjacent floats.  d = 1 is
+    always a root."""
     if w.n < 3:
         raise InputError("need at least three entries")
     rp = ReducedProblem.of(w)
     grid = np.exp(np.linspace(math.log(1e-6), math.log(d_max), samples))
-    res = np.array([_stationary(rp, float(d)).residual for d in grid])
-    roots: list[float] = []
-
-    def f(d: float) -> float:
-        return _stationary(rp, d).residual
-
-    for i in range(len(grid) - 1):
-        lo, hi = res[i], res[i + 1]
-        if lo == 0.0:
-            roots.append(float(grid[i]))
-        elif lo * hi < 0.0:
-            roots.append(float(brentq(f, float(grid[i]), float(grid[i + 1]))))
-    if res[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    h_one = float(_h(rp, 1.0))
+    sign = np.sign(_h(rp, grid) - h_one)
+    cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    lo, hi, lo_sign = grid[cross], grid[cross + 1], sign[cross]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        side = np.sign(_h(rp, mid) - h_one) * lo_sign  # NaN moves hi: no bracket stalls
+        lo, hi = np.where(side >= 0.0, mid, lo), np.where(side > 0.0, hi, mid)
+    roots = sorted([*grid[sign == 0.0].tolist(), *lo.tolist()])
     # dedupe near-identical roots
     out: list[float] = []
-    for r in sorted(roots):
+    for r in roots:
         if not out or abs(r - out[-1]) > 1e-9 * max(1.0, abs(r)):
             out.append(r)
     return out
@@ -348,8 +357,6 @@ def certify(
     is reported as refuted; no such case is expected, so it would point at
     an implementation bug or at genuinely new territory.
     """
-    from . import search  # deferred: search builds on this module
-
     if w.n < 2:
         raise InputError("need at least two weights")
     hol = holland_condition(w)
@@ -378,3 +385,48 @@ def certify(
             "argmax": list(result.best_point),
         },
     )
+
+
+SCAN_FIELDS = (
+    "w_n",
+    "holland_margin",
+    "gao_a",
+    "gao_b",
+    "gao_c",
+    "gao_d",
+    "boundary_bound",
+    "interior_bound",
+    "grid_max",
+)
+
+
+def weight_scan(head, tail_range, steps: int, resolution: int) -> list[dict]:
+    """Sweep the tail weight over a geometric grid and report, per value,
+    the Holland margin, the four Gao margins, the two analytic bounds, and
+    the lattice maximum of the reduced objective.  Fields that do not
+    apply (threshold undefined, box too large for a grid) are None."""
+    head = _positive_array(head, "head weights")
+    lo, hi = float(tail_range[0]), float(tail_range[1])
+    if not (lo > 0.0 and hi >= lo):
+        raise InputError("tail range must satisfy 0 < lo <= hi")
+    if steps < 2:
+        raise InputError("need at least two steps")
+    rows: list[dict] = []
+    for j in range(steps):
+        w_n = lo * (hi / lo) ** (j / (steps - 1))
+        w = WeightSequence(np.append(head, w_n))
+        row: dict = {k: None for k in SCAN_FIELDS}
+        row["w_n"] = w_n
+        row["holland_margin"] = holland_condition(w).margins[0]
+        if w.n >= 3:
+            gao = gao_conditions(w)
+            row["gao_a"], row["gao_b"], row["gao_c"], row["gao_d"] = gao.margins
+            row["boundary_bound"] = boundary_bound(w)
+            try:
+                row["interior_bound"] = interior_bound(w)
+            except NotApplicableError:
+                pass
+        if w.n - 1 <= search.GRID_DIM_LIMIT:
+            row["grid_max"] = search.grid_max_F(w, resolution).best_value
+        rows.append(row)
+    return rows

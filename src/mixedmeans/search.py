@@ -1,6 +1,8 @@
 """Numeric oracles: exact lattice maximization of the reduced objective on
-boxes of up to four dimensions, multistart violation search in data space,
-and tail-weight region scans.
+boxes of up to four dimensions, its multistart ascent beyond, and a
+multistart violation search in data space.  The route policy that decides
+when they run (``reduction.certify``, ``reduction.weight_scan``) lives in
+the reduction module, which imports this one.
 
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
@@ -28,15 +30,9 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .conditions import (
-    NotApplicableError,
-    ReducedProblem,
-    gao_conditions,
-    holland_condition,
-)
+from .conditions import ReducedProblem
 from .functionals import _increment, violation_tolerance
-from .means import InputError, WeightSequence, _positive_array
-from .reduction import boundary_bound, interior_bound
+from .means import InputError, WeightSequence
 
 __all__ = [
     "GRID_DIM_LIMIT",
@@ -46,8 +42,6 @@ __all__ = [
     "grid_max_envelope",
     "multistart_max_F",
     "violation_search",
-    "weight_scan",
-    "SCAN_FIELDS",
 ]
 
 # Lattice maxima are limited to four box dimensions; larger instances fall
@@ -432,48 +426,3 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
         seed=config.seed,
         violation=violation,
     )
-
-
-SCAN_FIELDS = (
-    "w_n",
-    "holland_margin",
-    "gao_a",
-    "gao_b",
-    "gao_c",
-    "gao_d",
-    "boundary_bound",
-    "interior_bound",
-    "grid_max",
-)
-
-
-def weight_scan(head, tail_range, steps: int, resolution: int) -> list[dict]:
-    """Sweep the tail weight over a geometric grid and report, per value,
-    the Holland margin, the four Gao margins, the two analytic bounds, and
-    the lattice maximum of the reduced objective.  Fields that do not
-    apply (threshold undefined, box too large for a grid) are None."""
-    head = _positive_array(head, "head weights")
-    lo, hi = float(tail_range[0]), float(tail_range[1])
-    if not (lo > 0.0 and hi >= lo):
-        raise InputError("tail range must satisfy 0 < lo <= hi")
-    if steps < 2:
-        raise InputError("need at least two steps")
-    rows: list[dict] = []
-    for j in range(steps):
-        w_n = lo * (hi / lo) ** (j / (steps - 1))
-        w = WeightSequence(np.append(head, w_n))
-        row: dict = {k: None for k in SCAN_FIELDS}
-        row["w_n"] = w_n
-        row["holland_margin"] = holland_condition(w).margins[0]
-        if w.n >= 3:
-            gao = gao_conditions(w)
-            row["gao_a"], row["gao_b"], row["gao_c"], row["gao_d"] = gao.margins
-            row["boundary_bound"] = boundary_bound(w)
-            try:
-                row["interior_bound"] = interior_bound(w)
-            except NotApplicableError:
-                pass
-        if w.n - 1 <= GRID_DIM_LIMIT:
-            row["grid_max"] = grid_max_F(w, resolution).best_value
-        rows.append(row)
-    return rows

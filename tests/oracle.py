@@ -125,3 +125,19 @@ def objective_g(w, y_head):
             t1 *= y[i] ** (W[i] * w[-1] / W[-2] ** 2)
             t2 *= ((W[i + 1] - W[i] * y[i]) / w[i + 1]) ** (w[i + 1] / W[-2])
         return (W[-2] / W[-1]) * t1 + (w[-1] / W[-1]) * t2
+
+
+def stationary_residual(w, d):
+    """h(d) - h(1) for the critical-point family of g:
+    sum_{i<=n-2} c_i log((d w_{i+1} + W_i) / W_{i+1}) - (w_1/W_{n-1}) log d,
+    with c_i = (W_i w_n - W_{n-1} w_{i+1}) / W_{n-1}^2."""
+    with mpmath.workdps(DPS):
+        w = [_mpf(v) for v in w]
+        d = mpmath.mpf(d)
+        W = [mpmath.fsum(w[: i + 1]) for i in range(len(w))]
+        W_n1, w_n = W[-2], w[-1]
+        total = -(w[0] / W_n1) * mpmath.log(d)
+        for i in range(len(w) - 2):
+            c = (W[i] * w_n - W_n1 * w[i + 1]) / W_n1**2
+            total += c * mpmath.log((d * w[i + 1] + W[i]) / W[i + 1])
+        return total

@@ -1,11 +1,10 @@
 import csv
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from checkout import run_python
 from mixedmeans import (
     WeightSequence,
     cli,
@@ -306,8 +305,8 @@ class TestErrorPaths:
         big = tmp_path / "big.json"
         big.write_text('{"w": [1, 1e200, 1]}')
         for command in ("check", "certify"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "mixedmeans.cli", command, str(big)],
+            proc = run_python(
+                ["-m", "mixedmeans.cli", command, str(big)],
                 capture_output=True,
                 text=True,
             )
@@ -319,8 +318,8 @@ class TestErrorPaths:
     def test_prefix_sum_overflow_without_warnings(self, tmp_path):
         p = tmp_path / "huge.json"
         p.write_text('{"w": [1, 1e308, 1e308]}')
-        proc = subprocess.run(
-            [sys.executable, "-m", "mixedmeans.cli", "search", str(p)],
+        proc = run_python(
+            ["-m", "mixedmeans.cli", "search", str(p)],
             capture_output=True,
             text=True,
         )
@@ -337,8 +336,8 @@ class TestErrorPaths:
         ):
             p = tmp_path / f"{command}.json"
             p.write_text(text)
-            proc = subprocess.run(
-                [sys.executable, "-m", "mixedmeans.cli", command, str(p)],
+            proc = run_python(
+                ["-m", "mixedmeans.cli", command, str(p)],
                 capture_output=True,
                 text=True,
             )
@@ -385,8 +384,8 @@ class TestParserReuse:
         )
         for argv, expected in sequence:
             code, out, err = invoke(capsys, argv)
-            fresh = subprocess.run(
-                [sys.executable, "-m", "mixedmeans.cli", *argv],
+            fresh = run_python(
+                ["-m", "mixedmeans.cli", *argv],
                 capture_output=True,
             )
             assert code == fresh.returncode == expected, argv
@@ -398,8 +397,8 @@ class TestParserReuse:
 
 class TestDeterminism:
     def _run(self, argv):
-        return subprocess.run(
-            [sys.executable, "-m", "mixedmeans.cli", *argv],
+        return run_python(
+            ["-m", "mixedmeans.cli", *argv],
             capture_output=True,
         )
 

@@ -35,6 +35,18 @@ class TestNanjundiah:
         assert rep.holds
         assert rep.margins == ()
 
+    def test_margins_equal_the_per_k_expression(self):
+        rng = np.random.default_rng(17)
+        for n in range(2, 13):
+            w = random_weights(rng, n, 1e-3, 1e3)
+            W_n, w_n = float(w.W[-1]), float(w.w[-1])
+            want = tuple(
+                W_n * float(w.w[k - 1]) - float(w.W[k - 1]) * w_n for k in range(2, n)
+            )
+            rep = nanjundiah_condition(w)
+            assert rep.margins == want
+            assert rep.details == tuple(f"k={k}" for k in range(2, n))
+
 
 class TestHolland:
     def test_boundary(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -379,6 +380,17 @@ class TestFindStationaryD:
             w = random_weights(rng, n)
             roots = find_stationary_d(w)
             assert any(abs(r - 1.0) < 1e-6 for r in roots)
+
+    @pytest.mark.parametrize(
+        "w, near", [([1, 1, 10], 0.0873780253841527), ([1, 1, 1, 4], 3.18962598128788)]
+    )
+    def test_second_root(self, w, near):
+        with mpmath.workdps(oracle.DPS):
+            ref = mpmath.findroot(lambda d: oracle.stationary_residual(w, d), near)
+        roots = find_stationary_d(WeightSequence(w))
+        other = [r for r in roots if abs(r - 1.0) > 1e-6]
+        assert len(roots) == 2 and len(other) == 1
+        assert other[0] == pytest.approx(float(ref), rel=1e-12)
 
 
 class TestCertify:

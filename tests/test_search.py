@@ -23,7 +23,8 @@ import dense_lattice
 import serial_search
 from mixedmeans import search
 from mixedmeans.conditions import ReducedProblem
-from mixedmeans.search import SCAN_FIELDS, _rado_increment_precise
+from mixedmeans.reduction import SCAN_FIELDS
+from mixedmeans.search import _rado_increment_precise
 from sampling import random_samples, random_weights
 
 
