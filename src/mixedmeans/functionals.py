@@ -6,6 +6,12 @@ s-mean of running arithmetic means and the arithmetic mean of running
 s-means grew when the k-th point was added.  ``product_form_lhs`` is the
 same level-n statement divided through by the mixed geometric-arithmetic
 mean and rearranged into a sum of two products of powers bounded by 1.
+
+The public functionals are slices of one per-level profile, which gives
+every level in one pass, as ``verify`` and level-k calls need.  The
+violation search needs only level n, at many points: its objective is the
+private kernel ``_top_increment``, the direct form of the level-n increment
+on log-data from one running-mean pass.
 """
 from __future__ import annotations
 
@@ -43,6 +49,30 @@ def _increment(w: WeightSequence, x: np.ndarray, s: float, k: int, log: bool = F
         raise InputError(f"level {k} out of range 2..{w.n}")
     profile = _profile(w, x, s, log)
     return profile[..., k - 1] - profile[..., k - 2]
+
+
+def _top_increment(w: WeightSequence, z: np.ndarray, s: float) -> np.ndarray:
+    """Level-n Rado increment at the data exp(z), for log-data of shape
+    (..., n), in the direct form W_n O_n - W_{n-1} O_{n-1} - w_n M_n: O_k is
+    the s-mean of the running arithmetic means A_1..A_k and M_n the s-mean
+    of x_1..x_n.  Every sum along the data axis runs in index order, so a
+    row of a batch gives the same bits as a call on that row.  Exactly 0
+    at s = 1, where the functional vanishes identically.
+    """
+    if w.n < 2:
+        raise InputError(f"level {w.n} out of range 2..{w.n}")
+    if s == 1.0:
+        return np.zeros(z.shape[:-1])
+    log_A = np.logaddexp.accumulate(w.log_w + z, axis=-1) - w.log_W
+    if s == 0.0:
+        log_O = np.cumsum(w.w * log_A, axis=-1)[..., -2:] / w.W[-2:]
+        log_M = np.cumsum(w.w * z, axis=-1)[..., -1] / w.W[-1]
+    else:
+        acc = np.logaddexp.accumulate(w.log_w + s * log_A, axis=-1)[..., -2:]
+        log_O = (acc - w.log_W[-2:]) / s
+        log_M = (np.logaddexp.reduce(w.log_w + s * z, axis=-1) - w.log_W[-1]) / s
+    O = w.W[-2:] * np.exp(log_O)
+    return O[..., 1] - O[..., 0] - w.w[-1] * np.exp(log_M)
 
 
 def rado_value(w: WeightSequence, x, s: float, k: int) -> float:

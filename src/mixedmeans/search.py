@@ -18,7 +18,9 @@ per coordinate and step size, one array call evaluates the candidates of
 every walk in the block and the greedy walk is replayed from the values.
 It reaches exactly the points and values of the serial one-point walk.
 Each product of the reduced objective has one factor per axis, so there a
-candidate recomputes only the log-terms of the axis that moves.
+candidate recomputes only the log-terms of the axis that moves.  The
+violation search walks in log-data, and its objective is the level-n
+increment in the direct form ``functionals._top_increment``.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import mpmath
 import numpy as np
 
 from .conditions import ReducedProblem
-from .functionals import _increment, violation_tolerance
+from .functionals import _top_increment, violation_tolerance
 from .means import InputError, WeightSequence
 
 __all__ = [
@@ -367,40 +369,37 @@ def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
 
 
 def _rado_increment_precise(w: WeightSequence, x, s: float, k: int) -> float:
-    """Independent high-precision re-evaluation of the level-k increment."""
+    """Independent high-precision re-evaluation of the level-k increment,
+    from 50-digit prefix sums in one pass: P_m = W_m O_m - sum_{i<=m} w_i M_i,
+    with O_m the s-mean of the running arithmetic means A_1..A_m and M_i
+    the s-mean of x_1..x_i."""
     with mpmath.workdps(50):
-        wv = [mpmath.mpf(float(v)) for v in w.w]
-        xv = [mpmath.mpf(float(v)) for v in np.asarray(x, dtype=float)]
+        s = mpmath.mpf(s)
+        term = mpmath.log if s == 0 else (lambda v: v**s)
 
-        def mean(vals, m: int, r: float) -> mpmath.mpf:
-            """The r-mean of vals[:m] under the weights w_1..w_m."""
-            pairs = list(zip(wv[:m], vals[:m]))
-            Wm = mpmath.fsum(wv[:m])
-            if r == 0.0:
-                return mpmath.exp(mpmath.fsum(a * mpmath.log(b) for a, b in pairs) / Wm)
-            if r == 1.0:
-                return mpmath.fsum(a * b for a, b in pairs) / Wm
-            return (mpmath.fsum(a * b**r for a, b in pairs) / Wm) ** (1 / mpmath.mpf(r))
+        def mean(total, W):
+            """The s-mean whose prefix sum of w·term(v) is total."""
+            return mpmath.exp(total / W) if s == 0 else (total / W) ** (1 / s)
 
-        def value(m: int) -> mpmath.mpf:
-            if m == 1:
-                return mpmath.mpf(0)
-            arith = [mean(xv, i, 1.0) for i in range(1, m + 1)]
-            smean = [mean(xv, i, s) for i in range(1, m + 1)]
-            return mpmath.fsum(wv[:m]) * (mean(arith, m, s) - mean(smean, m, 1.0))
-
-        return float(value(k) - value(k - 1))
+        W = Sx = Sv = SA = SM = P = P_prev = mpmath.mpf(0)
+        for wi, xi in zip(w.w[:k].tolist(), np.asarray(x, dtype=float)[:k].tolist()):
+            wi, xi = mpmath.mpf(wi), mpmath.mpf(xi)
+            W, Sx, Sv = W + wi, Sx + wi * xi, Sv + wi * term(xi)
+            SA += wi * term(Sx / W)
+            SM += wi * mean(Sv, W)
+            P_prev, P = P, W * mean(SA, W) - SM
+        return float(P - P_prev)
 
 
 def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> SearchResult:
-    """Multistart attack on the level-n increment: data drawn log-uniform
-    over [1e-3, 1e3] per coordinate, refined by coordinate ascent on the
-    negated increment.  A positive best value beyond the rounding tolerance
-    is re-verified in high precision before being flagged."""
+    """Multistart attack on the level-n increment, in its direct form on
+    log-data: data drawn log-uniform over [1e-3, 1e3] per coordinate, refined
+    by coordinate ascent on the negated increment.  A positive best value
+    beyond the rounding tolerance is re-verified at 50 digits."""
     n = w.n
 
     def fun(Z: np.ndarray) -> np.ndarray:
-        return -_increment(w, np.exp(Z), s, n)
+        return -_top_increment(w, Z, s)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-_LOG10_RANGE, _LOG10_RANGE, n) * math.log(10.0)

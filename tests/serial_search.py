@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 
-from mixedmeans import SearchResult, WeightSequence, rado_increment, violation_tolerance
+from mixedmeans import SearchResult, WeightSequence, violation_tolerance
 from mixedmeans.conditions import ReducedProblem
+from mixedmeans.functionals import _top_increment
 from mixedmeans.search import _LOG10_RANGE, _rado_increment_precise, _trial_rng
 
 
@@ -69,7 +70,7 @@ def violation_search(w: WeightSequence, s: float, config) -> SearchResult:
         z0 = rng.uniform(-_LOG10_RANGE, _LOG10_RANGE, n) * math.log(10.0)
 
         def fun(z):
-            return -rado_increment(w, np.exp(z), s, n)
+            return -float(_top_increment(w, z, s))
 
         val, z = coordinate_ascent(
             fun, z0, math.log(2.0), math.log(1e-6), math.log(1e6), config.local_steps

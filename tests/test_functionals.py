@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mixedmeans import (
     rado_value,
     violation_tolerance,
 )
+from mixedmeans.functionals import _top_increment
 from sampling import nanjundiah_weights, random_samples, random_weights
 
 
@@ -78,6 +81,59 @@ class TestRadoIncrement:
             got = rado_increment(w, x, s, k)
             want = float(oracle.rado_increment(w.w, x, s, k))
             assert got == pytest.approx(want, abs=violation_tolerance(w, x))
+
+
+class TestTopIncrement:
+    """The search objective: the level-n increment in the direct form, on
+    log-data."""
+
+    LEVELS = (*range(2, 9), 20, 40, 60)
+    EXPONENTS = (-1.0, 0.0, 0.5, 2.0)
+
+    @staticmethod
+    def _log_data(rng, n, clamped):
+        """Log-uniform data inside [1e-3, 1e3], or on the search's clamps
+        +-ln 1e6 with every third entry anywhere between them."""
+        if not clamped:
+            return np.log(random_samples(rng, n))
+        z = rng.choice([-1.0, 1.0], n) * math.log(1e6)
+        z[::3] = rng.uniform(-math.log(1e6), math.log(1e6), z[::3].size)
+        return z
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(23)
+        for n in self.LEVELS:
+            for s in self.EXPONENTS:
+                for clamped in (False, True):
+                    w = random_weights(rng, n)
+                    z = self._log_data(rng, n, clamped)
+                    x = np.exp(z)
+                    got = float(_top_increment(w, z, s))
+                    tol = violation_tolerance(w, x)
+                    want = float(oracle.rado_increment(w.w, x, s, n))
+                    assert got == pytest.approx(want, abs=tol)
+                    assert got == pytest.approx(rado_increment(w, x, s, n), abs=tol)
+
+    def test_batch_rows_match_single_points(self):
+        rng = np.random.default_rng(24)
+        for n in self.LEVELS:
+            w = random_weights(rng, n)
+            Z = np.stack([self._log_data(rng, n, j % 2 == 1) for j in range(12)])
+            Z = Z.reshape(3, 4, n)
+            for s in (*self.EXPONENTS, 1.0):
+                batch = _top_increment(w, Z, s)
+                assert batch.shape == (3, 4)
+                for index in np.ndindex(3, 4):
+                    assert batch[index] == _top_increment(w, Z[index], s)
+
+    def test_s_equal_one_is_exactly_zero(self):
+        w = WeightSequence([2, 1, 4])
+        z = np.log([[3.0, 1.0, 7.0], [1e-6, 1e6, 2.0]])
+        assert _top_increment(w, z, 1.0).tolist() == [0.0, 0.0]
+
+    def test_needs_two_points(self):
+        with pytest.raises(InputError, match="level 1 out of range 2..1"):
+            _top_increment(WeightSequence([2]), np.zeros((4, 1)), 0.0)
 
 
 class TestPopoviciuIncrement:

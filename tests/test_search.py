@@ -20,6 +20,7 @@ from mixedmeans import (
     weight_scan,
 )
 import dense_lattice
+import oracle
 import serial_search
 from mixedmeans import search
 from mixedmeans.conditions import ReducedProblem
@@ -228,6 +229,17 @@ class TestViolationSearch:
         )
         assert res.seed == 77
         assert res.trials_run == 5
+
+    def test_precise_increment_matches_oracle(self):
+        rng = np.random.default_rng(72)
+        for n in (*range(2, 9), 20, 40, 60):
+            for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
+                w = random_weights(rng, n)
+                x = random_samples(rng, n, 1e-6, 1e6)
+                k = int(rng.integers(2, n + 1))
+                want = float(oracle.rado_increment(w.w, x, s, k))
+                got = _rado_increment_precise(w, x, s, k)
+                assert got == pytest.approx(want, abs=1e-14 * w.W[k - 1] * x[:k].max())
 
 
 class TestMultistartMaxF:
