@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -161,6 +162,13 @@ def _cmd_gen_weights(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    """argparse type of the exponent options: a finite float."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser tree, built on the first call and shared after that;
@@ -171,8 +179,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("means", help="partial and mixed means for w, x, r, s")
     p.add_argument("weights")
     p.add_argument("samples")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--r", type=_finite, default=1.0)
+    p.add_argument("--s", type=_finite, default=0.0)
     p.set_defaults(func=_cmd_means)
 
     p = sub.add_parser("check", help="all weight-condition reports")
@@ -187,12 +195,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="increment values for k = 2..n")
     p.add_argument("weights")
     p.add_argument("samples")
-    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--s", type=_finite, default=0.0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="multistart violation search")
     p.add_argument("weights")
-    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--s", type=_finite, default=0.0)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--local-steps", type=int, default=8)

@@ -65,8 +65,8 @@ def _top_increment(w: WeightSequence, z: np.ndarray, s: float) -> np.ndarray:
         return np.zeros(z.shape[:-1])
     log_A = np.logaddexp.accumulate(w.log_w + z, axis=-1) - w.log_W
     if s == 0.0:
-        log_O = np.cumsum(w.w * log_A, axis=-1)[..., -2:] / w.W[-2:]
-        log_M = np.cumsum(w.w * z, axis=-1)[..., -1] / w.W[-1]
+        log_O = (w.w * log_A).cumsum(axis=-1)[..., -2:] / w.W[-2:]
+        log_M = (w.w * z).cumsum(axis=-1)[..., -1] / w.W[-1]
     else:
         acc = np.logaddexp.accumulate(w.log_w + s * log_A, axis=-1)[..., -2:]
         log_O = (acc - w.log_W[-2:]) / s

@@ -15,8 +15,10 @@ rule out down to single cells, in memory bounded by ``_CELL_CAP``.
 
 Both multistart searches run a batched line ascent over blocks of trials:
 per coordinate and step size, one array call evaluates the candidates of
-every walk in the block and the greedy walk is replayed from the values.
-It reaches exactly the points and values of the serial one-point walk.
+every walk in the block and the greedy walk is replayed from the values:
+in array operations while many walks move, and walk by walk on Python
+floats once few do.  Either way it reaches exactly the points and values
+of the serial one-point walk.
 Each product of the reduced objective has one factor per axis, so there a
 candidate recomputes only the log-terms of the axis that moves.  The
 violation search walks in log-data, and its objective is the level-n
@@ -53,12 +55,14 @@ GRID_DIM_LIMIT = 4
 # A walk moves at most _MAX_MOVES steps along one coordinate at one step
 # size.  Its rounds look 4, 8, 16, ... steps ahead on each side, and at
 # least _ROUND steps summed over their rows: a small round costs mostly
-# fixed overhead.  The candidates of one round and the rows of one
-# evaluation stay under _CELL_CAP float64 elements, for any trial count;
-# the lattice maxima bound and evaluate at most _CELL_CAP // (2 * dims)
-# blocks at a time.
+# fixed overhead.  A round of at most _LIST_WALKS walks replays them in
+# plain Python (see _climb).  The candidates of one round and the rows of
+# one evaluation stay under _CELL_CAP float64 elements, for any trial
+# count; the lattice maxima bound and evaluate at most
+# _CELL_CAP // (2 * dims) blocks at a time.
 _MAX_MOVES = 50
 _ROUND = 32
+_LIST_WALKS = 16
 _CELL_CAP = 1 << 16
 
 # Sampling range for data entries: the functionals are scale invariant,
@@ -273,26 +277,37 @@ def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
     way back from each unless it lands exactly on the previous position
     (which cannot win); then it replays the walk.  A walk that runs past
     the k positions or takes a way back goes on in the next round.
+
+    A round of more than ``_LIST_WALKS`` walks is replayed in array
+    operations, a smaller one walk by walk on Python floats by the same
+    rules (``_replay_lists``): the few dozen numpy calls of the array replay
+    cost more than one walk, and the Python loop more than 200 walks.
     """
-    left = np.full(len(Z), _MAX_MOVES)
     act = np.arange(len(Z))
+    left = np.zeros(len(Z), np.intp) + _MAX_MOVES
     steps = np.array([[step], [-step]])
     k = 2
     while act.size:
         A, r = act.size, np.arange(act.size)
         k = min(max(2 * k, _ROUND // A), int(left[act].max()))
-        inc = np.empty((A, 2, k + 1))
-        inc[:, :, 1:] = steps
-        inc[:, :, 0] = Z[act, i][:, None]
-        line = np.clip(np.add.accumulate(inc, axis=-1), lo, hi)
-        back = np.clip(line[:, :, 1:] - steps, lo, hi)
+        line = np.empty((A, 2, k + 1))
+        line[:, :, 1:] = steps
+        line[:, :, 0] = Z[act, i][:, None]
+        np.add.accumulate(line, axis=-1, out=line)
+        np.minimum(np.maximum(line, lo, out=line), hi, out=line)
+        back = line[:, :, 1:] - steps
+        np.minimum(np.maximum(back, lo, out=back), hi, out=back)
         probe = back != line[:, :, :-1]
-        owner = np.concatenate([np.repeat(act, 2 * k), act[np.nonzero(probe)[0]]])
+        owner = np.concatenate([act.repeat(2 * k), act[probe.nonzero()[0]]])
         pos = np.concatenate([line[:, :, 1:].ravel(), back[probe]])
         vals = evaluate(Z, owner, i, pos)
         v = vals[: 2 * A * k].reshape(A, 2, k)
-        vb = np.full((A, 2, k), np.nan)
+        vb = np.empty((A, 2, k))
+        vb.fill(np.nan)
         vb[probe] = vals[2 * A * k :]
+        if A <= _LIST_WALKS:
+            act = _replay_lists(Z, best, left, act, i, k, line, back, v, vb)
+            continue
 
         # The walk takes the + line if its first step wins, else the - line
         # if that one does, and climbs while each step wins; along + the way
@@ -317,6 +332,30 @@ def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
         best[act] = np.where(leave, vb[r, at], np.where(m > 0, v[r, at], b))
         left[act] = rest - leave
         act = act[(left[act] > 0) & (leave | (m == k))]
+
+
+def _replay_lists(Z, best, left, act, i, k, line, back, v, vb) -> np.ndarray:
+    """The replay of ``_climb``, one walk at a time on Python floats; returns
+    the walks of ``act`` that go on in the next round."""
+    going = []
+    rows = (best[act], left[act], v, vb, line, back)
+    for a, b, rest, V, VB, L, B in zip(act.tolist(), *(x.tolist() for x in rows)):
+        up = V[0][0] > b
+        V, VB, L, B = (V[0], VB[0], L[0], B[0]) if up else (V[1], VB[1], L[1], B[1])
+        if not V[0] > b:
+            continue
+        # m moves: each next step wins, and along - the way back does not
+        m, stop = 1, min(k, rest)
+        while m < stop and V[m] > V[m - 1] and (up or not VB[m - 1] > V[m - 1]):
+            m += 1
+        rest -= m
+        leave = m < k and rest > 0 and VB[m - 1] > V[m - 1]  # a winning way back
+        Z[a, i] = B[m - 1] if leave else L[m]
+        best[a] = VB[m - 1] if leave else V[m - 1]
+        left[a] = rest = rest - leave
+        if rest and (leave or m == k):
+            going.append(a)
+    return np.array(going, dtype=np.intp)
 
 
 def _multistart(lines, config: SearchConfig, draw, steps: float, lo: float, hi: float):
@@ -396,6 +435,8 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
     log-data: data drawn log-uniform over [1e-3, 1e3] per coordinate, refined
     by coordinate ascent on the negated increment.  A positive best value
     beyond the rounding tolerance is re-verified at 50 digits."""
+    if not math.isfinite(s):
+        raise InputError("exponent s must be finite")
     n = w.n
 
     def fun(Z: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from mixedmeans import (
     objective_F,
     popoviciu_increment,
     rado_increment,
+    search,
 )
 from mixedmeans.cli import run
 from sampling import random_samples, random_weights
@@ -283,6 +284,7 @@ class TestErrorPaths:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+        return err
 
     def test_non_numeric_weights(self, capsys, tmp_path):
         for i, text in enumerate(('{"w": [1, 1, "a"]}', '{"w": {"a": 1}}')):
@@ -366,6 +368,38 @@ class TestErrorPaths:
             p = tmp_path / f"w{i}.json"
             p.write_text(text)
             self._one_line_error(capsys, ["search", str(p), "--trials", "3"])
+
+    @staticmethod
+    def _exponent_argvs(files, value):
+        """Each exponent option of each subcommand, set to ``value``."""
+        for command, option in (
+            ("search", "--s"), ("verify", "--s"), ("means", "--r"), ("means", "--s")
+        ):
+            inputs = [files["w6"]] if command == "search" else [files["w111"], files["x123"]]
+            yield option, [command, *inputs, f"{option}={value}"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_exponent(self, capsys, monkeypatch, files, value):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the search ran a trial")
+
+        monkeypatch.setattr(search, "_multistart", no_trials)
+        for option, argv in self._exponent_argvs(files, value):
+            err = self._one_line_error(capsys, argv)
+            assert f"argument {option}: not a finite number" in err
+            assert "Warning" not in err
+
+    def test_non_finite_exponent_without_warnings(self, files):
+        # in a fresh process, so numpy warnings reach stderr uncaptured
+        for option, argv in self._exponent_argvs(files, "nan"):
+            proc = run_python(
+                ["-m", "mixedmeans.cli", *argv], capture_output=True, text=True
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1
+            assert option in proc.stderr
+            assert "Warning" not in proc.stderr
 
 
 class TestParserReuse:

@@ -241,6 +241,15 @@ class TestViolationSearch:
                 got = _rado_increment_precise(w, x, s, k)
                 assert got == pytest.approx(want, abs=1e-14 * w.W[k - 1] * x[:k].max())
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent(self, monkeypatch, s):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the search ran a trial")
+
+        monkeypatch.setattr(search, "_multistart", no_trials)
+        with pytest.raises(InputError, match="finite"):
+            violation_search(WeightSequence([1, 1, 6]), s, SearchConfig())
+
 
 class TestMultistartMaxF:
     def test_reaches_constant_point_value(self):
@@ -255,6 +264,13 @@ class TestMultistartMaxF:
         assert multistart_max_F(w, cfg) == multistart_max_F(w, cfg)
 
 
+@functools.cache
+def _serial(name, w, *args):
+    """``serial_search.<name>`` for the weights tuple ``w``, computed once for
+    the tests that run the batched search with each replay."""
+    return getattr(serial_search, name)(WeightSequence(w), *args)
+
+
 class TestSerialReference:
     """The batched line ascent returns exactly the serial walk's results."""
 
@@ -264,8 +280,8 @@ class TestSerialReference:
         for j, (n, s) in enumerate(cases):
             w = random_weights(rng, n, 0.2, 8.0)
             cfg = SearchConfig(seed=j, trials=1 + j % 12)
-            assert violation_search(w, s, cfg) == serial_search.violation_search(
-                w, s, cfg
+            assert violation_search(w, s, cfg) == _serial(
+                "violation_search", tuple(w.w.tolist()), s, cfg
             )
 
     def test_multistart_max_F(self):
@@ -273,7 +289,9 @@ class TestSerialReference:
         for j, n in enumerate((6, 6, 7, 7, 9, 12, 20)):
             w = random_weights(rng, n, 0.2, 8.0)
             cfg = SearchConfig(seed=j, trials=40, local_steps=6 + j)
-            assert multistart_max_F(w, cfg) == serial_search.multistart_max_F(w, cfg)
+            assert multistart_max_F(w, cfg) == _serial(
+                "multistart_max_F", tuple(w.w.tolist()), cfg
+            )
 
     @pytest.mark.parametrize("max_moves", [50, 5, 2])
     def test_rough_objectives(self, monkeypatch, max_moves):
@@ -311,6 +329,24 @@ class TestSerialReference:
                 assert val == ref_val
                 assert z.tolist() == ref_z.tolist()
 
+    # At the default search._LIST_WALKS the tests above replay a round in
+    # arrays or in lists by its number of walks; here each replay runs alone.
+    @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "lists"])
+    def test_violation_search_each_replay(self, monkeypatch, list_walks):
+        monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
+        self.test_violation_search()
+
+    @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "lists"])
+    def test_multistart_max_F_each_replay(self, monkeypatch, list_walks):
+        monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
+        self.test_multistart_max_F()
+
+    @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "lists"])
+    @pytest.mark.parametrize("max_moves", [50, 5, 2])
+    def test_rough_objectives_each_replay(self, monkeypatch, max_moves, list_walks):
+        monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
+        self.test_rough_objectives(monkeypatch, max_moves)
+
     def test_budget_ends_walk_before_step_back(self, monkeypatch):
         # Row 0 makes its seventh and last move up to 0.31 + 7 steps, where
         # the step back lands off the lattice and would win; the budget is
@@ -343,6 +379,38 @@ class TestSerialReference:
             )
             assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
         assert Z[1, 0] == backs[1]
+
+    @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "lists"])
+    def test_budget_cuts_run(self, monkeypatch, list_walks):
+        # Row 1 takes its step back after one move, so the second round (after
+        # a first one of 4 steps) looks 5 steps ahead.  Row 0 climbs in every
+        # step but has 3 moves left after the first round, so it stops there.
+        monkeypatch.setattr(search, "_MAX_MOVES", 7)
+        monkeypatch.setattr(search, "_ROUND", 1)
+        monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
+        step, starts = 0.1, (0.31, -0.45)
+        back = starts[1] + step - step
+        assert back != starts[1]
+
+        def fun(Z):
+            z = Z[:, 0]
+            near = np.where(z >= 0.0, -abs(z - 3.0), -abs(z + 0.33))
+            return near + 1000.0 * (z == back)
+
+        Z = np.array(starts)[:, None]
+        best = fun(Z)
+        evaluate = functools.partial(search._values, fun)
+        search._climb(evaluate, Z, best, 0, step, -5.0, 5.0)
+        for t, start in enumerate(starts):
+            ref_val, ref_z = serial_search.coordinate_ascent(
+                lambda z: float(fun(z[None])[0]), np.array([start]), step,
+                -5.0, 5.0, 1, 7,
+            )
+            assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
+        top = starts[0]
+        for _ in range(7):
+            top += step
+        assert Z[:, 0].tolist() == [top, back]
 
     def test_chunking_changes_nothing(self, monkeypatch):
         w = WeightSequence([1, 2, 0.5, 6])
