@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -43,7 +44,12 @@ __all__ = ["run", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the contract here is 1."""
+    """argparse exits with status 2 on usage errors; the contract here is 1.
+    Arguments such as -1e-3, -.5 and -inf are values, not options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")

@@ -15,6 +15,8 @@ on log-data from one running-mean pass.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .conditions import ReducedProblem
@@ -57,7 +59,9 @@ def _top_increment(w: WeightSequence, z: np.ndarray, s: float) -> np.ndarray:
     the s-mean of the running arithmetic means A_1..A_k and M_n the s-mean
     of x_1..x_n.  Every sum along the data axis runs in index order, so a
     row of a batch gives the same bits as a call on that row.  Exactly 0
-    at s = 1, where the functional vanishes identically.
+    at s = 1, where the functional vanishes identically.  Bit-identity
+    contract: ``_top_lines`` repeats these operations on floats and gives
+    the same bits, NaN and infinities included; change both or neither.
     """
     if w.n < 2:
         raise InputError(f"level {w.n} out of range 2..{w.n}")
@@ -73,6 +77,54 @@ def _top_increment(w: WeightSequence, z: np.ndarray, s: float) -> np.ndarray:
         log_M = (np.logaddexp.reduce(w.log_w + s * z, axis=-1) - w.log_W[-1]) / s
     O = w.W[-2:] * np.exp(log_O)
     return O[..., 1] - O[..., 0] - w.w[-1] * np.exp(log_M)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """numpy's scalar logaddexp on floats, with the same libm exp and log1p."""
+    if x == y:
+        return x + math.log(2.0)
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    return y + math.log1p(math.exp(d)) if d <= 0 else d  # d is NaN
+
+
+def _top_lines(w: WeightSequence, s: float):
+    """Scalar lines of ``-_top_increment``, the violation search's objective
+    (n >= 2): ``_top_lines(w, s)(z, i)`` maps c to its value at the row ``z``
+    with entry i set to c, bit for bit.  A line keeps the sums for log A, O
+    and M over the entries before i and goes on from i by the same operations
+    in the same order, from -inf or -0.0, which add exactly (no term is
+    -0.0); one ``np.exp`` call, which may warn, ends it."""
+    if s == 1.0:
+        return lambda z, i: lambda c: -0.0
+    lw, lW, ww, W = (a.tolist() for a in (w.log_w, w.log_W, w.w, w.W))
+    lae, zero = _logaddexp, -math.inf if s else -0.0  # of the O and M sums
+
+    def fold(a, o, m, j0, zs):
+        """The sums after the entries ``zs`` from j0 on, and O's before the last."""
+        p = o
+        for j, zj in enumerate(zs, j0):
+            p, a = o, lae(a, lw[j] + zj)
+            o, m = (lae(o, lw[j] + s * (a - lW[j])), lae(m, lw[j] + s * zj)) if s \
+                else (o + ww[j] * (a - lW[j]), m + ww[j] * zj)
+        return a, o, m, p
+
+    def line(z, i):
+        z = z.tolist()
+        a, o, m, _ = fold(-math.inf, zero, zero, 0, z[:i])
+        tail = z[i + 1 :]
+
+        def at(c):
+            _, o_n, m_n, o_p = fold(a, o, m, i, [c, *tail])
+            logs = ((o_p - lW[-2]) / s, (o_n - lW[-1]) / s, (m_n - lW[-1]) / s) if s \
+                else (o_p / W[-2], o_n / W[-1], m_n / W[-1])
+            e_p, e_n, e_m = np.exp(logs).tolist()
+            return -(W[-1] * e_n - W[-2] * e_p - ww[-1] * e_m)
+
+        return at
+
+    return line
 
 
 def rado_value(w: WeightSequence, x, s: float, k: int) -> float:

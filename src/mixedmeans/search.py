@@ -14,15 +14,14 @@ the lexicographically smallest index).  It halves the blocks it cannot
 rule out down to single cells, in memory bounded by ``_CELL_CAP``.
 
 Both multistart searches run a batched line ascent over blocks of trials:
-per coordinate and step size, one array call evaluates the candidates of
-every walk in the block and the greedy walk is replayed from the values:
-in array operations while many walks move, and walk by walk on Python
-floats once few do.  Either way it reaches exactly the points and values
-of the serial one-point walk.
-Each product of the reduced objective has one factor per axis, so there a
-candidate recomputes only the log-terms of the axis that moves.  The
-violation search walks in log-data, and its objective is the level-n
-increment in the direct form ``functionals._top_increment``.
+per coordinate and step size, a round evaluates the candidates of every
+walk in one array call and replays the greedy walk in array operations.  A
+candidate of the reduced objective recomputes only the log-terms of the
+axis that moves.  The violation search walks in log-data on the level-n
+increment in the direct form ``functionals._top_increment``; once at most
+``_LIST_WALKS`` walks move, each goes on alone on a scalar line of it and
+evaluates only the points it visits.  Either way the walks reach exactly
+the points and values of the serial one-point walk.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ import mpmath
 import numpy as np
 
 from .conditions import ReducedProblem
-from .functionals import _top_increment, violation_tolerance
+from .functionals import _top_increment, _top_lines, violation_tolerance
 from .means import InputError, WeightSequence
 
 __all__ = [
@@ -55,14 +54,13 @@ GRID_DIM_LIMIT = 4
 # A walk moves at most _MAX_MOVES steps along one coordinate at one step
 # size.  Its rounds look 4, 8, 16, ... steps ahead on each side, and at
 # least _ROUND steps summed over their rows: a small round costs mostly
-# fixed overhead.  A round of at most _LIST_WALKS walks replays them in
-# plain Python (see _climb).  The candidates of one round and the rows of
-# one evaluation stay under _CELL_CAP float64 elements, for any trial
-# count; the lattice maxima bound and evaluate at most
-# _CELL_CAP // (2 * dims) blocks at a time.
+# fixed overhead.  At most _LIST_WALKS walks with a scalar line walk alone
+# (see _climb).  The candidates of one round and the rows of one evaluation
+# stay under _CELL_CAP float64 elements, for any trial count; the lattice
+# maxima bound and evaluate at most _CELL_CAP // (2 * dims) blocks at a time.
 _MAX_MOVES = 50
 _ROUND = 32
-_LIST_WALKS = 16
+_LIST_WALKS = 4
 _CELL_CAP = 1 << 16
 
 # Sampling range for data entries: the functionals are scale invariant,
@@ -222,14 +220,13 @@ def grid_max_envelope(w: WeightSequence, resolution: int) -> SearchResult:
 def _values(fun, Z: np.ndarray, owner: np.ndarray, i: int, pos: np.ndarray):
     """Line evaluator: ``fun`` at the rows ``Z[owner]`` with coordinate ``i``
     set to ``pos``, in chunks of at most ``_CELL_CAP`` elements.  Values may
-    be NaN or infinite without a warning; NaN never wins in the walk."""
+    be NaN or infinite (``_multistart`` silences the warnings); NaN never wins."""
     out = np.empty(pos.size)
     rows = max(1, _CELL_CAP // Z.shape[1])
     for a in range(0, pos.size, rows):
         cand = Z[owner[a : a + rows]]
         cand[:, i] = pos[a : a + rows]
-        with np.errstate(all="ignore"):
-            out[a : a + rows] = fun(cand)
+        out[a : a + rows] = fun(cand)
     return out
 
 
@@ -260,12 +257,11 @@ class _LinesF:
                 L += self.before[:, o]
             for t in np.take(T[i + 1 :], o, axis=2):
                 L += t
-            with np.errstate(all="ignore"):
-                out[a : a + rows] = rp.F(*L)
+            out[a : a + rows] = rp.F(*L)
         return out
 
 
-def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
+def _climb(evaluate, Z, best, i, step, lo, hi, scalar=None) -> None:
     """The greedy walk on coordinate ``i`` of every row of ``Z`` at one step
     size, updating ``Z`` and its values ``best`` in place, by the line
     evaluator ``evaluate`` (see ``_values``).
@@ -278,16 +274,28 @@ def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
     (which cannot win); then it replays the walk.  A walk that runs past
     the k positions or takes a way back goes on in the next round.
 
-    A round of more than ``_LIST_WALKS`` walks is replayed in array
-    operations, a smaller one walk by walk on Python floats by the same
-    rules (``_replay_lists``): the few dozen numpy calls of the array replay
-    cost more than one walk, and the Python loop more than 200 walks.
+    Given ``scalar``, whose ``scalar(z, i)`` maps a position to the value of
+    row ``z`` with coordinate ``i`` moved there, bit for bit as ``evaluate``,
+    at most ``_LIST_WALKS`` walks skip the round, each taking the serial walk
+    with its moves left: a round's numpy calls cost more than one walk.
     """
     act = np.arange(len(Z))
     left = np.zeros(len(Z), np.intp) + _MAX_MOVES
     steps = np.array([[step], [-step]])
     k = 2
     while act.size:
+        if scalar is not None and act.size <= _LIST_WALKS:
+            for a in act.tolist():  # the serial walk, on the points it visits
+                at, c, b = scalar(Z[a], i), float(Z[a, i]), float(best[a])
+                for _ in range(left[a]):
+                    for x in (min(max(c + step, lo), hi), min(max(c - step, lo), hi)):
+                        if (v := at(x)) > b:
+                            c, b = x, v
+                            break
+                    else:
+                        break
+                Z[a, i], best[a] = c, b
+            return
         A, r = act.size, np.arange(act.size)
         k = min(max(2 * k, _ROUND // A), int(left[act].max()))
         line = np.empty((A, 2, k + 1))
@@ -305,9 +313,6 @@ def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
         vb = np.empty((A, 2, k))
         vb.fill(np.nan)
         vb[probe] = vals[2 * A * k :]
-        if A <= _LIST_WALKS:
-            act = _replay_lists(Z, best, left, act, i, k, line, back, v, vb)
-            continue
 
         # The walk takes the + line if its first step wins, else the - line
         # if that one does, and climbs while each step wins; along + the way
@@ -334,31 +339,7 @@ def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
         act = act[(left[act] > 0) & (leave | (m == k))]
 
 
-def _replay_lists(Z, best, left, act, i, k, line, back, v, vb) -> np.ndarray:
-    """The replay of ``_climb``, one walk at a time on Python floats; returns
-    the walks of ``act`` that go on in the next round."""
-    going = []
-    rows = (best[act], left[act], v, vb, line, back)
-    for a, b, rest, V, VB, L, B in zip(act.tolist(), *(x.tolist() for x in rows)):
-        up = V[0][0] > b
-        V, VB, L, B = (V[0], VB[0], L[0], B[0]) if up else (V[1], VB[1], L[1], B[1])
-        if not V[0] > b:
-            continue
-        # m moves: each next step wins, and along - the way back does not
-        m, stop = 1, min(k, rest)
-        while m < stop and V[m] > V[m - 1] and (up or not VB[m - 1] > V[m - 1]):
-            m += 1
-        rest -= m
-        leave = m < k and rest > 0 and VB[m - 1] > V[m - 1]  # a winning way back
-        Z[a, i] = B[m - 1] if leave else L[m]
-        best[a] = VB[m - 1] if leave else V[m - 1]
-        left[a] = rest = rest - leave
-        if rest and (leave or m == k):
-            going.append(a)
-    return np.array(going, dtype=np.intp)
-
-
-def _multistart(lines, config: SearchConfig, draw, steps: float, lo: float, hi: float):
+def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
     """Yield (value, point) per trial in trial order: ``draw(rng)`` from the
     trial's own stream, refined by the walk with step ``steps`` halved
     ``config.local_steps`` times.  A block of trials ``Z`` walks together,
@@ -374,10 +355,11 @@ def _multistart(lines, config: SearchConfig, draw, steps: float, lo: float, hi: 
             rows.append(draw(rng))
         Z = np.array(rows)
         evaluate = lines(Z)
-        best = evaluate(Z, np.arange(len(Z)), 0, Z[:, 0])
-        for p in range(config.local_steps):
-            for i in range(Z.shape[1]):
-                _climb(evaluate, Z, best, i, steps * 0.5**p, lo, hi)
+        with np.errstate(all="ignore"):
+            best = evaluate(Z, np.arange(len(Z)), 0, Z[:, 0])
+            for p in range(config.local_steps):
+                for i in range(Z.shape[1]):
+                    _climb(evaluate, Z, best, i, steps * 0.5**p, lo, hi, scalar)
         yield from zip(best.tolist(), Z)
 
 
@@ -449,7 +431,7 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
     best_x: Optional[np.ndarray] = None
     for val, z in _multistart(
         lambda Z: functools.partial(_values, fun),
-        config, draw, math.log(2.0), math.log(1e-6), math.log(1e6),
+        config, draw, math.log(2.0), math.log(1e-6), math.log(1e6), _top_lines(w, s),
     ):
         if val > best_val:
             best_val = val

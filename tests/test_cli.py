@@ -370,13 +370,37 @@ class TestErrorPaths:
             self._one_line_error(capsys, ["search", str(p), "--trials", "3"])
 
     @staticmethod
-    def _exponent_argvs(files, value):
-        """Each exponent option of each subcommand, set to ``value``."""
+    def _exponent_argvs(files, value, joined=True):
+        """Each exponent option of each subcommand, set to ``value`` in the
+        form ``--s=VALUE``, or ``--s VALUE`` unless ``joined``."""
         for command, option in (
             ("search", "--s"), ("verify", "--s"), ("means", "--r"), ("means", "--s")
         ):
             inputs = [files["w6"]] if command == "search" else [files["w111"], files["x123"]]
-            yield option, [command, *inputs, f"{option}={value}"]
+            given = [f"{option}={value}"] if joined else [option, value]
+            yield option, [command, *inputs, *given]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2e-5", "-inf"])
+    def test_negative_exponent_as_next_argument(self, capsys, files, value):
+        # argparse alone takes "-1e-3" and "-inf" for options; they are values
+        pairs = zip(
+            self._exponent_argvs(files, value, joined=False),
+            self._exponent_argvs(files, value),
+        )
+        for (option, spaced), (_, joined) in pairs:
+            code, out, err = invoke(capsys, spaced)
+            assert (code, out, err) == invoke(capsys, joined)
+            assert "Traceback" not in err
+            if value == "-inf":
+                assert code == 1 and out == ""
+                assert err.splitlines() == [
+                    f"mixedmeans {spaced[0]}: error: argument {option}: "
+                    f"not a finite number: '-inf'"
+                ]
+            else:
+                assert code in (0, 2) and err == ""
+                if spaced[0] != "search":  # the search does not echo s
+                    assert json.loads(out)[option[2:]] == float(value)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_exponent(self, capsys, monkeypatch, files, value):

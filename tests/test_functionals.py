@@ -13,7 +13,7 @@ from mixedmeans import (
     rado_value,
     violation_tolerance,
 )
-from mixedmeans.functionals import _top_increment
+from mixedmeans.functionals import _top_increment, _top_lines
 from sampling import nanjundiah_weights, random_samples, random_weights
 
 
@@ -134,6 +134,35 @@ class TestTopIncrement:
     def test_needs_two_points(self):
         with pytest.raises(InputError, match="level 1 out of range 2..1"):
             _top_increment(WeightSequence([2]), np.zeros((4, 1)), 0.0)
+
+    @pytest.mark.parametrize(
+        "s", [-3.0, -1.0, 0.0, 1e-3, 0.5, 1.0, 2.0, 40.0, 1e308, -1e308]
+    )
+    def test_scalar_lines_bit_identical(self, s):
+        # Every point of a scalar line has the bits of the negated batch row:
+        # NaN where s * log A overflows, and -0.0 at s = 1 (which the search
+        # reports there).
+        rng = np.random.default_rng(25)
+        clamp = math.log(1e6)
+        weights = [random_weights(rng, n) for n in range(2, 21)]
+        weights.append(WeightSequence([1, 1e-300, 1e300]))
+        for w in weights:
+            line = _top_lines(w, s)
+            for clamped in (False, True):
+                z = self._log_data(rng, w.n, clamped)
+                for i in range(w.n):
+                    cs = np.append(rng.uniform(-clamp, clamp, 4), [-clamp, clamp])
+                    Z = np.repeat(z[None], cs.size, axis=0)
+                    Z[:, i] = cs
+                    with np.errstate(all="ignore"):
+                        want = -_top_increment(w, Z, s)
+                        at = line(z, i)
+                        got = np.array([at(c) for c in cs.tolist()])
+                    assert np.array_equal(got, want, equal_nan=True)
+                    zero = want == 0.0
+                    assert (np.signbit(got[zero]) == np.signbit(want[zero])).all()
+                    if s == 1.0:
+                        assert np.signbit(got).all()
 
 
 class TestPopoviciuIncrement:

@@ -24,6 +24,7 @@ import oracle
 import serial_search
 from mixedmeans import search
 from mixedmeans.conditions import ReducedProblem
+from mixedmeans.functionals import _top_increment, _top_lines
 from mixedmeans.reduction import SCAN_FIELDS
 from mixedmeans.search import _rado_increment_precise
 from sampling import random_samples, random_weights
@@ -274,6 +275,21 @@ def _serial(name, w, *args):
 class TestSerialReference:
     """The batched line ascent returns exactly the serial walk's results."""
 
+    @staticmethod
+    def _scalar_line(fun):
+        """The scalar line of the batch objective ``fun``, as ``_climb`` takes."""
+
+        def line(z, i):
+            z = z.copy()
+
+            def at(c):
+                z[i] = c
+                return float(fun(z[None])[0])
+
+            return at
+
+        return line
+
     def test_violation_search(self):
         rng = np.random.default_rng(70)
         cases = [(n, s) for n in range(2, 9) for s in (-1.0, 0.0, 0.5, 2.0)]
@@ -310,6 +326,8 @@ class TestSerialReference:
         def lines(Z):
             return functools.partial(search._values, rough)
 
+        line = self._scalar_line(rough)
+
         for d, steps, lo, hi, local_steps in (
             (1, 0.3, -1.0, 1.0, 6),
             (3, 0.7, -2.0, 2.0, 4),
@@ -320,7 +338,7 @@ class TestSerialReference:
             def draw(rng):
                 return rng.uniform(lo, hi, d)
 
-            batched = list(search._multistart(lines, cfg, draw, steps, lo, hi))
+            batched = list(search._multistart(lines, cfg, draw, steps, lo, hi, line))
             for t, (val, z) in enumerate(batched):
                 z0 = draw(search._trial_rng(cfg.seed, t))
                 ref_val, ref_z = serial_search.coordinate_ascent(
@@ -329,9 +347,11 @@ class TestSerialReference:
                 assert val == ref_val
                 assert z.tolist() == ref_z.tolist()
 
-    # At the default search._LIST_WALKS the tests above replay a round in
-    # arrays or in lists by its number of walks; here each replay runs alone.
-    @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "lists"])
+    # At the default search._LIST_WALKS the tests above take array rounds
+    # while many walks move and walk them alone once few do; here only array
+    # rounds, or every walk alone from the start.  F has no scalar line and
+    # takes array rounds at both settings.
+    @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "walk"])
     def test_violation_search_each_replay(self, monkeypatch, list_walks):
         monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
         self.test_violation_search()
@@ -341,7 +361,7 @@ class TestSerialReference:
         monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
         self.test_multistart_max_F()
 
-    @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "lists"])
+    @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "walk"])
     @pytest.mark.parametrize("max_moves", [50, 5, 2])
     def test_rough_objectives_each_replay(self, monkeypatch, max_moves, list_walks):
         monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
@@ -368,27 +388,31 @@ class TestSerialReference:
             near = np.where(z >= 0.0, -abs(z - 1.03), -abs(z + 0.33))
             return near + 1000.0 * np.isin(z, backs)
 
-        Z = np.array(starts)[:, None]
-        best = fun(Z)
-        evaluate = functools.partial(search._values, fun)
-        search._climb(evaluate, Z, best, 0, step, -5.0, 5.0)
-        for t, start in enumerate(starts):
-            ref_val, ref_z = serial_search.coordinate_ascent(
-                lambda z: float(fun(z[None])[0]), np.array([start]), step,
-                -5.0, 5.0, 1, 7,
-            )
-            assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
-        assert Z[1, 0] == backs[1]
+        # in array rounds, then each walk alone on a scalar line
+        for line in (None, self._scalar_line(fun)):
+            Z = np.array(starts)[:, None]
+            best = fun(Z)
+            evaluate = functools.partial(search._values, fun)
+            search._climb(evaluate, Z, best, 0, step, -5.0, 5.0, line)
+            for t, start in enumerate(starts):
+                ref_val, ref_z = serial_search.coordinate_ascent(
+                    lambda z: float(fun(z[None])[0]), np.array([start]), step,
+                    -5.0, 5.0, 1, 7,
+                )
+                assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
+            assert Z[1, 0] == backs[1]
 
-    @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "lists"])
+    @pytest.mark.parametrize("list_walks", [0, 2], ids=["arrays", "walk"])
     def test_budget_cuts_run(self, monkeypatch, list_walks):
         # Row 1 takes its step back after one move, so the second round (after
         # a first one of 4 steps) looks 5 steps ahead.  Row 0 climbs in every
         # step but has 3 moves left after the first round, so it stops there.
+        # Row 2 never moves.  With two walks alone, rows 0 and 1 go on alone
+        # after the first round, with the moves they have left.
         monkeypatch.setattr(search, "_MAX_MOVES", 7)
         monkeypatch.setattr(search, "_ROUND", 1)
         monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
-        step, starts = 0.1, (0.31, -0.45)
+        step, starts = 0.1, (0.31, -0.45, -0.33)
         back = starts[1] + step - step
         assert back != starts[1]
 
@@ -400,7 +424,8 @@ class TestSerialReference:
         Z = np.array(starts)[:, None]
         best = fun(Z)
         evaluate = functools.partial(search._values, fun)
-        search._climb(evaluate, Z, best, 0, step, -5.0, 5.0)
+        line = self._scalar_line(fun)
+        search._climb(evaluate, Z, best, 0, step, -5.0, 5.0, line)
         for t, start in enumerate(starts):
             ref_val, ref_z = serial_search.coordinate_ascent(
                 lambda z: float(fun(z[None])[0]), np.array([start]), step,
@@ -410,7 +435,57 @@ class TestSerialReference:
         top = starts[0]
         for _ in range(7):
             top += step
-        assert Z[:, 0].tolist() == [top, back]
+        assert Z[:, 0].tolist() == [top, back, starts[2]]
+
+    @pytest.mark.parametrize("trials, list_walks", [(1, None), (3, 3)])
+    def test_lone_walks_evaluate_what_the_serial_walk_does(
+        self, monkeypatch, trials, list_walks
+    ):
+        # Walks that go alone from the start evaluate the scalar line exactly
+        # where the serial walk calls its objective, after one batched call
+        # for the starting points.
+        if list_walks is not None:
+            monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
+        rng = np.random.default_rng(74)
+        for n, s in ((2, 0.0), (3, 0.0), (4, 2.0), (5, 0.5), (6, -1.0)):
+            w = random_weights(rng, n, 0.2, 8.0)
+            cfg = SearchConfig(seed=n, trials=trials)
+            rows, points, serial_calls = [], [], 0
+
+            def fun(Z):
+                rows.append(len(Z))
+                return -_top_increment(w, Z, s)
+
+            def line(z, i, lines=_top_lines(w, s)):
+                at = lines(z, i)
+
+                def counted(c):
+                    points.append(c)
+                    return at(c)
+
+                return counted
+
+            def serial(z):
+                nonlocal serial_calls
+                serial_calls += 1
+                return -float(_top_increment(w, z, s))
+
+            def draw(rng):
+                return rng.uniform(-3.0, 3.0, n) * math.log(10.0)
+
+            steps, lo, hi = math.log(2.0), math.log(1e-6), math.log(1e6)
+            got = list(search._multistart(
+                lambda Z: functools.partial(search._values, fun),
+                cfg, draw, steps, lo, hi, line,
+            ))
+            for t, (val, z) in enumerate(got):
+                z0 = draw(search._trial_rng(cfg.seed, t))
+                ref = serial_search.coordinate_ascent(
+                    serial, z0, steps, lo, hi, cfg.local_steps
+                )
+                assert (val, z.tolist()) == (ref[0], ref[1].tolist())
+            assert rows == [trials]
+            assert len(points) == serial_calls - trials
 
     def test_chunking_changes_nothing(self, monkeypatch):
         w = WeightSequence([1, 2, 0.5, 6])
