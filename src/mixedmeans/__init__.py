@@ -50,8 +50,7 @@ from .reduction import (
 from .search import (
     SearchConfig,
     SearchResult,
-    grid_max_F,
-    grid_max_envelope,
+    curve_max_F,
     multistart_max_F,
     violation_search,
 )

@@ -114,7 +114,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_certify(args) -> int:
     w = WeightSequence(_load_field(args.weights, "w"))
-    cert = certify(w, grid_resolution=args.resolution)
+    cert = certify(w)
     _emit(cert.to_dict())
     return 2 if cert.route == "refuted-numeric" else 0
 
@@ -152,7 +152,7 @@ def _cmd_scan(args) -> int:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise InputError(f"--range must be LO:HI, got {args.range!r}") from exc
-    rows = weight_scan(head, (lo, hi), args.steps, args.resolution)
+    rows = weight_scan(head, (lo, hi), args.steps)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(SCAN_FIELDS)
     for row in rows:
@@ -195,7 +195,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="certification route and slack")
     p.add_argument("weights")
-    p.add_argument("--resolution", type=int, default=201)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify", help="increment values for k = 2..n")
@@ -216,7 +215,6 @@ def _build_parser() -> _Parser:
     p.add_argument("head")
     p.add_argument("--range", required=True, help="LO:HI, geometric grid")
     p.add_argument("--steps", type=int, default=31)
-    p.add_argument("--resolution", type=int, default=201)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("gen-weights", help="critical tail weight for a head")

@@ -17,7 +17,7 @@ right-neighborhood where the Gao conditions hold.
 ``ReducedProblem`` is the one table of the reduced problem (box, exponents,
 second bases, corner log-products), built once per weight sequence by
 ``ReducedProblem.of``.  The Gao product margins read its corners;
-``reduction`` and ``search`` build F, g, the elimination step, the grids
+``reduction`` and ``search`` build F, g, the elimination step, the curve
 and the bounds from it.
 """
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
 # Strict inequalities count as satisfied only above this margin; ties are
 # reported as failing with the boundary flag set.
 STRICT_TOL = 1e-12
+OUT_OF_RANGE = "weights out of float64 range for the reduced problem"
 
 
 class NotApplicableError(ValueError):
@@ -94,7 +95,13 @@ def nanjundiah_condition(w: WeightSequence) -> ConditionReport:
 
 
 def holland_condition(w: WeightSequence) -> ConditionReport:
-    """Single margin W_{n-1}^2 - w_n * S_{n-2} (empty sum at n = 2)."""
+    """Single margin W_{n-1}^2 - w_n * S_{n-2} (empty sum at n = 2).
+
+    As S_{n-1} = S_{n-2} + W_{n-1} and W_n = W_{n-1} + w_n, w_n S_{n-1} <=
+    W_{n-1} W_n <=> W_{n-1}^2 >= w_n S_{n-2}.  The left side is sum alpha_i
+    <= 1 for the exponents of the reduced objective F, and sum beta_i =
+    1 - w_1/W_n < 1; so both products of F are concave, F is, and its
+    maximum on the curve of its critical points is F(1, ..., 1) = 1."""
     if w.n < 2:
         raise InputError("need at least two weights")
     S_n2 = float(w.S[-3]) if w.n >= 3 else 0.0
@@ -115,7 +122,8 @@ def _excess(w: WeightSequence) -> float:
 class ReducedProblem:
     """The reduced form of the level-n increment inequality, derived once
     per weight sequence (``ReducedProblem.of``) and shared by F, g, the
-    elimination step, the grids and the bounds.  Its arrays are read-only.
+    elimination step, the curve maximum and the bounds.  Its arrays are
+    read-only.
 
     With y_i = A_i / A_{i+1} the inequality reads F(y) <= 1 on the box
     0 <= y_i <= ``upper[i]`` = W_{i+1}/W_i, where
@@ -157,9 +165,7 @@ class ReducedProblem:
                 self.beta = self.w_next / self.W_n
                 self.second_max = self.W_next / self.w_next
         except FloatingPointError:
-            raise InputError(
-                "weights out of float64 range for the reduced problem"
-            ) from None
+            raise InputError(OUT_OF_RANGE) from None
         for arr in (self.upper, self.alpha, self.beta, self.second_max):
             arr.setflags(write=False)
         self.log_p = (math.log(self.p[0]), math.log(self.p[1]))
@@ -171,6 +177,13 @@ class ReducedProblem:
         if not hasattr(w, "reduced"):
             w.reduced = cls(w)
         return w.reduced
+
+    @property
+    def representable(self) -> bool:
+        """Whether every exponent is positive and every box bound exceeds 1,
+        as the faces of the box need; float64 may round them to 0 or 1."""
+        ok = (self.alpha > 0.0) & (self.beta > 0.0) & (self.upper > 1.0)
+        return bool(ok.all())
 
     def second(self, y, i):
         """The second bases second_i(y) on axis or axes ``i``, clipped at 0."""
@@ -210,13 +223,6 @@ class ReducedProblem:
         L2 *= self.r
         L2 += self.log_p[1]
         return np.logaddexp(L1, L2, out=L1)
-
-    def envelope(self, L1, L2):
-        """g^(1/r), the maximum of F over the last coordinate, from log c
-        and log c'; overwrites and returns ``L1``."""
-        L = self.log_g(L1, L2)
-        L /= self.r
-        return np.exp(L, out=L)
 
     @functools.cached_property
     def log_corners(self) -> tuple[float, float]:

@@ -7,10 +7,10 @@ means) turns the product form of the inequality into: F(y) <= 1 on the box
 maximized in closed form, leaving the reduced objective g on the first
 n-2 coordinates.  Interior critical points of g form a one-parameter
 family a_i(d) = W_{i+1} / (d w_{i+1} + W_i); d = 1 gives the constant
-point where g = 1 exactly.  ``certify`` packages the case analysis:
-Holland margin, then the Gao conditions, then a numeric search by the
-``search`` module; ``weight_scan`` reports the same quantities along a
-sweep of the tail weight.
+point where g = 1 exactly; extended to the last axis, it holds every
+interior critical point of F (``search.curve_max_F``).  ``certify`` packages
+the case analysis: Holland margin, then the Gao conditions, then the
+maximum of F; ``weight_scan`` sweeps the same quantities over the tail.
 
 The box, the exponents of F and g, the second bases and the corner
 log-products come from the table ``conditions.ReducedProblem``, built once
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import search
 from .conditions import (
+    OUT_OF_RANGE,
     ConditionReport,
     NotApplicableError,
     ReducedProblem,
@@ -233,7 +234,7 @@ def eliminate_last(w: WeightSequence, y_head) -> Elimination:
     else:
         ratio = math.exp((log_cp - log_c) * rp.r)
         y_star = 1.0 / (rp.p[0] + rp.p[1] * ratio)
-    max_value = float(rp.envelope(log_c, log_cp))
+    max_value = float(np.exp(rp.log_g(log_c, log_cp) / rp.r))
     return Elimination(y_star, max_value, degenerate)
 
 
@@ -345,20 +346,13 @@ class Certificate:
         }
 
 
-def certify(
-    w: WeightSequence,
-    grid_resolution: int = 201,
-    config=None,
-) -> Certificate:
+def certify(w: WeightSequence) -> Certificate:
     """Select a certification route for the level-n inequality: the Holland
     margin if it is nonnegative, else the Gao conditions, else a numeric
-    maximization of F (exact lattice maximum by branch and bound up to four
-    box dimensions, multistart beyond).  A numeric maximum above 1 + 1e-9
-    is reported as refuted; no such case is expected, so it would point at
-    an implementation bug or at genuinely new territory.
+    maximum of F (on the curve up to ``search.GRID_DIM_LIMIT`` box
+    dimensions, multistart beyond), refuted above 1 + 1e-9.  The numeric
+    route raises ``InputError`` unless ``ReducedProblem.representable``.
     """
-    if w.n < 2:
-        raise InputError("need at least two weights")
     hol = holland_condition(w)
     reports = [hol]
     if hol.holds:
@@ -370,11 +364,12 @@ def certify(
         slack = 1.0 - max(boundary_bound(w), interior_bound(w))
         return Certificate("gao", tuple(reports), slack=slack)
 
+    if not ReducedProblem.of(w).representable:
+        raise InputError(OUT_OF_RANGE)
     if w.n - 1 <= search.GRID_DIM_LIMIT:
-        result = search.grid_max_F(w, grid_resolution)
+        result = search.curve_max_F(w)
     else:
-        cfg = config if config is not None else search.SearchConfig(seed=0)
-        result = search.multistart_max_F(w, cfg)
+        result = search.multistart_max_F(w, search.SearchConfig(seed=0))
     route = "refuted-numeric" if result.best_value > 1.0 + 1e-9 else "numeric-only"
     return Certificate(
         route,
@@ -400,11 +395,12 @@ SCAN_FIELDS = (
 )
 
 
-def weight_scan(head, tail_range, steps: int, resolution: int) -> list[dict]:
+def weight_scan(head, tail_range, steps: int) -> list[dict]:
     """Sweep the tail weight over a geometric grid and report, per value,
     the Holland margin, the four Gao margins, the two analytic bounds, and
-    the lattice maximum of the reduced objective.  Fields that do not
-    apply (threshold undefined, box too large for a grid) are None."""
+    the curve maximum of the reduced objective.  Fields that do not apply
+    (threshold undefined, box too large for the curve, table not
+    representable) are None."""
     head = _positive_array(head, "head weights")
     lo, hi = float(tail_range[0]), float(tail_range[1])
     if not (lo > 0.0 and hi >= lo):
@@ -426,7 +422,7 @@ def weight_scan(head, tail_range, steps: int, resolution: int) -> list[dict]:
                 row["interior_bound"] = interior_bound(w)
             except NotApplicableError:
                 pass
-        if w.n - 1 <= search.GRID_DIM_LIMIT:
-            row["grid_max"] = search.grid_max_F(w, resolution).best_value
+        if w.n - 1 <= search.GRID_DIM_LIMIT and ReducedProblem.of(w).representable:
+            row["grid_max"] = search.curve_max_F(w).best_value
         rows.append(row)
     return rows

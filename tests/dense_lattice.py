@@ -1,15 +1,22 @@
-"""Dense reference for the lattice maxima in ``mixedmeans.search``.
+"""Dense lattice maxima of the reduced objective, a reference for the curve
+maximum ``mixedmeans.search.curve_max_F``.
 
-This fills the whole lattice at once and takes ``np.argmax`` of it.  The
-branch and bound in ``search._lattice_max`` must return results equal to
-these, field by field: the same value, the same argmax (ties go to the
-first cell in row-major order) and the same cell count.
+This fills the whole lattice at once and takes ``np.argmax`` of it.  Every
+lattice point lies in the box, so the curve maximum must be at least these
+values, up to rounding.
 """
 import numpy as np
 
 from mixedmeans import SearchResult, WeightSequence
 from mixedmeans.conditions import ReducedProblem
-from mixedmeans.search import _axis
+
+
+def _axis(upper: float, resolution: int) -> np.ndarray:
+    """Uniform lattice over [0, upper] adjusted so it contains 1.0 exactly
+    (the constant-data image point)."""
+    pts = np.linspace(0.0, upper, resolution)
+    pts[int(np.argmin(np.abs(pts - 1.0)))] = 1.0
+    return pts
 
 
 def lattice_max(
@@ -39,5 +46,11 @@ def grid_max_F(w: WeightSequence, resolution: int) -> SearchResult:
 
 
 def grid_max_envelope(w: WeightSequence, resolution: int) -> SearchResult:
+    """The lattice over the head coordinates of g^(1/r), the maximum of F
+    over the last coordinate."""
     rp = ReducedProblem(w)
-    return lattice_max(rp, w.n - 2, resolution, rp.envelope)
+
+    def envelope(L1, L2):
+        return np.exp(rp.log_g(L1, L2) / rp.r)
+
+    return lattice_max(rp, w.n - 2, resolution, envelope)

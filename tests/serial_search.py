@@ -11,7 +11,12 @@ import numpy as np
 from mixedmeans import SearchResult, WeightSequence, violation_tolerance
 from mixedmeans.conditions import ReducedProblem
 from mixedmeans.functionals import _top_increment
-from mixedmeans.search import _LOG10_RANGE, _rado_increment_precise, _trial_rng
+from mixedmeans.search import (
+    _BOX_PADDING,
+    _LOG10_RANGE,
+    _rado_increment_precise,
+    _trial_rng,
+)
 
 
 def coordinate_ascent(fun, z, steps, lo, hi, local_steps, max_moves=50):
@@ -44,7 +49,7 @@ def multistart_max_F(w: WeightSequence, config) -> SearchResult:
     def fun(u):
         return float(rp.F(*rp.log_products(u * upper)))
 
-    pad = config.box_padding
+    pad = _BOX_PADDING
     best_val = fun(np.minimum(1.0 / upper, 1.0 - pad))  # constant point
     best_u = np.minimum(1.0 / upper, 1.0 - pad)
     for t in range(config.trials):

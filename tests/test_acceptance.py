@@ -16,10 +16,10 @@ from mixedmeans import (
     WeightSequence,
     box_upper,
     critical_weight,
+    curve_max_F,
     eliminate_last,
     existence_check,
     gao_conditions,
-    grid_max_F,
     identity_residuals,
     induction_gap,
     objective_F,
@@ -118,7 +118,7 @@ def test_criterion_4_desk_check(announce):
         assert rep.holds
         assert rep.margins[0] == pytest.approx(0.0125, abs=1e-3)
         assert rep.margins[3] == pytest.approx(0.0296, abs=1e-3)
-        res = grid_max_F(w, 2001)
+        res = curve_max_F(w)
         assert res.best_value == pytest.approx(1.0, abs=1e-6)
         cells = 2.0 * box_upper(w) / 2000.0
         assert abs(res.best_point[0] - 1.0) <= cells[0]

@@ -103,7 +103,7 @@ class TestCertify:
         assert json.loads(out)["route"] == "gao"
 
     def test_refuted(self, capsys, files):
-        code, out, _ = invoke(capsys, ["certify", files["w6"], "--resolution", "101"])
+        code, out, _ = invoke(capsys, ["certify", files["w6"]])
         assert code == 2
         data = json.loads(out)
         assert data["route"] == "refuted-numeric"
@@ -111,15 +111,34 @@ class TestCertify:
 
 
     def test_stdout_is_strict_json(self, capsys, tmp_path):
-        # tail weights far apart underflow an exponent of F to 0
+        # tail weights far apart underflow an exponent of F to 0, which the
+        # numeric route refuses
         p = tmp_path / "wide.json"
         p.write_text('{"w": [1, 1e-300, 1e300]}')
-        code, out, _ = invoke(capsys, ["certify", str(p)])
+        code, out, err = invoke(capsys, ["certify", str(p)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "mixedmeans: error: weights out of float64 range for the reduced problem\n"
+        )
 
-        if code == 1:
-            assert out == ""
-        else:
-            json.loads(out, parse_constant=_reject_constant)
+    def test_box_bound_rounding_to_one(self, capsys, tmp_path):
+        # W_3 / W_2 rounds to 1: certify refuses; scan leaves grid_max blank
+        # there and where beta_1 underflows
+        p = tmp_path / "tiny.json"
+        p.write_text('{"w": [1, 2, 1e-300, 4]}')
+        code, out, err = invoke(capsys, ["certify", str(p)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "out of float64 range" in err
+        for head, tail in (([1, 2, 1e-300], "4"), ([1, 1e-300], "1e300")):
+            p = tmp_path / "head.json"
+            p.write_text(json.dumps({"w": head}))
+            code, out, _ = invoke(
+                capsys, ["scan", str(p), "--range", f"{tail}:{tail}", "--steps", "2"]
+            )
+            assert code == 0
+            rows = list(csv.DictReader(out.splitlines()))
+            assert [row["grid_max"] for row in rows] == ["", ""]
+            assert all(row["boundary_bound"] for row in rows)
 
     def test_five_weights_at_default_resolution(self, capsys, tmp_path):
         # a 4-D lattice of 201^4 cells, which once ran out of memory
@@ -200,8 +219,7 @@ class TestScan:
     def test_header_and_shape(self, capsys, files):
         code, out, _ = invoke(
             capsys,
-            ["scan", files["head11"], "--range", "3:6", "--steps", "5",
-             "--resolution", "51"],
+            ["scan", files["head11"], "--range", "3:6", "--steps", "5"],
         )
         assert code == 0
         lines = out.splitlines()
@@ -266,6 +284,17 @@ class TestErrorPaths:
     def test_unknown_flag(self, capsys, files):
         code, _, err = invoke(capsys, ["check", files["w111"], "--bogus"])
         assert code == 1
+
+    def test_resolution_option_is_gone(self, capsys, files):
+        for argv in (
+            ["certify", files["w45"], "--resolution", "201"],
+            ["scan", files["head11"], "--range", "3:6", "--resolution", "51"],
+        ):
+            code, out, err = invoke(capsys, argv)
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1
+            assert "unrecognized arguments: --resolution" in err
+            assert "Traceback" not in err
 
     def test_no_command(self, capsys):
         code, _, _ = invoke(capsys, [])
@@ -433,9 +462,8 @@ class TestParserReuse:
         # one shared parser: no flag or default of one call reaches the next
         monkeypatch.setenv("COLUMNS", "80")  # same help layout in both
         sequence = (
-            (["certify", files["w45"], "--resolution", "61"], 0),
             (["certify", files["w45"]], 0),
-            (["certify", files["w45"], "--resolution", "many"], 1),
+            (["search", files["w6"], "--trials", "many"], 1),
             (["search", files["w6"], "--trials", "3", "--seed", "5"], 2),
             (["search", files["w6"]], 2),
             (["--help"], 0),
@@ -463,9 +491,9 @@ class TestDeterminism:
     def test_byte_identical_stdout(self, files):
         for argv in (
             ["search", files["w6"], "--trials", "25", "--seed", "7"],
-            ["scan", files["head11"], "--range", "3:6", "--steps", "4",
-             "--resolution", "51"],
-            ["certify", files["w405"], "--resolution", "101"],
+            ["scan", files["head11"], "--range", "3:6", "--steps", "4"],
+            ["certify", files["w405"]],
+            ["certify", files["w45"]],
         ):
             a = self._run(argv)
             b = self._run(argv)

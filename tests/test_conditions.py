@@ -16,6 +16,7 @@ from mixedmeans import (
     nanjundiah_condition,
     tail_sum_maximizer,
 )
+from mixedmeans.conditions import ReducedProblem
 from sampling import log_uniform, random_weights
 
 
@@ -63,6 +64,22 @@ class TestHolland:
         rep = holland_condition(WeightSequence([3, 100]))
         assert rep.holds
         assert rep.margins[0] == pytest.approx(9.0, abs=1e-12)
+
+    def test_holds_exactly_when_exponents_sum_to_at_most_one(self):
+        # w_n S_{n-1} <= W_{n-1} W_n, i.e. sum alpha_i <= 1; tails on both
+        # sides of the critical weight, away from the margin's zero
+        rng = np.random.default_rng(24)
+        sides = set()
+        for _ in range(2000):
+            head = log_uniform(rng, 0.1, 10.0, int(rng.integers(2, 9)))
+            tail = critical_weight(head) * math.exp(rng.uniform(-1.0, 1.0))
+            w = WeightSequence(np.append(head, tail))
+            rep = holland_condition(w)
+            if abs(rep.margins[0]) < 1e-9 * float(w.W[-2]) ** 2:
+                continue
+            assert rep.holds == (ReducedProblem(w).alpha.sum() <= 1.0), w.w
+            sides.add(rep.holds)
+        assert sides == {True, False}
 
 
 class TestGao:

@@ -70,9 +70,9 @@ f = {key: str(tmp / f"{key}.json") for key in files}
 for argv in (
     ["means", f["w4"], f["x4"], "--r", "2", "--s", "0.5"],
     ["check", f["w4"]],
-    ["certify", f["w4"], "--resolution", "21"],
+    ["certify", f["w4"]],
     ["certify", f["w7"]],
-    ["scan", f["head"], "--range", "3:6", "--steps", "2", "--resolution", "21"],
+    ["scan", f["head"], "--range", "3:6", "--steps", "2"],
     ["search", f["w4"], "--trials", "3"],
 ):
     assert run(argv) in (0, 2), argv

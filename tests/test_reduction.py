@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import dense_lattice
 import oracle
 from mixedmeans import (
     InputError,
-    SearchConfig,
     WeightSequence,
     YPoint,
     boundary_bound,
@@ -16,7 +16,6 @@ from mixedmeans import (
     eliminate_last,
     find_stationary_d,
     gao_conditions,
-    grid_max_envelope,
     interior_bound,
     objective_F,
     objective_g,
@@ -249,7 +248,7 @@ class TestEliminateLast:
             )
         for ws in ([1, 1, 4.05], [1, 1, 6], [2, 1, 3, 5], [1, 2, 3, 4, 20]):
             w = WeightSequence(ws)
-            res = grid_max_envelope(w, 41)
+            res = dense_lattice.grid_max_envelope(w, 41)
             assert res.best_value == pytest.approx(
                 eliminate_last(w, res.best_point).max_value, rel=1e-14
             )
@@ -405,22 +404,28 @@ class TestCertify:
         assert cert.slack == pytest.approx(1.0 - 0.9703725703803817, rel=1e-9)
 
     def test_numeric_route(self):
-        cert = certify(WeightSequence([1, 1, 4.5]), grid_resolution=401)
+        cert = certify(WeightSequence([1, 1, 4.5]))
         assert cert.route == "numeric-only"
         assert cert.numeric_max is not None
         assert cert.numeric_max["value"] == pytest.approx(1.0, abs=1e-9)
 
     def test_refuted_route(self):
-        cert = certify(WeightSequence([1, 1, 6]), grid_resolution=801)
+        cert = certify(WeightSequence([1, 1, 6]))
         assert cert.route == "refuted-numeric"
         assert cert.numeric_max["value"] > 1.0 + 1e-9
+
+    def test_numeric_route_refuses_unrepresentable_tables(self):
+        # beta_1 underflows to 0; the box bound W_3/W_2 rounds to 1
+        for ws in ([1, 1e-300, 1e300], [1, 2, 1e-300, 4], [1] * 5 + [1e-300, 9]):
+            with pytest.raises(InputError, match="out of float64 range"):
+                certify(WeightSequence(ws))
 
     def test_pair_always_holland(self):
         cert = certify(WeightSequence([1, 100]))
         assert cert.route == "holland"
 
     def test_serialization(self):
-        cert = certify(WeightSequence([1, 1, 4.5]), grid_resolution=101)
+        cert = certify(WeightSequence([1, 1, 4.5]))
         d = cert.to_dict()
         assert set(d) == {"route", "reports", "numeric_max", "slack"}
         assert {"value", "argmax"} == set(d["numeric_max"])
@@ -449,7 +454,7 @@ class TestSharedTable:
         ):
             builds.clear()
             w = WeightSequence(ws)
-            cert = certify(w, grid_resolution=61, config=SearchConfig(trials=3))
+            cert = certify(w)
             assert cert.route in routes
             assert len(builds) == (0 if cert.route == "holland" else 1)
         w = WeightSequence([2, 0.5, 3, 1])

@@ -9,12 +9,13 @@ from mixedmeans import (
     InputError,
     SearchConfig,
     WeightSequence,
+    box_upper,
     critical_weight,
+    curve_max_F,
     gao_conditions,
-    grid_max_F,
-    grid_max_envelope,
     holland_condition,
     multistart_max_F,
+    objective_F,
     rado_increment,
     violation_search,
     weight_scan,
@@ -31,49 +32,64 @@ from sampling import random_samples, random_weights
 
 
 class TestGridMaxF:
+    """The maximum of F that ``certify`` and the ``grid_max`` column of
+    ``scan`` report: the curve maximum."""
+
     def test_lattice_contains_constant_point(self):
         w = WeightSequence([1, 1, 4.05])
-        res = grid_max_F(w, 501)
+        res = curve_max_F(w)
         assert res.best_value >= 1.0
 
     def test_gao_region_example(self):
         w = WeightSequence([1, 1, 4.05])
-        res = grid_max_F(w, 2001)
+        res = curve_max_F(w)
         assert res.best_value == pytest.approx(1.0, abs=1e-6)
         assert res.best_point == pytest.approx((1.0, 1.0), abs=2e-3)
 
     def test_holland_region_example(self):
-        res = grid_max_F(WeightSequence([1, 1, 3]), 2001)
+        res = curve_max_F(WeightSequence([1, 1, 3]))
         assert res.best_value <= 1.0 + 1e-9
 
     def test_deterministic(self):
         w = WeightSequence([1, 2, 3, 4])
-        a = grid_max_F(w, 61)
-        b = grid_max_F(w, 61)
+        a = curve_max_F(w)
+        b = curve_max_F(w)
         assert a == b
-
-    def test_dimension_guard(self):
-        with pytest.raises(InputError):
-            grid_max_F(WeightSequence([1] * 7), 11)
-
-    def test_resolution_guard(self):
-        w = WeightSequence([1, 1, 6])
-        for grid in (grid_max_F, grid_max_envelope):
-            for resolution in (0, 1):
-                with pytest.raises(InputError, match="at least 2"):
-                    grid(w, resolution)
-
-    def test_trials_run_counts_lattice(self):
-        res = grid_max_F(WeightSequence([1, 1]), 11)
-        assert res.trials_run == 11
 
     def test_envelope_agreement(self):
         rng = np.random.default_rng(60)
         for _ in range(10):
             w = random_weights(rng, 3, 0.2, 5.0)
-            full = grid_max_F(w, 801)
-            env = grid_max_envelope(w, 801)
+            full = curve_max_F(w)
+            env = dense_lattice.grid_max_envelope(w, 801)
             assert env.best_value == pytest.approx(full.best_value, abs=1e-6)
+
+    def test_constant_point_and_corners_are_candidates(self):
+        # each is returned exactly where it is the first maximum: the point 1
+        # for tails up to the refutation threshold, the origin for heavier ones
+        for ws, point in (
+            ([1, 1, 4.05], (1.0, 1.0)),
+            ([1, 1, 4.5], (1.0, 1.0)),
+            ([1, 1, 6], (0.0, 0.0)),
+            ([1, 2, 3, 4, 20], (0.0,) * 4),
+        ):
+            w = WeightSequence(ws)
+            assert curve_max_F(w).best_point == point
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            w = random_weights(rng, int(rng.integers(2, 7)), 0.1, 30.0)
+            best = curve_max_F(w).best_value
+            for corner in (np.ones(w.n - 1), np.zeros(w.n - 1), box_upper(w)):
+                assert best >= objective_F(w, corner)
+
+    def test_at_least_multistart(self):
+        # beyond four box dimensions; 1e-15 relative: where both find the
+        # constant point, F there is 1 to rounding on either side
+        rng = np.random.default_rng(62)
+        for j in range(45):
+            w = random_weights(rng, 6 + j % 15, 0.2, 8.0)
+            want = multistart_max_F(w, SearchConfig(seed=j)).best_value
+            assert curve_max_F(w).best_value >= want * (1.0 - 1e-15), (w.w, want)
 
 
 def _lattice_cases():
@@ -98,77 +114,50 @@ def _lattice_cases():
 
 
 class TestDenseReference:
-    """The branch and bound returns exactly the filled lattice's results."""
-
-    @staticmethod
-    def _check_all():
-        for w, resolution in _lattice_cases():
-            pairs = [(grid_max_F, dense_lattice.grid_max_F)]
-            if w.n >= 3:
-                pairs.append((grid_max_envelope, dense_lattice.grid_max_envelope))
-            for fast, dense in pairs:
-                with np.errstate(all="ignore"):
-                    got, want = fast(w, resolution), dense(w, resolution)
-                assert got == want, (w, resolution, fast.__name__)
+    """The curve maximum against the filled lattice, whose points all lie in
+    the box."""
 
     def test_matches_dense(self):
-        self._check_all()
-
-    def test_small_blocks_and_batches(self, monkeypatch):
-        # frontier chunks of 8 to 32 blocks
-        monkeypatch.setattr(search, "_CELL_CAP", 64)
-        self._check_all()
+        # at least every lattice maximum, up to 1e-15 relative rounding
+        for w, resolution in _lattice_cases():
+            if not ReducedProblem.of(w).representable:
+                continue
+            with np.errstate(all="ignore"):
+                want = dense_lattice.grid_max_F(w, resolution).best_value
+            got = curve_max_F(w).best_value
+            assert got >= want - 1e-15 * abs(want), (w.w, resolution)
 
     def test_out_of_range_tables_raise(self):
-        # alpha is NaN for the first two; W_{n-1} W_n overflows for the last
-        for w in ([1, 1, 1e308], [1, 1, 1, 1, 1e308], [1e200, 1, 1]):
+        # alpha is NaN for the first two; W_{n-1} W_n overflows for the third;
+        # beta_1 underflows to 0, and a box bound rounds to 1, for the last two
+        for w in (
+            [1, 1, 1e308], [1, 1, 1, 1, 1e308], [1e200, 1, 1],
+            [1, 1e-300, 1e300], [1, 2, 1e-300, 4],
+        ):
             with pytest.raises(InputError, match="out of float64 range"):
-                grid_max_F(WeightSequence(w), 41)
+                curve_max_F(WeightSequence(w))
 
     def test_extreme_weights(self):
-        # each table raises, or both maxima are non-NaN and equal the filled
-        # lattice's
+        # each table raises or is refused, or the maximum is not NaN and
+        # gives the filled lattice's verdict
         rng = np.random.default_rng(81)
         for _ in range(200):
             n = int(rng.integers(2, 6))
             try:
                 w = WeightSequence(10.0 ** rng.uniform(-320.0, 308.0, n))
-                ReducedProblem(w)
+                if not ReducedProblem(w).representable:
+                    continue
             except InputError:
                 continue
-            pairs = [(grid_max_F, dense_lattice.grid_max_F)]
-            if n >= 3:
-                pairs.append((grid_max_envelope, dense_lattice.grid_max_envelope))
-            for fast, dense in pairs:
-                got = fast(w, 9)
-                with np.errstate(all="ignore"):
-                    want = dense(w, 9)
-                assert not math.isnan(got.best_value)
-                assert got == want, (w.w, fast.__name__)
-
-    def test_other_monotone_combines(self):
-        # few distinct values, so many cells tie at the top; and log F's
-        # ingredients summed, whose maximum is an interior cell where the
-        # summation order shows in the last bits
-        rp = ReducedProblem(WeightSequence([1, 2, 0.5, 6]))
-
-        def coarse(L1, L2):
-            return np.floor(4.0 * rp.F(L1, L2))
-
-        def total(L1, L2):
-            return np.add(L1, L2, out=L1)
-
-        for combine in (coarse, total):
-            for dims, resolution in ((2, 61), (3, 31), (3, 201)):
-                got = search._lattice_max(rp, dims, resolution, combine)
-                want = dense_lattice.lattice_max(rp, dims, resolution, combine)
-                assert got == want
+            got = curve_max_F(w).best_value
+            with np.errstate(all="ignore"):
+                want = dense_lattice.grid_max_F(w, 9).best_value
+            assert not math.isnan(got)
+            assert (got > 1.0 + 1e-9) == (want > 1.0 + 1e-9), w.w
 
     def test_five_weights_at_default_resolution(self):
-        # 201^4 cells: the filled lattice would need 12 GB
         w = WeightSequence([1, 1, 1, 1, 9])
-        res = grid_max_F(w, 201)
-        assert res.trials_run == 201**4
+        res = curve_max_F(w)
         assert len(res.best_point) == 4
         assert res.best_value > 1.0
 
@@ -178,7 +167,7 @@ class TestDenseReference:
         assert holland_condition(w).holds
         tracemalloc.start()
         try:
-            res = grid_max_F(w, 201)
+            res = curve_max_F(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -538,14 +527,12 @@ class TestSearchConfig:
         with pytest.raises(InputError):
             SearchConfig(trials=0)
         with pytest.raises(InputError):
-            SearchConfig(box_padding=0.0)
-        with pytest.raises(InputError):
             SearchConfig(local_steps=-1)
 
 
 class TestWeightScan:
     def test_fields_and_regions(self):
-        rows = weight_scan([1, 1], (3.0, 6.0), steps=13, resolution=101)
+        rows = weight_scan([1, 1], (3.0, 6.0), steps=13)
         assert len(rows) == 13
         assert all(set(r) == set(SCAN_FIELDS) for r in rows)
         w_ns = [r["w_n"] for r in rows]
@@ -569,17 +556,24 @@ class TestWeightScan:
                 assert r["grid_max"] <= 1.0 + 1e-9
 
     def test_interior_bound_absent_below_critical(self):
-        rows = weight_scan([1, 1], (3.0, 3.9), steps=3, resolution=51)
+        rows = weight_scan([1, 1], (3.0, 3.9), steps=3)
         assert all(r["interior_bound"] is None for r in rows)
 
     def test_range_validation(self):
         with pytest.raises(InputError):
-            weight_scan([1, 1], (0.0, 5.0), steps=5, resolution=51)
+            weight_scan([1, 1], (0.0, 5.0), steps=5)
         with pytest.raises(InputError):
-            weight_scan([1, 1], (3.0, 6.0), steps=1, resolution=51)
+            weight_scan([1, 1], (3.0, 6.0), steps=1)
+
+    def test_grid_max_blank_where_table_not_representable(self):
+        # beta_1 underflows to 0; a box bound rounds to 1
+        for head, tail in (([1, 1e-300], 1e300), ([1, 2, 1e-300], 4.0)):
+            rows = weight_scan(head, (tail, tail), steps=2)
+            assert [r["grid_max"] for r in rows] == [None, None]
+            assert all(r["boundary_bound"] is not None for r in rows)
 
     def test_consistency_with_condition_checkers(self):
-        rows = weight_scan([1, 2], (8.0, 10.0), steps=5, resolution=51)
+        rows = weight_scan([1, 2], (8.0, 10.0), steps=5)
         for r in rows:
             w = WeightSequence([1, 2, r["w_n"]])
             assert r["holland_margin"] == holland_condition(w).margins[0]
