@@ -81,47 +81,55 @@ def _top_increment(w: WeightSequence, z: np.ndarray, s: float) -> np.ndarray:
 
 def _logaddexp(x: float, y: float) -> float:
     """numpy's scalar logaddexp on floats, with the same libm exp and log1p."""
-    if x == y:
-        return x + math.log(2.0)
     d = x - y
     if d > 0:
         return x + math.log1p(math.exp(-d))
-    return y + math.log1p(math.exp(d)) if d <= 0 else d  # d is NaN
+    return y + math.log1p(math.exp(d)) if d < 0 else x + math.log(2.0) if x == y else d
 
 
 def _top_lines(w: WeightSequence, s: float):
     """Scalar lines of ``-_top_increment``, the violation search's objective
     (n >= 2): ``_top_lines(w, s)(z, i)`` maps c to its value at the row ``z``
     with entry i set to c, bit for bit.  A line keeps the sums for log A, O
-    and M over the entries before i and goes on from i by the same operations
-    in the same order, from -inf or -0.0, which add exactly (no term is
-    -0.0); one ``np.exp`` call, which may warn, ends it."""
+    and M over the entries before i, from -inf or -0.0, which add exactly (no
+    term is -0.0), and the terms of the later entries free of c; ``at(c)``
+    repeats the batch's operations from i on, in one loop for s = 0 and one
+    for s != 0.  Its one ``np.exp`` call may warn; ``math.exp`` can differ."""
     if s == 1.0:
         return lambda z, i: lambda c: -0.0
     lw, lW, ww, W = (a.tolist() for a in (w.log_w, w.log_W, w.w, w.W))
-    lae, zero = _logaddexp, -math.inf if s else -0.0  # of the O and M sums
-
-    def fold(a, o, m, j0, zs):
-        """The sums after the entries ``zs`` from j0 on, and O's before the last."""
-        p = o
-        for j, zj in enumerate(zs, j0):
-            p, a = o, lae(a, lw[j] + zj)
-            o, m = (lae(o, lw[j] + s * (a - lW[j])), lae(m, lw[j] + s * zj)) if s \
-                else (o + ww[j] * (a - lW[j]), m + ww[j] * zj)
-        return a, o, m, p
+    lae = _logaddexp
 
     def line(z, i):
-        z = z.tolist()
-        a, o, m, _ = fold(-math.inf, zero, zero, 0, z[:i])
-        tail = z[i + 1 :]
-
-        def at(c):
-            _, o_n, m_n, o_p = fold(a, o, m, i, [c, *tail])
-            logs = ((o_p - lW[-2]) / s, (o_n - lW[-1]) / s, (m_n - lW[-1]) / s) if s \
-                else (o_p / W[-2], o_n / W[-1], m_n / W[-1])
-            e_p, e_n, e_m = np.exp(logs).tolist()
-            return -(W[-1] * e_n - W[-2] * e_p - ww[-1] * e_m)
-
+        z, a, o = z.tolist(), -math.inf, -math.inf if s else -0.0
+        m, u = o, lw if s else ww  # O sums lw_j + s log A_j in logs, or ww_j log A_j
+        rows = [(lw[j] + z[j], u[j], lW[j], lw[j] + s * z[j] if s else u[j] * z[j])
+                for j in range(len(z))]
+        for ka, uj, lWj, km in rows[:i]:
+            a = lae(a, ka)
+            o, m = (lae(o, uj + s * (a - lWj)), lae(m, km)) if s else (o + uj * (a - lWj), m + km)
+        W_n, W_p, w_n, lW_n, lW_p = W[-1], W[-2], ww[-1], lW[-1], lW[-2]  # n >= 2 here
+        lw_i, u_i, lW_i, tail, out = lw[i], u[i], lW[i], rows[i + 1 :], np.empty(3)
+        if s:
+            def at(c):
+                a_ = lae(a, lw_i + c)
+                p, o_, m_ = o, lae(o, u_i + s * (a_ - lW_i)), lae(m, lw_i + s * c)
+                for ka, uj, lWj, km in tail:
+                    a_ = lae(a_, ka)
+                    p, o_, m_ = o_, lae(o_, uj + s * (a_ - lWj)), lae(m_, km)
+                out[0], out[1], out[2] = (p - lW_p) / s, (o_ - lW_n) / s, (m_ - lW_n) / s
+                e_p, e_n, e_m = np.exp(out, out=out).tolist()
+                return -(W_n * e_n - W_p * e_p - w_n * e_m)
+        else:
+            def at(c):
+                a_ = lae(a, lw_i + c)
+                p, o_, m_ = o, o + u_i * (a_ - lW_i), m + u_i * c
+                for ka, uj, lWj, km in tail:
+                    a_ = lae(a_, ka)
+                    p, o_, m_ = o_, o_ + uj * (a_ - lWj), m_ + km
+                out[0], out[1], out[2] = p / W_p, o_ / W_n, m_ / W_n
+                e_p, e_n, e_m = np.exp(out, out=out).tolist()
+                return -(W_n * e_n - W_p * e_p - w_n * e_m)
         return at
 
     return line

@@ -15,8 +15,8 @@ every walk in one array call and replays the greedy walk in array
 operations.  A candidate of the reduced objective recomputes only the
 log-terms of the axis that moves.  The violation search walks in log-data
 on the level-n increment in the direct form ``functionals._top_increment``;
-once at most ``_LIST_WALKS`` walks move, each goes on alone on a scalar
-line of it and evaluates only the points it visits.  Either way the walks
+once at most ``_LIST_WALKS`` walks move, each goes on alone on a scalar line
+of it and evaluates only the candidates that can win.  Either way the walks
 reach exactly the points and values of the serial one-point walk.
 """
 from __future__ import annotations
@@ -225,26 +225,33 @@ def _climb(evaluate, Z, best, i, step, lo, hi, scalar=None) -> None:
 
     Given ``scalar``, whose ``scalar(z, i)`` maps a position to the value of
     row ``z`` with coordinate ``i`` moved there, bit for bit as ``evaluate``,
-    at most ``_LIST_WALKS`` walks skip the round, each taking the serial walk
-    with its moves left: a round's numpy calls cost more than one walk.
+    at most ``_LIST_WALKS`` walks go on alone, skipping the candidates equal
+    to their position (a clamp) or to the one just left, which cannot win: a
+    round's numpy calls cost more than one walk.
     """
+
+    def alone(rows, moves):  # the serial walk, on the candidates that can win
+        for a, left in zip(rows, moves):
+            at, c, b, back = scalar(Z[a], i), float(Z[a, i]), float(best[a]), math.nan
+            for _ in range(left):
+                for x in (c + step, c - step):
+                    x = lo if x < lo else hi if x > hi else x  # min(max(x, lo), hi)
+                    if x != c and x != back and (v := at(x)) > b:
+                        c, b, back = x, v, c
+                        break
+                else:
+                    break
+            Z[a, i], best[a] = c, b
+
+    if scalar is not None and len(Z) <= _LIST_WALKS:
+        return alone(range(len(Z)), [_MAX_MOVES] * len(Z))
     act = np.arange(len(Z))
     left = np.zeros(len(Z), np.intp) + _MAX_MOVES
     steps = np.array([[step], [-step]])
     k = 2
     while act.size:
         if scalar is not None and act.size <= _LIST_WALKS:
-            for a in act.tolist():  # the serial walk, on the points it visits
-                at, c, b = scalar(Z[a], i), float(Z[a, i]), float(best[a])
-                for _ in range(left[a]):
-                    for x in (min(max(c + step, lo), hi), min(max(c - step, lo), hi)):
-                        if (v := at(x)) > b:
-                            c, b = x, v
-                            break
-                    else:
-                        break
-                Z[a, i], best[a] = c, b
-            return
+            return alone(act.tolist(), left[act].tolist())
         A, r = act.size, np.arange(act.size)
         k = min(max(2 * k, _ROUND // A), int(left[act].max()))
         line = np.empty((A, 2, k + 1))

@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from checkout import run_python
 from mixedmeans import (
@@ -499,3 +504,50 @@ class TestDeterminism:
             b = self._run(argv)
             assert a.stdout == b.stdout
             assert a.returncode == b.returncode
+
+
+class TestSearchFuzz:
+    """``search`` on extreme weights, short runs, seeds outside int64 and any
+    finite exponent, in both option forms: a documented exit code, no
+    traceback, strict JSON on stdout for 0 and 2, one stderr line for 1."""
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True)
+    @given(
+        w=st.lists(
+            st.one_of(
+                st.sampled_from([5e-324, 1e-300, 1e-30, 1.0, 4.5, 1e30, 1e300, 1.7e308]),
+                st.floats(min_value=1e-6, max_value=1e6),
+            ),
+            min_size=1,
+            max_size=7,
+        ),
+        trials=st.integers(1, 3),
+        local_steps=st.integers(0, 3),
+        seed=st.one_of(st.integers(-(2**80), -1), st.integers(2**63, 2**80)),
+        s=st.one_of(
+            st.sampled_from([-1e-3, -0.0, 0.0, 0.5, 1.0, 2.0, -1e300, 1e-300, 1e308]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_search(self, tmp_path_factory, w, trials, local_steps, seed, s):
+        path = tmp_path_factory.mktemp("fuzz") / "w.json"
+        path.write_text(json.dumps({"w": w}))
+        argv = ["search", str(path), "--trials", str(trials),
+                "--local-steps", str(local_steps), "--seed", str(seed)]
+        code, out, err = self._run([*argv, "--s", repr(s)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert out == "" and len(err.splitlines()) == 1
+        else:
+            doc = json.loads(out, parse_constant=_reject_constant)
+            assert doc["trials_run"] == trials and len(doc["best_point"]) == len(w)
+            assert doc["violation"] == (code == 2)
+        assert self._run([*argv, f"--s={s!r}"]) == (code, out, err)

@@ -134,6 +134,9 @@ class TestTopIncrement:
     def test_needs_two_points(self):
         with pytest.raises(InputError, match="level 1 out of range 2..1"):
             _top_increment(WeightSequence([2]), np.zeros((4, 1)), 0.0)
+        # the search builds its lines first and leaves the error to the batch
+        for s in (0.0, 0.5, 1.0):
+            _top_lines(WeightSequence([2]), s)
 
     @pytest.mark.parametrize(
         "s", [-3.0, -1.0, 0.0, 1e-3, 0.5, 1.0, 2.0, 40.0, 1e308, -1e308]
@@ -158,6 +161,11 @@ class TestTopIncrement:
                         want = -_top_increment(w, Z, s)
                         at = line(z, i)
                         got = np.array([at(c) for c in cs.tolist()])
+                        # the same line again, up and down: nothing it keeps changes
+                        up = np.argsort(cs)
+                        for k in (up, up[::-1]):
+                            again = np.array([at(c) for c in cs[k].tolist()])
+                            assert np.array_equal(again, want[k], equal_nan=True)
                     assert np.array_equal(got, want, equal_nan=True)
                     zero = want == 0.0
                     assert (np.signbit(got[zero]) == np.signbit(want[zero])).all()

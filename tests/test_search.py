@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -426,55 +427,105 @@ class TestSerialReference:
             top += step
         assert Z[:, 0].tolist() == [top, back, starts[2]]
 
+    @staticmethod
+    def _lone_walks(fun, lines, draw, cfg, steps, lo, hi):
+        """Run the walks of ``cfg.trials`` trials, which go alone from the
+        start, by the batch objective ``fun`` and its scalar lines ``lines``,
+        and check them against the serial walk.  The scalar lines must be
+        evaluated at exactly the serial walk's candidates, walk by walk, less
+        those equal to the walk's position (a clamp) or to the position it
+        has just left, after one batched call for the starting points.
+        Returns the counts of the two kinds of skipped candidate."""
+        rows, points, walks = [], [], {}
+
+        def batch(Z):
+            rows.append(len(Z))
+            return fun(Z)
+
+        def line(z, i):
+            at = lines(z, i)
+
+            def counted(c):
+                points.append(c)
+                return at(c)
+
+            return counted
+
+        def serial(t):
+            def counted(z):
+                walk = sys._getframe(1).f_locals  # coordinate_ascent's loop state
+                if "i" in walk:  # not the starting point
+                    i = walk["i"]
+                    key = (walk["p"], i, t)
+                    walks.setdefault(key, []).append((float(walk["z"][i]), float(z[i])))
+                return float(fun(z[None])[0])
+
+            return counted
+
+        got = list(search._multistart(
+            lambda Z: functools.partial(search._values, batch),
+            cfg, draw, steps, lo, hi, line,
+        ))
+        for t, (val, z) in enumerate(got):
+            z0 = draw(search._trial_rng(cfg.seed, t))
+            ref = serial_search.coordinate_ascent(
+                serial(t), z0, steps, lo, hi, cfg.local_steps
+            )
+            assert (val, z.tolist()) == (ref[0], ref[1].tolist())
+        # a block walks step by step and coordinate by coordinate, row by row
+        want, clamps, backs = [], 0, 0
+        for key in sorted(walks):
+            back, here = math.nan, walks[key][0][0]
+            for c, x in walks[key]:
+                if c != here:  # the walk moved on from here
+                    back, here = here, c
+                clamps += x == c
+                backs += x == back
+                if x != c and x != back:
+                    want.append(x)
+        assert rows == [cfg.trials]
+        assert points == want
+        return clamps, backs
+
     @pytest.mark.parametrize("trials, list_walks", [(1, None), (3, 3)])
     def test_lone_walks_evaluate_what_the_serial_walk_does(
         self, monkeypatch, trials, list_walks
     ):
-        # Walks that go alone from the start evaluate the scalar line exactly
-        # where the serial walk calls its objective, after one batched call
-        # for the starting points.
         if list_walks is not None:
             monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
         rng = np.random.default_rng(74)
+        skipped = 0
         for n, s in ((2, 0.0), (3, 0.0), (4, 2.0), (5, 0.5), (6, -1.0)):
             w = random_weights(rng, n, 0.2, 8.0)
-            cfg = SearchConfig(seed=n, trials=trials)
-            rows, points, serial_calls = [], [], 0
 
             def fun(Z):
-                rows.append(len(Z))
                 return -_top_increment(w, Z, s)
-
-            def line(z, i, lines=_top_lines(w, s)):
-                at = lines(z, i)
-
-                def counted(c):
-                    points.append(c)
-                    return at(c)
-
-                return counted
-
-            def serial(z):
-                nonlocal serial_calls
-                serial_calls += 1
-                return -float(_top_increment(w, z, s))
 
             def draw(rng):
                 return rng.uniform(-3.0, 3.0, n) * math.log(10.0)
 
-            steps, lo, hi = math.log(2.0), math.log(1e-6), math.log(1e6)
-            got = list(search._multistart(
-                lambda Z: functools.partial(search._values, fun),
-                cfg, draw, steps, lo, hi, line,
+            skipped += sum(self._lone_walks(
+                fun, _top_lines(w, s), draw, SearchConfig(seed=n, trials=trials),
+                math.log(2.0), math.log(1e-6), math.log(1e6),
             ))
-            for t, (val, z) in enumerate(got):
-                z0 = draw(search._trial_rng(cfg.seed, t))
-                ref = serial_search.coordinate_ascent(
-                    serial, z0, steps, lo, hi, cfg.local_steps
-                )
-                assert (val, z.tolist()) == (ref[0], ref[1].tolist())
-            assert rows == [trials]
-            assert len(points) == serial_calls - trials
+        assert skipped > 0
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_lone_walks_skip_clamps(self, trials):
+        # Rough values (see test_rough_objectives) from starts on the clamps:
+        # the first step out of the box lands on the start, which the lone
+        # walk does not evaluate again.
+        def rough(Z):
+            return np.sin(1e17 * Z).sum(axis=-1) - (Z**2).sum(axis=-1)
+
+        def draw(rng):
+            return np.where(rng.uniform(size=3) < 0.5, -2.0, 2.0)
+
+        cfg = SearchConfig(seed=3, trials=trials, local_steps=4)
+        clamps, backs = self._lone_walks(
+            rough, self._scalar_line(rough), draw, cfg, 0.7, -2.0, 2.0
+        )
+        assert clamps > 0 and backs > 0
 
     def test_chunking_changes_nothing(self, monkeypatch):
         w = WeightSequence([1, 2, 0.5, 6])
