@@ -156,6 +156,7 @@ class ReducedProblem:
         self.r = self.W_n / self.W_n1
         self.p = (self.W_n1 / self.W_n, self.w_n / self.W_n)
         self.W_prev, self.W_next, self.w_next = W[:-1], W[1:], w.w[1:]
+        self.log_W, self.log_w = w.log_W, w.log_w
         # r is upper[-1], and p_2 underflows to 0 only where second_max[-1]
         # = 1/p_2 overflows; a numpy scalar lets W_{n-1} W_n overflow raise
         try:
@@ -205,6 +206,16 @@ class ReducedProblem:
         seven axes); arrays (0-d for one point) for ``F`` and ``log_g``."""
         terms = self.log_terms(y, slice(0, np.shape(y)[-1]))
         return tuple(np.asarray(t.cumsum(axis=-1)[..., -1]) for t in terms)
+
+    def curve(self, t):
+        """At every t = log d in ``t``: the two log-products L_1, L_2 of F at
+        the point Q_i(d) = W_{i+1}/(W_i + d w_{i+1}) of the curve of its
+        interior critical points, where second_i = d Q_i, and log Q along a
+        new last axis.  Neither log Q nor log(d Q) cancels."""
+        t = np.asarray(t)[..., None]
+        log_q = self.log_W[1:] - np.logaddexp(self.log_W[:-1], t + self.log_w[1:])
+        log_dq = self.log_W[1:] - np.logaddexp(self.log_W[:-1] - t, self.log_w[1:])
+        return log_q @ self.alpha, log_dq @ self.beta, log_q
 
     def F(self, L1, L2):
         """F from its two log-products; overwrites and returns ``L1``."""

@@ -115,6 +115,8 @@ def power_mean(q, x, r: float) -> float:
     if r == 0.0:
         return float(math.exp(float(q @ log_x)))
     a = r * log_x
+    if np.abs(a).max() <= 1.0:  # log1p keeps the digits of a log-sum near 0
+        return float(math.exp(math.log1p(float(q @ np.expm1(a))) / r))
     m = float(a.max())  # the shift keeps exp from overflowing
     return float(math.exp((math.log(float(q @ np.exp(a - m))) + m) / r))
 

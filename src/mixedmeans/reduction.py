@@ -8,13 +8,13 @@ maximized in closed form, leaving the reduced objective g on the first
 n-2 coordinates.  Interior critical points of g form a one-parameter
 family a_i(d) = W_{i+1} / (d w_{i+1} + W_i); d = 1 gives the constant
 point where g = 1 exactly; extended to the last axis, it holds every
-interior critical point of F (``search.curve_max_F``).  ``certify`` packages
-the case analysis: Holland margin, then the Gao conditions, then the
-maximum of F; ``weight_scan`` sweeps the same quantities over the tail.
-
-The box, the exponents of F and g, the second bases and the corner
-log-products come from the table ``conditions.ReducedProblem``, built once
-per weight sequence.
+interior critical point of F (``search.curve_max_F``).  A member is critical
+where the residual h(d) - h(1) = r R(log d) vanishes, R the function whose
+sign is that of F's slope along the curve (``stationary_analysis``,
+``find_stationary_d``).  ``certify`` packages the case analysis: Holland
+margin, then the Gao conditions, then the maximum of F; ``weight_scan``
+sweeps the same quantities over the tail.  All of them read the table
+``conditions.ReducedProblem``, built once per weight sequence.
 """
 from __future__ import annotations
 
@@ -240,38 +240,15 @@ def eliminate_last(w: WeightSequence, y_head) -> Elimination:
 
 @dataclass(frozen=True)
 class StationaryPoint:
-    """Interior critical-point family of g at parameter d, with the profile
-    h(d), its derivative, and the log-domain stationarity residual (zero
-    exactly when the family is a genuine critical point; always at d=1)."""
+    """The critical-point family of g at d: its point a_i(d), g there, the
+    slope h'(d) of the stationarity profile h, and the residual h(d) - h(1) =
+    r (R(log d) - R(0)) (``curve_max_F``), zero at a critical point and d = 1."""
 
     d: float
     a: np.ndarray
     g_value: float
-    h: float
     h_prime: float
     residual: float
-
-
-def _h(rp: ReducedProblem, d):
-    """The profile h(d) = sum_i c_i log(d w_{i+1} + W_i) - (w_1/W_{n-1}) log d,
-    c_i = r (alpha_i - beta_i), at every entry of ``d`` > 0.  The terms are
-    added one axis at a time, so memory stays that of ``d``.  The stationarity
-    residual is h(d) - h(1)."""
-    coef = rp.r * (rp.alpha[:-1] - rp.beta[:-1])
-    h = -(rp.w_1 / rp.W_n1) * np.log(d)
-    for c, w_i, W_i in zip(coef, rp.w_next[:-1], rp.W_prev[:-1]):
-        h += c * np.log(d * w_i + W_i)
-    return h
-
-
-def _stationary(rp: ReducedProblem, d: float) -> StationaryPoint:
-    w_tail, W_prev = rp.w_next[:-1], rp.W_prev[:-1]
-    a = rp.W_next[:-1] / (d * w_tail + W_prev)
-    h, h_one = _h(rp, np.array([d, 1.0])).tolist()
-    coef = rp.r * (rp.alpha[:-1] - rp.beta[:-1])
-    h_prime = float(np.sum(coef / (d + W_prev / w_tail))) - (rp.w_1 / rp.W_n1) / d
-    g_value = _g(rp, _check_box(rp, a, a.size))
-    return StationaryPoint(d, a, g_value, h, h_prime, h - h_one)
 
 
 def stationary_analysis(w: WeightSequence, d: float) -> StationaryPoint:
@@ -279,7 +256,15 @@ def stationary_analysis(w: WeightSequence, d: float) -> StationaryPoint:
         raise InputError("need at least three entries")
     if not (d > 0.0 and math.isfinite(d)):
         raise InputError("d must be positive and finite")
-    return _stationary(ReducedProblem.of(w), d)
+    rp = ReducedProblem.of(w)
+    w_tail, W_prev = rp.w_next[:-1], rp.W_prev[:-1]
+    a = rp.W_next[:-1] / (d * w_tail + W_prev)
+    t = np.array([math.log(d), 0.0])
+    L1, L2, _ = rp.curve(t)
+    R = L2 - L1 - t
+    coef = rp.r * (rp.alpha[:-1] - rp.beta[:-1])
+    h_prime = float(np.sum(coef / (d + W_prev / w_tail))) - (rp.w_1 / rp.W_n1) / d
+    return StationaryPoint(d, a, _g(rp, a), h_prime, rp.r * float(R[0] - R[1]))
 
 
 def boundary_bound(w: WeightSequence) -> float:
@@ -298,34 +283,13 @@ def interior_bound(w: WeightSequence) -> float:
     return ReducedProblem.of(w).interior_bound(_excess(w))
 
 
-def find_stationary_d(
-    w: WeightSequence, d_max: float = 100.0, samples: int = 2000
-) -> list[float]:
-    """Diagnostic scan for roots of the stationarity residual on (0, d_max];
-    reports every root bracketed on a log grid (no completeness claim).
-    The brackets are bisected together down to adjacent floats.  d = 1 is
-    always a root."""
+def find_stationary_d(w: WeightSequence) -> list[float]:
+    """The roots of the stationarity residual in the curve window, sorted:
+    exactly 1.0, and d = e^t at each root t of ``search._curve_roots``."""
     if w.n < 3:
         raise InputError("need at least three entries")
-    rp = ReducedProblem.of(w)
-    grid = np.exp(np.linspace(math.log(1e-6), math.log(d_max), samples))
-    h_one = float(_h(rp, 1.0))
-    sign = np.sign(_h(rp, grid) - h_one)
-    cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    lo, hi, lo_sign = grid[cross], grid[cross + 1], sign[cross]
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
-            break
-        side = np.sign(_h(rp, mid) - h_one) * lo_sign  # NaN moves hi: no bracket stalls
-        lo, hi = np.where(side >= 0.0, mid, lo), np.where(side > 0.0, hi, mid)
-    roots = sorted([*grid[sign == 0.0].tolist(), *lo.tolist()])
-    # dedupe near-identical roots
-    out: list[float] = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-9 * max(1.0, abs(r)):
-            out.append(r)
-    return out
+    roots = search._curve_roots(ReducedProblem.of(w))[0]
+    return sorted({1.0, *np.exp(roots).tolist()})
 
 
 @dataclass(frozen=True)

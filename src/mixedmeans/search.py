@@ -1,11 +1,11 @@
-"""Numeric oracles: the maximum of the reduced objective on the curve of its
-critical points for boxes of up to four dimensions, its multistart ascent
-beyond, and a multistart violation search in data space.  The route policy
-that decides when they run (``reduction.certify``, ``reduction.weight_scan``)
-lives in the reduction module, which imports this one.
-
-Both maxima of F read the table ``conditions.ReducedProblem``, built once
-per weight sequence.
+"""Numeric oracles: the roots of R, which has the sign of the slope of the
+reduced objective F along the curve of its critical points (``curve_max_F``)
+and gives the maximum of F for boxes of up to four dimensions and the roots
+of ``reduction.find_stationary_d``; the multistart ascent of F beyond; and a
+multistart violation search in data space.  The route policy that decides
+when they run (``reduction.certify``, ``reduction.weight_scan``) lives in the
+reduction module, which imports this one.  F and the curve are read from
+the table ``conditions.ReducedProblem``, built once per weight sequence.
 
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
@@ -60,14 +60,16 @@ _LIST_WALKS = 4
 _CELL_CAP = 1 << 16
 _BOX_PADDING = 1e-3
 
-# The curve maximum: e**-37 < 2**-53, and phi varies on a scale of order 1
-# in t; the _CURVE_BASINS highest local maxima on a grid of step _CURVE_STEP
-# are narrowed by _CURVE_ROUNDS rounds of _CURVE_ZOOM points.
+# The curve window reaches _CURVE_MARGIN beyond every t = log(W_i/w_{i+1}),
+# where the Q_i move: e**-37 < 2**-53, so past it each Q_i or d Q_i is
+# constant in float64.  A sign change of R(t)/t on its grid of step
+# _CURVE_STEP is narrowed by _CURVE_ROUNDS rounds of _CURVE_ZOOM points, to
+# 2**-43 in t: more would put the last round's points, whose F is taken, on
+# a few floats.
 _CURVE_MARGIN = 37.0
 _CURVE_STEP = 0.125
-_CURVE_BASINS = 4
 _CURVE_ZOOM = 33
-_CURVE_ROUNDS = 10
+_CURVE_ROUNDS = 8
 
 # Sampling range for data entries: the functionals are scale invariant,
 # so only the dynamic range matters.
@@ -112,14 +114,31 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _curve(w: WeightSequence, rp: ReducedProblem, t: np.ndarray):
-    """phi and log Q (along a new last axis) at every t = log d in ``t``, from
-    log Q_i and log(d Q_i), neither of which cancels."""
-    t = t[..., None]
-    log_q = w.log_W[1:] - np.logaddexp(w.log_W[:-1], t + w.log_w[1:])
-    log_dq = w.log_W[1:] - np.logaddexp(w.log_W[:-1] - t, w.log_w[1:])
-    phi = rp.p[0] * np.exp(log_q @ rp.alpha) + rp.p[1] * np.exp(log_dq @ rp.beta)
-    return phi, log_q
+def _curve_roots(rp: ReducedProblem):
+    """The roots t = log d != 0 of R(t) = L_2 - L_1 - t (``ReducedProblem.curve``)
+    in the curve window, one per sign change of S(t) = R(t)/t on a grid with
+    a node at t = 0; with log Q at the last round's points, shape (roots,
+    ``_CURVE_ZOOM``, n - 1), and the count of points evaluated.  d = 1 is an
+    exact root: S(0) = R'(0) = sum beta - 1 + sum (alpha_i - beta_i) w_{i+1}/W_{i+1}."""
+    reach = np.abs(rp.log_W[:-1] - rp.log_w[1:]).max() + _CURVE_MARGIN
+    slope = (rp.alpha - rp.beta) @ (rp.w_next / rp.W_next) - rp.w_1 / rp.W_n
+
+    def rises(t):  # S(t) > 0: R(t) = L_2 - L_1 - t has the sign of t
+        L1, L2, log_q = rp.curve(t)
+        return np.where(t == 0.0, slope > 0.0, (L2 - L1 > t) == (t > 0.0)), log_q
+
+    t = np.arange(-(h := math.ceil(reach / _CURVE_STEP)), h + 1) * _CURVE_STEP
+    up = rises(t)[0]
+    k = np.flatnonzero(up[:-1] != up[1:])
+    a, b = t[k], t[k + 1]
+    r, s = np.arange(k.size), np.linspace(0.0, 1.0, _CURVE_ZOOM)
+    for _ in range(_CURVE_ROUNDS):
+        T = a[:, None] + (b - a)[:, None] * s
+        T[:, -1] = b  # a + (b - a) may round off b
+        up, log_q = rises(T)
+        j = np.argmax(up[:, :-1] != up[:, 1:], axis=1)
+        a, b = T[r, j], T[r, j + 1]
+    return 0.5 * (a + b), log_q, t.size + _CURVE_ROUNDS * k.size * _CURVE_ZOOM
 
 
 def curve_max_F(w: WeightSequence) -> SearchResult:
@@ -133,36 +152,23 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     W_{i+1} / (W_i + d w_{i+1}) with d = W_{n-1} p_2 G_2 / (w_n p_1 G_1).
     So max F is a corner value or the supremum over d > 0 of phi(d) =
     F(Q(d)) = p_1 prod Q_i^alpha_i + p_2 prod (d Q_i)^beta_i; phi(1) = 1.
+    At Q(d), dF/dy_i = (W_i w_n / (W_n^2 Q_i)) (G_1 - G_2/d) and every Q_i
+    falls in d, so sign phi'(t) = sign R(t) in t = log d, R = log G_2 -
+    log G_1 - t: the local maxima of phi are roots of R (``_curve_roots``).
 
-    phi is searched in t = log d, ``_CURVE_MARGIN`` beyond the t = log(W_i /
-    w_{i+1}) where the Q_i move: past that, each Q_i (below) or d Q_i (above)
-    is constant to float64 precision.  The result is the first of the point
-    1, the corners and the last zoom round with the largest F from the table
-    (``objective_F`` at ``best_point`` bit for bit).  A table that is not
-    ``ReducedProblem.representable`` raises ``InputError``.
+    The result is the first of the point 1, the corners and the last round's
+    points around every root with the largest table F (``objective_F`` at
+    ``best_point`` bit for bit).  Raises ``InputError`` unless the table is
+    ``ReducedProblem.representable``.
     """
     rp = ReducedProblem.of(w)
     if not rp.representable:
         raise InputError(OUT_OF_RANGE)
-    centres = w.log_W[:-1] - w.log_w[1:]
-    lo, hi = float(centres.min()) - _CURVE_MARGIN, float(centres.max()) + _CURVE_MARGIN
-    t = np.linspace(lo, hi, math.ceil((hi - lo) / _CURVE_STEP) + 1)
-    v = _curve(w, rp, t)[0]
-    around = np.concatenate([[-np.inf], v, [-np.inf]])
-    peaks = np.flatnonzero((v >= around[:-2]) & (v >= around[2:]))
-    peaks = peaks[np.argsort(-v[peaks], kind="stable")[:_CURVE_BASINS]]
-    a, b = t[np.maximum(peaks - 1, 0)], t[np.minimum(peaks + 1, t.size - 1)]
-    r, s = np.arange(peaks.size), np.linspace(0.0, 1.0, _CURVE_ZOOM)
-    for _ in range(_CURVE_ROUNDS):
-        T = a[:, None] + (b - a)[:, None] * s
-        phi, log_q = _curve(w, rp, T)
-        j = np.argmax(phi, axis=1)
-        a, b = T[r, np.maximum(j - 1, 0)], T[r, np.minimum(j + 1, _CURVE_ZOOM - 1)]
+    _, log_q, evaluations = _curve_roots(rp)
     on_curve = np.minimum(np.exp(log_q.reshape(-1, w.n - 1)), rp.upper)
     Y = np.vstack([np.ones(w.n - 1), np.zeros(w.n - 1), rp.upper, on_curve])
     vals = rp.F(*rp.log_products(Y))
     k = int(np.argmax(vals))
-    evaluations = t.size + _CURVE_ROUNDS * T.size
     return SearchResult(float(vals[k]), tuple(Y[k].tolist()), evaluations)
 
 
@@ -373,6 +379,8 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
     log-data: data drawn log-uniform over [1e-3, 1e3] per coordinate, refined
     by coordinate ascent on the negated increment.  A positive best value
     beyond the rounding tolerance is re-verified at 50 digits."""
+    if w.n < 2:
+        raise InputError("need at least two weights")
     if not math.isfinite(s):
         raise InputError("exponent s must be finite")
     n = w.n

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 from datetime import timedelta
 
 import numpy as np
@@ -13,12 +14,14 @@ from checkout import run_python
 from mixedmeans import (
     WeightSequence,
     cli,
+    critical_weight,
     objective_F,
     popoviciu_increment,
     rado_increment,
     search,
 )
 from mixedmeans.cli import run
+from mixedmeans.reduction import SCAN_FIELDS
 from sampling import random_samples, random_weights
 
 
@@ -396,12 +399,14 @@ class TestErrorPaths:
         )
 
     def test_search_errors(self, capsys, tmp_path):
-        # one weight has no increment; weights whose sums overflow have no
-        # finite one
+        # one weight has no increment, and the line names the input; weights
+        # whose sums overflow have no finite one
         for i, text in enumerate(('{"w": [2]}', '{"w": [1, 1e308, 1e308]}')):
             p = tmp_path / f"w{i}.json"
             p.write_text(text)
-            self._one_line_error(capsys, ["search", str(p), "--trials", "3"])
+            err = self._one_line_error(capsys, ["search", str(p), "--trials", "3"])
+            if i == 0:
+                assert err == "mixedmeans: error: need at least two weights\n"
 
     @staticmethod
     def _exponent_argvs(files, value, joined=True):
@@ -506,28 +511,48 @@ class TestDeterminism:
             assert a.returncode == b.returncode
 
 
+# n = 1..7 weights, extreme or moderate
+_FUZZ_WEIGHTS = st.lists(
+    st.one_of(
+        st.sampled_from([5e-324, 1e-300, 1e-30, 1.0, 4.5, 1e30, 1e300, 1.7e308]),
+        st.floats(min_value=1e-6, max_value=1e6),
+    ),
+    min_size=1,
+    max_size=7,
+)
+# heads of 2..6 weights with a tail on either side of the critical weight:
+# the Holland, Gao and numeric routes of ``certify``
+_FUZZ_ROUTES = st.tuples(
+    st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=2, max_size=6),
+    st.one_of(st.floats(min_value=0.5, max_value=3.0), st.just(1.0 + 1e-5)),
+).map(lambda pair: [*pair[0], critical_weight(pair[0]) * pair[1]])
+_FUZZ = settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True)
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_exit(code, out, err, codes=(0, 1, 2)):
+    """A documented exit code, no traceback, and for exit 1 nothing on stdout
+    and one stderr line."""
+    assert code in codes
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and len(err.splitlines()) == 1
+
+
 class TestSearchFuzz:
     """``search`` on extreme weights, short runs, seeds outside int64 and any
     finite exponent, in both option forms: a documented exit code, no
     traceback, strict JSON on stdout for 0 and 2, one stderr line for 1."""
 
-    @staticmethod
-    def _run(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        return code, out.getvalue(), err.getvalue()
-
-    @settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True)
+    @_FUZZ
     @given(
-        w=st.lists(
-            st.one_of(
-                st.sampled_from([5e-324, 1e-300, 1e-30, 1.0, 4.5, 1e30, 1e300, 1.7e308]),
-                st.floats(min_value=1e-6, max_value=1e6),
-            ),
-            min_size=1,
-            max_size=7,
-        ),
+        w=_FUZZ_WEIGHTS,
         trials=st.integers(1, 3),
         local_steps=st.integers(0, 3),
         seed=st.one_of(st.integers(-(2**80), -1), st.integers(2**63, 2**80)),
@@ -541,13 +566,57 @@ class TestSearchFuzz:
         path.write_text(json.dumps({"w": w}))
         argv = ["search", str(path), "--trials", str(trials),
                 "--local-steps", str(local_steps), "--seed", str(seed)]
-        code, out, err = self._run([*argv, "--s", repr(s)])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        if code == 1:
-            assert out == "" and len(err.splitlines()) == 1
-        else:
+        code, out, err = _run_captured([*argv, "--s", repr(s)])
+        _check_exit(code, out, err)
+        if code != 1:
             doc = json.loads(out, parse_constant=_reject_constant)
             assert doc["trials_run"] == trials and len(doc["best_point"]) == len(w)
             assert doc["violation"] == (code == 2)
-        assert self._run([*argv, f"--s={s!r}"]) == (code, out, err)
+        assert _run_captured([*argv, f"--s={s!r}"]) == (code, out, err)
+
+
+class TestCertifyScanFuzz:
+    """``certify`` and ``scan`` on extreme weights (``scan`` on heads, with
+    any tail range and a few steps): a documented exit code, no traceback,
+    strict JSON (``certify``) or the fixed CSV header (``scan``) on success,
+    one stderr line for 1."""
+
+    @_FUZZ
+    @given(w=st.one_of(_FUZZ_WEIGHTS, _FUZZ_ROUTES))
+    def test_certify(self, tmp_path_factory, w):
+        path = tmp_path_factory.mktemp("fuzz") / "w.json"
+        path.write_text(json.dumps({"w": w}))
+        code, out, err = _run_captured(["certify", str(path)])
+        _check_exit(code, out, err)
+        if code != 1:
+            doc = json.loads(out, parse_constant=_reject_constant)
+            assert (doc["route"] == "refuted-numeric") == (code == 2)
+
+    @_FUZZ
+    @given(
+        case=st.one_of(
+            st.tuples(  # head, lo, hi / lo, steps
+                st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=6),
+                st.floats(min_value=0.1, max_value=10.0),
+                st.floats(min_value=1.0, max_value=100.0),
+                st.integers(2, 4),
+            ),
+            st.tuples(
+                _FUZZ_WEIGHTS,
+                st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
+                st.sampled_from([1.0, 1e300, math.inf, math.nan, -1.0]),
+                st.integers(-1, 4),
+            ),
+        )
+    )
+    def test_scan(self, tmp_path_factory, case):
+        head, lo, ratio, steps = case
+        path = tmp_path_factory.mktemp("fuzz") / "head.json"
+        path.write_text(json.dumps({"w": head}))
+        hi = lo * ratio
+        argv = ["scan", str(path), f"--range={lo!r}:{hi!r}", "--steps", str(steps)]
+        code, out, err = _run_captured(argv)
+        _check_exit(code, out, err, codes=(0, 1))
+        if code == 0:
+            lines = out.splitlines()
+            assert lines[0] == ",".join(SCAN_FIELDS) and len(lines) == steps + 1

@@ -96,6 +96,20 @@ class TestPowerMean:
             c * power_mean(q, x, r), rel=1e-13
         )
 
+    @pytest.mark.parametrize("r", [1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12])
+    def test_small_exponent_matches_oracle(self, r):
+        # dyadic weights, so that they sum to 1 exactly: at r = 1e-12 the
+        # oracle's (sum q)^(1/r) would magnify a rounded sum
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            k = rng.integers(1, 2**17, n)
+            k[-1] = 2**20 - k[:-1].sum()
+            q, x = k / 2**20, random_samples(rng, n)
+            with np.errstate(all="raise"):
+                got = power_mean(q, x, r)
+            assert got == pytest.approx(float(oracle.power_mean(q, x, r)), rel=1e-14)
+
     def test_continuity_at_zero(self):
         rng = np.random.default_rng(13)
         for _ in range(20):

@@ -285,6 +285,16 @@ class TestStationaryAnalysis:
         with pytest.raises(InputError):
             stationary_analysis(w, 0.0)
 
+    def test_residual_matches_oracle(self):
+        rng = np.random.default_rng(46)
+        for _ in range(100):
+            n = int(rng.integers(3, 9))
+            w = random_weights(rng, n)
+            d = float(log_uniform(rng, 1e-8, 1e8, 1)[0])
+            want = float(oracle.stationary_residual(w.w.tolist(), d))
+            got = stationary_analysis(w, d).residual
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (w.w, d)
+
     def test_profile_decreasing_when_no_excess(self):
         rng = np.random.default_rng(48)
         ds = np.array([0.1, 0.3, 1.0, 3.0, 10.0])
@@ -378,10 +388,28 @@ class TestFindStationaryD:
             n = int(rng.integers(3, 8))
             w = random_weights(rng, n)
             roots = find_stationary_d(w)
-            assert any(abs(r - 1.0) < 1e-6 for r in roots)
+            assert 1.0 in roots and roots == sorted(roots)
 
     @pytest.mark.parametrize(
-        "w, near", [([1, 1, 10], 0.0873780253841527), ([1, 1, 1, 4], 3.18962598128788)]
+        "w, near",
+        [
+            ([1, 1, 10], 0.0873780253841527),
+            ([1, 1, 1, 4], 3.18962598128788),
+            # next to the root d = 1
+            ([1.1312609652967525, 0.5976626822152902, 5.968876507481005], 0.96776138),
+            # past d = 100
+            (
+                [2.4618851870353953, 0.49081854846023093, 2.4529684276356107,
+                 0.6863709211628388, 3.635922036414029],
+                1.0468e8,
+            ),
+            (
+                [1.5445667529346374, 0.6393047815981492, 0.4810750221867373,
+                 0.4033197373573569, 0.5218740915063163, 0.5398831419963901,
+                 1.0767466773608265, 1.7925965186551498],
+                454.715,
+            ),
+        ],
     )
     def test_second_root(self, w, near):
         with mpmath.workdps(oracle.DPS):

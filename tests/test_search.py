@@ -83,6 +83,21 @@ class TestGridMaxF:
             for corner in (np.ones(w.n - 1), np.zeros(w.n - 1), box_upper(w)):
                 assert best >= objective_F(w, corner)
 
+    def test_slope_on_the_curve_has_the_sign_of_R(self):
+        # sign phi'(t) = sign R(t), R = L_2 - L_1 - t, by central differences
+        rng = np.random.default_rng(63)
+        checked = 0
+        for _ in range(40):
+            rp = ReducedProblem.of(random_weights(rng, int(rng.integers(2, 8)), 0.2, 8.0))
+            t = rng.uniform(-8.0, 8.0, 50)
+            L1, L2, _ = rp.curve(t)
+            R = L2 - L1 - t
+            up, down = (rp.F(*rp.curve(t + h)[:2]) for h in (1e-5, -1e-5))
+            keep = np.abs(R) > 1e-3
+            checked += keep.sum()
+            assert (np.sign(up - down)[keep] == np.sign(R)[keep]).all()
+        assert checked > 1000
+
     def test_at_least_multistart(self):
         # beyond four box dimensions; 1e-15 relative: where both find the
         # constant point, F there is 1 to rounding on either side
