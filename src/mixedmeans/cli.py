@@ -28,7 +28,7 @@ from .conditions import (
     holland_condition,
     nanjundiah_condition,
 )
-from .functionals import _profile, violation_tolerance
+from .functionals import _popoviciu_profile, _rado_increments, violation_tolerance
 from .means import (
     InputError,
     WeightSequence,
@@ -122,8 +122,9 @@ def _cmd_certify(args) -> int:
 def _cmd_verify(args) -> int:
     w = WeightSequence(_load_field(args.weights, "w"))
     x = as_samples(_load_field(args.samples, "x"), w.n)
-    rado = np.diff(_profile(w, x, args.s))
-    pop = np.diff(_profile(w, x, 0.0, log=True))
+    z = np.log(x)
+    rado = _rado_increments(w, z, args.s)
+    pop = np.diff(_popoviciu_profile(w, z))
     levels = [
         {"k": k, "rado_increment": inc, "popoviciu_increment": p}
         for k, inc, p in zip(range(2, w.n + 1), rado.tolist(), pop.tolist())

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,14 @@ __all__ = [
 # reported as failing with the boundary flag set.
 STRICT_TOL = 1e-12
 OUT_OF_RANGE = "weights out of float64 range for the reduced problem"
+
+
+def _exp(v: float) -> float:
+    """math.exp, or inf where the value overflows float64."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 class NotApplicableError(ValueError):
@@ -247,23 +256,29 @@ class ReducedProblem:
 
     def interior_bound(self, e: float) -> float:
         """Bound on g at interior critical points past d_0 = (w_1/w_n)/e:
-        g at the origin times 1 + e W_{n-1}/w_1."""
-        return math.exp(self.log_corners[1]) * (1.0 + e * self.W_n1 / self.w_1)
+        g at the origin times 1 + e W_{n-1}/w_1; inf where g there overflows
+        float64."""
+        return _exp(self.log_corners[1]) * (1.0 + e * self.W_n1 / self.w_1)
 
 
 def gao_conditions(w: WeightSequence) -> ConditionReport:
     """Four margins: (a) strict positivity of the excess e, (b) e bounded by
     w_1/w_n, (c) the head product bound, (d) the tail product bound.  The
     products are the corner values of the reduced objective g, accumulated
-    in the log domain; their margins are reported as 1 minus the value.
+    in the log domain; their margins are reported as 1 minus the value.  A
+    margin whose value overflows float64 reads -sys.float_info.max, an upper
+    bound on the true margin.
     """
     if w.n < 3:
         raise NotApplicableError("needs at least three weights")
     rp = ReducedProblem.of(w)
     e = _excess(w)
     margin_b = rp.w_1 / rp.w_n - e
-    margin_c = -math.expm1(rp.log_corners[0])
-    margin_d = 1.0 - rp.interior_bound(e)
+    try:
+        margin_c = -math.expm1(rp.log_corners[0])
+    except OverflowError:
+        margin_c = -sys.float_info.max
+    margin_d = max(1.0 - rp.interior_bound(e), -sys.float_info.max)
 
     on_boundary = abs(e) <= STRICT_TOL
     holds = (

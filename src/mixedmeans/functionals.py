@@ -7,11 +7,12 @@ s-means grew when the k-th point was added.  ``product_form_lhs`` is the
 same level-n statement divided through by the mixed geometric-arithmetic
 mean and rearranged into a sum of two products of powers bounded by 1.
 
-The public functionals are slices of one per-level profile, which gives
-every level in one pass, as ``verify`` and level-k calls need.  The
-violation search needs only level n, at many points: its objective is the
-private kernel ``_top_increment``, the direct form of the level-n increment
-on log-data from one running-mean pass.
+Every functional reads logs of running means from the one primitive
+``means._log_means``: O_k, the s-mean of the running arithmetic means
+A_1..A_k, and M_k, the s-mean of x_1..x_k.  One pass gives the Rado
+increments W_k O_k - W_{k-1} O_{k-1} - w_k M_k at every level, for
+``verify`` and level-k calls; the search's ``_top_increment`` is its
+level-n slice.  The Popoviciu increments difference one profile of logs.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .conditions import ReducedProblem
-from .means import InputError, WeightSequence, _partial_means, as_samples
+from .means import InputError, WeightSequence, _log_means, as_samples
 
 __all__ = [
     "rado_value",
@@ -31,52 +32,40 @@ __all__ = [
 ]
 
 
-def _profile(w: WeightSequence, x: np.ndarray, s: float, log: bool = False):
-    """Entry k-1 is W_k * (s-mean of running arithmetic means - arithmetic
-    mean of running s-means) over the first k points, with both means
-    logged first when ``log`` is set.  Level 1 is exactly zero: both sides
-    are the same running-mean value x_1.  ``x`` holds validated samples of
-    shape (..., n); the profile runs along the last axis.
-    """
-    outer = _partial_means(w, _partial_means(w, x, 1.0), s)
-    inner = _partial_means(w, _partial_means(w, x, s), 1.0)
-    if log:
-        outer, inner = np.log(outer), np.log(inner)
-    return w.W * (outer - inner)
+def _level(w: WeightSequence, k: int, lowest: int = 2) -> None:
+    """Raise unless k is a level in lowest..n."""
+    if not lowest <= k <= w.n:
+        raise InputError(f"level {k} out of range {lowest}..{w.n}")
 
 
-def _increment(w: WeightSequence, x: np.ndarray, s: float, k: int, log: bool = False):
-    """Level-k increment of ``_profile`` for validated samples (..., n)."""
-    if not 2 <= k <= w.n:
-        raise InputError(f"level {k} out of range 2..{w.n}")
-    profile = _profile(w, x, s, log)
-    return profile[..., k - 1] - profile[..., k - 2]
+def _rado_increments(w: WeightSequence, z: np.ndarray, s: float, k: int = 2):
+    """Rado increments at levels k..n for log-data z, shape (..., n), in the
+    direct form W_j O_j - W_{j-1} O_{j-1} - w_j M_j of the module docstring;
+    exactly 0 at s = 1, where the functional vanishes.  A level's bits depend
+    neither on k nor on the other rows of a batch."""
+    _level(w, k)
+    if s == 1.0:
+        return np.zeros((*z.shape[:-1], w.n - k + 1))
+    log_O = _log_means(w, _log_means(w, z, 1.0), s)[..., k - 2 :]
+    log_M = _log_means(w, z, s)[..., k - 1 :]
+    O = w.W[k - 2 :] * np.exp(log_O)
+    return O[..., 1:] - O[..., :-1] - w.w[k - 1 :] * np.exp(log_M)
 
 
 def _top_increment(w: WeightSequence, z: np.ndarray, s: float) -> np.ndarray:
-    """Level-n Rado increment at the data exp(z), for log-data of shape
-    (..., n), in the direct form W_n O_n - W_{n-1} O_{n-1} - w_n M_n: O_k is
-    the s-mean of the running arithmetic means A_1..A_k and M_n the s-mean
-    of x_1..x_n.  Every sum along the data axis runs in index order, so a
-    row of a batch gives the same bits as a call on that row.  Exactly 0
-    at s = 1, where the functional vanishes identically.  Bit-identity
-    contract: ``_top_lines`` repeats these operations on floats and gives
-    the same bits, NaN and infinities included; change both or neither.
-    """
-    if w.n < 2:
-        raise InputError(f"level {w.n} out of range 2..{w.n}")
-    if s == 1.0:
-        return np.zeros(z.shape[:-1])
-    log_A = np.logaddexp.accumulate(w.log_w + z, axis=-1) - w.log_W
-    if s == 0.0:
-        log_O = (w.w * log_A).cumsum(axis=-1)[..., -2:] / w.W[-2:]
-        log_M = (w.w * z).cumsum(axis=-1)[..., -1] / w.W[-1]
-    else:
-        acc = np.logaddexp.accumulate(w.log_w + s * log_A, axis=-1)[..., -2:]
-        log_O = (acc - w.log_W[-2:]) / s
-        log_M = (np.logaddexp.reduce(w.log_w + s * z, axis=-1) - w.log_W[-1]) / s
-    O = w.W[-2:] * np.exp(log_O)
-    return O[..., 1] - O[..., 0] - w.w[-1] * np.exp(log_M)
+    """The violation search's objective, ``rado_increment`` at level n bit
+    for bit, from three exps; log-data of shape (..., n).  Contract:
+    ``_top_lines`` repeats these operations on floats with the same bits,
+    NaN and infinities included; change both or neither."""
+    return _rado_increments(w, z, s, w.n)[..., 0]
+
+
+def _popoviciu_profile(w: WeightSequence, z: np.ndarray) -> np.ndarray:
+    """Entry k-1 is W_k * (log of the geometric mean of the running
+    arithmetic means A_1..A_k - log of the arithmetic mean of the running
+    geometric means G_1..G_k), for log-data z of shape (..., n)."""
+    log_B = _log_means(w, _log_means(w, z, 0.0), 1.0)
+    return w.W * (_log_means(w, _log_means(w, z, 1.0), 0.0) - log_B)
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -138,26 +127,33 @@ def _top_lines(w: WeightSequence, s: float):
 def rado_value(w: WeightSequence, x, s: float, k: int) -> float:
     """W_k * (s-mean of running arithmetic means - arithmetic mean of
     running s-means), over the first k points.  Zero at k = 1, where both
-    inner means collapse to x_1.
+    inner means collapse to x_1, and at s = 1.
     """
-    x = as_samples(x, w.n)
-    if not 1 <= k <= w.n:
-        raise InputError(f"level {k} out of range 1..{w.n}")
-    return float(_profile(w, x, s)[k - 1])
+    z = np.log(as_samples(x, w.n))
+    _level(w, k, 1)
+    if k == 1 or s == 1.0:
+        return 0.0
+    log_O = _log_means(w, _log_means(w, z, 1.0), s)
+    log_B = _log_means(w, _log_means(w, z, s), 1.0)  # arithmetic mean of M_1..M_k
+    return float(w.W[k - 1] * (np.exp(log_O[k - 1]) - np.exp(log_B[k - 1])))
 
 
 def rado_increment(w: WeightSequence, x, s: float, k: int) -> float:
     """Level-k increment of ``rado_value``; nonnegative certifies the
     level-k mixed-mean inequality (for s < 1; the sign flips for s > 1).
     """
-    return float(_increment(w, as_samples(x, w.n), s, k))
+    z = np.log(as_samples(x, w.n))
+    _level(w, k)
+    return float(_rado_increments(w, z, s)[k - 2])
 
 
 def popoviciu_increment(w: WeightSequence, x, k: int) -> float:
     """Logarithmic analogue of ``rado_increment`` at level k: the increment
     of W_k * (ln of geometric mean of arithmetic means - ln of arithmetic
     mean of geometric means)."""
-    return float(_increment(w, as_samples(x, w.n), 0.0, k, log=True))
+    z = np.log(as_samples(x, w.n))
+    _level(w, k)
+    return float(np.diff(_popoviciu_profile(w, z))[k - 2])
 
 
 def product_form_lhs(w: WeightSequence, x) -> float:
@@ -173,11 +169,11 @@ def product_form_lhs(w: WeightSequence, x) -> float:
     """
     if w.n < 2:
         raise InputError("need at least two entries")
-    x = as_samples(x, w.n)
-    log_A = np.log(_partial_means(w, x, 1.0))
+    z = np.log(as_samples(x, w.n))
+    log_A = _log_means(w, z, 1.0)
     rp = ReducedProblem.of(w)
     L1 = np.array(np.sum(rp.alpha * (log_A[:-1] - log_A[1:])))
-    L2 = np.array(np.sum(rp.beta * (np.log(x[1:]) - log_A[1:])))
+    L2 = np.array(np.sum(rp.beta * (z[1:] - log_A[1:])))
     return float(rp.F(L1, L2))
 
 

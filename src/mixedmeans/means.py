@@ -6,6 +6,9 @@ Everything here is a pure function of validated, read-only arrays.  Products
 of powers are evaluated in the log domain throughout: exponents built from
 prefix-weight ratios become extreme for skewed weight sequences and direct
 products overflow or underflow long before the result does.
+``_log_means``, the logs of the running r-means of exp(z), forms the
+running means here and in ``functionals`` (whose ``_top_lines`` repeats it
+on floats).
 """
 from __future__ import annotations
 
@@ -121,24 +124,24 @@ def power_mean(q, x, r: float) -> float:
     return float(math.exp((math.log(float(q @ np.exp(a - m))) + m) / r))
 
 
-def _partial_means(w: WeightSequence, x: np.ndarray, r: float) -> np.ndarray:
-    """``partial_mean_sequence`` along the last axis of validated samples of
-    shape (..., n); each row gives the same values as a call on that row."""
-    log_x = np.log(x)
+def _log_means(w: WeightSequence, z: np.ndarray, r: float) -> np.ndarray:
+    """The logs of the running r-means of exp(z) along the last axis of z,
+    shape (..., n): entry i is the log of the r-mean of exp(z_1..z_{i+1})
+    under the weights w_1..w_{i+1} normalized by W_{i+1}.  Every sum runs in
+    index order, so a row of a batch gives the same bits as a call on it."""
     if r == 0.0:
-        values = np.exp(np.cumsum(w.w * log_x, axis=-1) / w.W)
-    else:
-        acc = np.logaddexp.accumulate(w.log_w + r * log_x, axis=-1)
-        values = np.exp((acc - w.log_W) / r)
-    values[..., 0] = x[..., 0]  # single-point mean is exact
-    return values
+        return np.cumsum(w.w * z, axis=-1) / w.W
+    return (np.logaddexp.accumulate(w.log_w + r * z, axis=-1) - w.log_W) / r
 
 
 def partial_mean_sequence(w: WeightSequence, x, r: float) -> np.ndarray:
     """The running r-means: entry i is the r-mean of x_1..x_{i+1} under the
     prefix weights w_1..w_{i+1} normalized by W_{i+1}.
     """
-    return _partial_means(w, as_samples(x, w.n), r)
+    x = as_samples(x, w.n)
+    values = np.exp(_log_means(w, np.log(x), r))
+    values[0] = x[0]  # single-point mean is exact
+    return values
 
 
 def mixed_mean(w: WeightSequence, x, outer: float, inner: float) -> float:
@@ -158,11 +161,8 @@ def identity_residuals(w: WeightSequence, x) -> tuple[float, float]:
     """
     if w.n < 2:
         raise InputError("need at least two entries")
-    x = as_samples(x, w.n)
-    A = _partial_means(w, x, 1.0)
-    log_A = np.log(A)
-    # log of the running geometric mean of A_1..A_k, for each k
-    log_G_of_A = np.cumsum(w.w * log_A) / w.W
+    log_A = _log_means(w, np.log(as_samples(x, w.n)), 1.0)
+    log_G_of_A = _log_means(w, log_A, 0.0)  # running geometric means of A
 
     lhs1 = log_G_of_A[-1]
     rhs1 = (w.W[-2] / w.W[-1]) * log_G_of_A[-2] + (w.w[-1] / w.W[-1]) * log_A[-1]

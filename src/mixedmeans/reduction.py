@@ -32,6 +32,7 @@ from .conditions import (
     NotApplicableError,
     ReducedProblem,
     _excess,
+    _exp,
     d_zero,
     gao_conditions,
     holland_condition,
@@ -269,10 +270,11 @@ def stationary_analysis(w: WeightSequence, d: float) -> StationaryPoint:
 
 def boundary_bound(w: WeightSequence) -> float:
     """Upper bound for g on the faces of its box: the larger of g's values
-    at the two corners, from their exact log-products."""
+    at the two corners, from their exact log-products; inf where it
+    overflows float64."""
     if w.n < 3:
         raise InputError("need at least three entries")
-    return math.exp(max(ReducedProblem.of(w).log_corners))
+    return _exp(max(ReducedProblem.of(w).log_corners))
 
 
 def interior_bound(w: WeightSequence) -> float:
@@ -284,12 +286,26 @@ def interior_bound(w: WeightSequence) -> float:
 
 
 def find_stationary_d(w: WeightSequence) -> list[float]:
-    """The roots of the stationarity residual in the curve window, sorted:
-    exactly 1.0, and d = e^t at each root t of ``search._curve_roots``."""
+    """The roots of the stationarity residual, sorted: exactly 1.0, d = e^t
+    at each root t of ``search._curve_roots`` in the curve window, and past
+    each end of the window, where R is linear in t to float64 precision,
+    its root there in closed form, if it has one:
+
+        t = sum (alpha_i - beta_i) log(W_{i+1}/w_{i+1}) / (sum alpha - 1)
+        on the right,  t = sum (beta_i - alpha_i) log(W_{i+1}/W_i) W_n/w_1
+        on the left.
+
+    A root past float64, where e^t overflows or underflows, is left out."""
     if w.n < 3:
         raise InputError("need at least three entries")
-    roots = search._curve_roots(ReducedProblem.of(w))[0]
-    return sorted({1.0, *np.exp(roots).tolist()})
+    rp = ReducedProblem.of(w)
+    edge, gap = search._curve_grid(rp)[-1], rp.alpha - rp.beta
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        left = -(gap @ np.log(rp.upper)) * (rp.W_n / rp.w_1)
+        right = gap @ np.log(rp.second_max) / (rp.alpha.sum() - 1.0)
+        past = np.exp([t for t, side in ((left, -1.0), (right, 1.0)) if side * t > edge])
+    past = past[(past > 0.0) & (past < math.inf)]
+    return sorted({1.0, *np.exp(search._curve_roots(rp)[0]).tolist(), *past.tolist()})
 
 
 @dataclass(frozen=True)
@@ -362,9 +378,8 @@ SCAN_FIELDS = (
 def weight_scan(head, tail_range, steps: int) -> list[dict]:
     """Sweep the tail weight over a geometric grid and report, per value,
     the Holland margin, the four Gao margins, the two analytic bounds, and
-    the curve maximum of the reduced objective.  Fields that do not apply
-    (threshold undefined, box too large for the curve, table not
-    representable) are None."""
+    the curve maximum of the reduced objective, for every n.  Fields that do
+    not apply (threshold undefined, table not representable) are None."""
     head = _positive_array(head, "head weights")
     lo, hi = float(tail_range[0]), float(tail_range[1])
     if not (lo > 0.0 and hi >= lo):
@@ -386,7 +401,7 @@ def weight_scan(head, tail_range, steps: int) -> list[dict]:
                 row["interior_bound"] = interior_bound(w)
             except NotApplicableError:
                 pass
-        if w.n - 1 <= search.GRID_DIM_LIMIT and ReducedProblem.of(w).representable:
+        if ReducedProblem.of(w).representable:
             row["grid_max"] = search.curve_max_F(w).best_value
         rows.append(row)
     return rows

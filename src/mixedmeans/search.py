@@ -42,9 +42,11 @@ __all__ = [
     "violation_search",
 ]
 
-# The curve maximum serves every n, but at n >= 6 it speeds certify-mix up so
-# far that perfbench's run_passes, which keeps every output until the run
-# ends, pushes peak RSS past the benchmark's bound: multistart goes on there.
+# The box dimensions up to which certify takes the curve maximum.  The curve
+# serves every n (scan uses it for all), but at n >= 6 it speeds certify-mix
+# up so far that perfbench's run_passes, which keeps every output until the
+# run ends, pushes peak RSS past the benchmark's bound: multistart goes on
+# there.
 GRID_DIM_LIMIT = 4
 
 # A walk moves at most _MAX_MOVES steps along one coordinate at one step
@@ -114,20 +116,26 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _curve_grid(rp: ReducedProblem) -> np.ndarray:
+    """The nodes t = log d of the curve window: step ``_CURVE_STEP``, one at
+    t = 0, reaching ``_CURVE_MARGIN`` beyond every log(W_i/w_{i+1})."""
+    reach = np.abs(rp.log_W[:-1] - rp.log_w[1:]).max() + _CURVE_MARGIN
+    return np.arange(-(h := math.ceil(reach / _CURVE_STEP)), h + 1) * _CURVE_STEP
+
+
 def _curve_roots(rp: ReducedProblem):
     """The roots t = log d != 0 of R(t) = L_2 - L_1 - t (``ReducedProblem.curve``)
     in the curve window, one per sign change of S(t) = R(t)/t on a grid with
     a node at t = 0; with log Q at the last round's points, shape (roots,
     ``_CURVE_ZOOM``, n - 1), and the count of points evaluated.  d = 1 is an
     exact root: S(0) = R'(0) = sum beta - 1 + sum (alpha_i - beta_i) w_{i+1}/W_{i+1}."""
-    reach = np.abs(rp.log_W[:-1] - rp.log_w[1:]).max() + _CURVE_MARGIN
     slope = (rp.alpha - rp.beta) @ (rp.w_next / rp.W_next) - rp.w_1 / rp.W_n
 
     def rises(t):  # S(t) > 0: R(t) = L_2 - L_1 - t has the sign of t
         L1, L2, log_q = rp.curve(t)
         return np.where(t == 0.0, slope > 0.0, (L2 - L1 > t) == (t > 0.0)), log_q
 
-    t = np.arange(-(h := math.ceil(reach / _CURVE_STEP)), h + 1) * _CURVE_STEP
+    t = _curve_grid(rp)
     up = rises(t)[0]
     k = np.flatnonzero(up[:-1] != up[1:])
     a, b = t[k], t[k + 1]

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import sys
 from datetime import timedelta
 
 import numpy as np
@@ -251,6 +252,41 @@ class TestScan:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 2
         assert all(float(row["grid_max"]) > 1.0 for row in rows)
+        # past four box axes too: the curve maximum of every row's weights
+        head6 = [1, 2, 1, 1, 1, 1]
+        head.write_text(json.dumps({"w": head6}))
+        code, out, _ = invoke(
+            capsys, ["scan", str(head), "--range", "1:12", "--steps", "3"]
+        )
+        assert code == 0
+        for row in csv.DictReader(out.splitlines()):
+            w = WeightSequence([*head6, float(row["w_n"])])
+            assert float(row["grid_max"]) == search.curve_max_F(w).best_value
+
+    def test_huge_tail_weight(self, tmp_path):
+        # the table is representable, but the head product's corner value
+        # overflows float64: its Gao margin reads the most negative float,
+        # the boundary bound inf, and the curve refutes (F = 1.414)
+        w, head = tmp_path / "w.json", tmp_path / "head.json"
+        w.write_text('{"w": [1, 1, 1e200]}')
+        head.write_text('{"w": [1, 1]}')
+        code, out, err = _run_captured(["check", str(w)])
+        assert (code, err) == (2, "")
+        gao = json.loads(out, parse_constant=_reject_constant)["gao"]
+        assert gao["margins"][2]["value"] == -sys.float_info.max
+        code, out, err = _run_captured(["certify", str(w)])
+        assert (code, err) == (2, "")
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["route"] == "refuted-numeric"
+        assert doc["numeric_max"]["value"] == pytest.approx(math.sqrt(2.0))
+        argv = ["scan", str(head), "--range", "1e199:1e200", "--steps", "3"]
+        code, out, err = _run_captured(argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == ",".join(SCAN_FIELDS) and len(lines) == 4
+        for row in csv.DictReader(lines):
+            assert row["boundary_bound"] == "inf"
+            assert float(row["grid_max"]) == pytest.approx(math.sqrt(2.0))
 
     def test_bad_range_exits_one(self, capsys, files):
         code, _, err = invoke(

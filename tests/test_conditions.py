@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestGao:
     def test_needs_three_weights(self):
         with pytest.raises(NotApplicableError):
             gao_conditions(WeightSequence([1, 2]))
+
+    def test_overflowing_head_product(self):
+        # the top corner's log-product is 1.7e199, so its value overflows
+        # float64: the margin reads the most negative float, an upper bound
+        rep = gao_conditions(WeightSequence([1, 1, 1e200]))
+        assert not rep.holds
+        assert rep.margins[2] == -sys.float_info.max
+        assert all(math.isfinite(m) for m in rep.margins)
 
 
 class TestDZero:

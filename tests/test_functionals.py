@@ -71,12 +71,15 @@ class TestRadoIncrement:
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(21)
-        for trial in range(28):
-            # 25 short sequences, then n = 20, 40, 60 for the accumulated profile
+        for trial in range(32):
+            # 25 short sequences, then n = 20, 40, 60 for the accumulated
+            # pass, then n = 60 and 200 at s = -3 and 4
             n = int(rng.integers(2, 9)) if trial < 25 else 20 * (trial - 24)
+            n = (60, 200)[trial % 2] if trial >= 28 else n
             w = random_weights(rng, n)
             x = random_samples(rng, n)
             s = float(rng.choice([-1.0, 0.0, 0.5, 2.0]))
+            s = (-3.0, 4.0)[trial // 30] if trial >= 28 else s
             k = int(rng.integers(2, n + 1))
             got = rado_increment(w, x, s, k)
             want = float(oracle.rado_increment(w.w, x, s, k))
@@ -125,6 +128,16 @@ class TestTopIncrement:
                 assert batch.shape == (3, 4)
                 for index in np.ndindex(3, 4):
                     assert batch[index] == _top_increment(w, Z[index], s)
+
+    def test_is_the_public_level_n_increment(self):
+        # the search objective is rado_increment at level n, bit for bit
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            n = int(rng.integers(2, 41))
+            s = float(rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
+            w = random_weights(rng, n)
+            x = random_samples(rng, n)
+            assert float(_top_increment(w, np.log(x), s)) == rado_increment(w, x, s, n)
 
     def test_s_equal_one_is_exactly_zero(self):
         w = WeightSequence([2, 1, 4])
@@ -191,9 +204,11 @@ class TestPopoviciuIncrement:
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(22)
-        for trial in range(23):
-            # 20 short sequences, then n = 20, 40, 60 for the accumulated profile
+        for trial in range(25):
+            # 20 short sequences, then n = 20, 40, 60 for the accumulated
+            # pass, then n = 60 and 200
             n = int(rng.integers(2, 9)) if trial < 20 else 20 * (trial - 19)
+            n = (60, 200)[trial - 23] if trial >= 23 else n
             w = random_weights(rng, n)
             x = random_samples(rng, n, 0.1, 10.0)
             k = int(rng.integers(2, n + 1))

@@ -376,6 +376,10 @@ class TestBounds:
                 )
         assert checked > 50
 
+    def test_boundary_bound_overflow_reads_inf(self):
+        assert boundary_bound(WeightSequence([1, 1, 1e200])) == math.inf
+        assert math.isfinite(interior_bound(WeightSequence([1, 1, 1e200])))
+
     def test_interior_bound_needs_excess(self):
         with pytest.raises(NotApplicableError):
             interior_bound(WeightSequence([1, 1, 3]))
@@ -418,6 +422,26 @@ class TestFindStationaryD:
         other = [r for r in roots if abs(r - 1.0) > 1e-6]
         assert len(roots) == 2 and len(other) == 1
         assert other[0] == pytest.approx(float(ref), rel=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "w, t", [([1, 1, 4.004], 347.2667), ([1, 1, 1000], -345.8804)]
+    )
+    def test_root_past_the_window(self, w, t):
+        # past the curve window R is linear in t; its closed-form root there
+        # (right, then left) is a sign change of the 50-digit residual
+        other = [math.log(d) for d in find_stationary_d(WeightSequence(w)) if d != 1.0]
+        assert other == [pytest.approx(t, abs=1e-4)]
+        with mpmath.workdps(oracle.DPS):
+            below, above = (
+                oracle.stationary_residual(w, mpmath.exp(mpmath.mpf(other[0]) + dt))
+                for dt in (-1, 1)
+            )
+        assert below * above < 0
+
+    def test_root_past_float64_is_left_out(self):
+        # tail 1.0001 w_c: the right root is at t = 3466, where e^t overflows
+        assert find_stationary_d(WeightSequence([1, 1, 4.0004])) == [1.0]
 
 
 class TestCertify:
