@@ -28,11 +28,15 @@ from .conditions import (
     holland_condition,
     nanjundiah_condition,
 )
-from .functionals import _popoviciu_profile, _rado_increments, violation_tolerance
+from .functionals import (
+    _orientation,
+    _popoviciu_profile,
+    _rado_increments,
+    violation_tolerance,
+)
 from .means import (
     InputError,
     WeightSequence,
-    _positive_array,
     as_samples,
     mixed_mean,
     partial_mean_sequence,
@@ -56,11 +60,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_field(path: str, key: str):
-    """Field ``key`` of the JSON object in the file at ``path``."""
+    """Field ``key`` of the JSON object in the file at ``path``.  A file that
+    cannot be opened, is not UTF-8 JSON (``ValueError``) or nests too deeply
+    to parse raises ``InputError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
@@ -129,9 +135,8 @@ def _cmd_verify(args) -> int:
         {"k": k, "rado_increment": inc, "popoviciu_increment": p}
         for k, inc, p in zip(range(2, w.n + 1), rado.tolist(), pop.tolist())
     ]
-    direction = 1.0 if args.s < 1.0 else -1.0
     tol = violation_tolerance(w, x)
-    failed = args.s != 1.0 and bool(np.any(direction * rado < -tol))
+    failed = args.s != 1.0 and bool(np.any(_orientation(args.s) * rado < -tol))
     _emit({"s": args.s, "levels": levels})
     return 2 if failed else 0
 
@@ -147,7 +152,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    head = _positive_array(_load_field(args.head, "w"), "head weights")
+    head = _load_field(args.head, "w")
     try:
         lo_s, hi_s = args.range.split(":", 1)
         lo, hi = float(lo_s), float(hi_s)
@@ -164,8 +169,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_gen_weights(args) -> int:
-    head = _positive_array(_load_field(args.head, "w"), "head weights")
-    sys.stdout.write("%.17g\n" % critical_weight(head))
+    sys.stdout.write("%.17g\n" % critical_weight(_load_field(args.head, "w")))
     return 0
 
 
@@ -231,8 +235,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
+    try:  # no numpy warning lines: a result that is not finite ends as one error
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InputError, NotApplicableError) as exc:
         sys.stderr.write(f"mixedmeans: error: {exc}\n")
         return 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .means import InputError, WeightSequence, _positive_array
+from .means import InputError, WeightSequence
 
 __all__ = [
     "NotApplicableError",
@@ -307,20 +307,24 @@ def d_zero(w: WeightSequence) -> float:
     return (float(w.w[0]) / float(w.w[-1])) / e
 
 
-def _head_sums(head) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A validated head w_1..w_{n-1} with its prefix sums W and S."""
-    head = _positive_array(head, "head weights")
-    if head.size < 2:
+def _head_weights(head) -> WeightSequence:
+    """A head w_1..w_{n-1}, validated as weights, of at least two."""
+    w = WeightSequence(head)
+    if w.n < 2:
         raise InputError("head must have at least two weights")
-    W = np.cumsum(head)
-    return head, W, np.cumsum(W)
+    return w
 
 
 def critical_weight(head) -> float:
     """The tail weight W_{n-1}^2 / S_{n-2} that, appended to the head,
-    makes the excess vanish (Holland exactly on its boundary)."""
-    _, W, S = _head_sums(head)
-    return float(W[-1]) ** 2 / float(S[-2])
+    makes the excess vanish (Holland exactly on its boundary).  Where it
+    leaves float64, a square that overflows raises ``OverflowError``, and a
+    quotient that overflows or underflows to 0 ``InputError``."""
+    w = _head_weights(head)
+    value = float(w.W[-1]) ** 2 / float(w.S[-2])
+    if not 0.0 < value < math.inf:
+        raise InputError("the critical weight is out of float64 range")
+    return value
 
 
 def existence_check(head) -> ConditionReport:
@@ -335,7 +339,8 @@ def existence_check(head) -> ConditionReport:
     Both hold for every positive head; a failing margin signals an
     implementation bug, not a mathematical possibility.
     """
-    head, W, S = _head_sums(head)
+    w = _head_weights(head)
+    head, W, S = w.w, w.W, w.S
     W_n1 = float(W[-1])
     S_n2 = float(S[-2])
     S_n1 = float(S[-1])
@@ -359,8 +364,8 @@ def existence_check(head) -> ConditionReport:
 def tail_sum_maximizer(head) -> float:
     """The total weight W_n = W_{n-1} S_{n-1} / S_{n-2} at which the
     right side of the induction bound (see ``induction_gap``) peaks."""
-    _, W, S = _head_sums(head)
-    return float(W[-1]) * float(S[-1]) / float(S[-2])
+    w = _head_weights(head)
+    return float(w.W[-1]) * float(w.S[-1]) / float(w.S[-2])
 
 
 def induction_gap(head, W_n: float) -> float:
@@ -372,12 +377,12 @@ def induction_gap(head, W_n: float) -> float:
 
     where S_n = S_{n-1} + W_n.  The gap vanishes at the maximizing W_n.
     """
-    head, W, S = _head_sums(head)
+    w = _head_weights(head)
     if W_n <= 0.0:
         raise InputError("W_n must be positive")
-    W_n1 = float(W[-1])
-    S_n2 = float(S[-2])
-    S_n1 = float(S[-1])
+    W_n1 = float(w.W[-1])
+    S_n2 = float(w.S[-2])
+    S_n1 = float(w.S[-1])
     S_n = S_n1 + W_n
     left = S_n2 * math.log(S_n2 / S_n1) + W_n1 * math.log(W_n1)
     right = S_n1 * math.log(S_n1 / S_n) + W_n1 * math.log(W_n)

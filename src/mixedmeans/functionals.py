@@ -53,10 +53,11 @@ def _rado_increments(w: WeightSequence, z: np.ndarray, s: float, k: int = 2):
 
 
 def _top_increment(w: WeightSequence, z: np.ndarray, s: float) -> np.ndarray:
-    """The violation search's objective, ``rado_increment`` at level n bit
-    for bit, from three exps; log-data of shape (..., n).  Contract:
-    ``_top_lines`` repeats these operations on floats with the same bits,
-    NaN and infinities included; change both or neither."""
+    """``rado_increment`` at level n bit for bit, from three exps; log-data
+    of shape (..., n).  The violation search maximizes it times
+    ``-_orientation(s)``.  Contract: ``_top_lines`` repeats these operations
+    on floats with the same bits, NaN and infinities included; change both
+    or neither."""
     return _rado_increments(w, z, s, w.n)[..., 0]
 
 
@@ -76,18 +77,25 @@ def _logaddexp(x: float, y: float) -> float:
     return y + math.log1p(math.exp(d)) if d < 0 else x + math.log(2.0) if x == y else d
 
 
+def _orientation(s: float) -> float:
+    """1 where a negative increment violates the inequality (s <= 1), -1
+    where a positive one does (s > 1, where the inequality reverses)."""
+    return 1.0 if s <= 1.0 else -1.0
+
+
 def _top_lines(w: WeightSequence, s: float):
-    """Scalar lines of ``-_top_increment``, the violation search's objective
-    (n >= 2): ``_top_lines(w, s)(z, i)`` maps c to its value at the row ``z``
-    with entry i set to c, bit for bit.  A line keeps the sums for log A, O
-    and M over the entries before i, from -inf or -0.0, which add exactly (no
-    term is -0.0), and the terms of the later entries free of c; ``at(c)``
-    repeats the batch's operations from i on, in one loop for s = 0 and one
-    for s != 0.  Its one ``np.exp`` call may warn; ``math.exp`` can differ."""
+    """Scalar lines of ``-_orientation(s) * _top_increment``, the violation
+    search's objective (n >= 2): ``_top_lines(w, s)(z, i)`` maps c to its
+    value at the row ``z`` with entry i set to c, bit for bit.  A line keeps
+    the sums for log A, O and M over the entries before i, from -inf or -0.0,
+    which add exactly (no term is -0.0), and the terms of the later entries
+    free of c; ``at(c)`` repeats the batch's operations from i on, in one loop
+    for s = 0 (which negates) and one for s != 0.  Its one ``np.exp`` call may
+    warn; ``math.exp`` can differ."""
     if s == 1.0:
         return lambda z, i: lambda c: -0.0
     lw, lW, ww, W = (a.tolist() for a in (w.log_w, w.log_W, w.w, w.W))
-    lae = _logaddexp
+    lae, flip = _logaddexp, -_orientation(s)
 
     def line(z, i):
         z, a, o = z.tolist(), -math.inf, -math.inf if s else -0.0
@@ -108,7 +116,7 @@ def _top_lines(w: WeightSequence, s: float):
                     p, o_, m_ = o_, lae(o_, uj + s * (a_ - lWj)), lae(m_, km)
                 out[0], out[1], out[2] = (p - lW_p) / s, (o_ - lW_n) / s, (m_ - lW_n) / s
                 e_p, e_n, e_m = np.exp(out, out=out).tolist()
-                return -(W_n * e_n - W_p * e_p - w_n * e_m)
+                return flip * (W_n * e_n - W_p * e_p - w_n * e_m)
         else:
             def at(c):
                 a_ = lae(a, lw_i + c)

@@ -29,12 +29,22 @@ __all__ = [
 # Absolute tolerance on |sum(q) - 1| for probability weights.
 NORMALIZATION_TOL = 1e-12
 
+# Entry types that numpy reads as numbers but a JSON vector of numbers never
+# holds; a set of exact types, for a check at C speed.
+_NOT_NUMBERS = frozenset((bool, np.bool_, str))
+
 
 class InputError(ValueError):
     """Input violates a positivity, length, or normalization contract."""
 
 
 def _positive_array(values, label: str) -> np.ndarray:
+    """``values`` as a read-only 1-D float array of finite positive entries.
+    Booleans and strings, which numpy would read as numbers, are rejected."""
+    if isinstance(values, (list, tuple)) and not _NOT_NUMBERS.isdisjoint(
+        map(type, values)
+    ):
+        raise InputError(f"{label} must be numbers, not booleans or strings")
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -106,12 +116,10 @@ def power_mean(q, x, r: float) -> float:
     1e-12).  ``r = 0`` is the exact geometric-mean branch, not a small-r
     approximation.
     """
-    q = np.asarray(q, dtype=float)
+    q = _positive_array(q, "probability weights")
     x = as_samples(x)
     if q.shape != x.shape:
         raise InputError("weights and samples must have equal length")
-    if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
-        raise InputError("probability weights must be strictly positive")
     if abs(float(q.sum()) - 1.0) > NORMALIZATION_TOL:
         raise InputError("probability weights must sum to 1 within 1e-12")
     log_x = np.log(x)

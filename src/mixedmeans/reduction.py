@@ -37,7 +37,7 @@ from .conditions import (
     gao_conditions,
     holland_condition,
 )
-from .means import InputError, WeightSequence, _positive_array, as_samples
+from .means import InputError, WeightSequence, as_samples
 
 __all__ = [
     "YPoint",
@@ -380,16 +380,16 @@ def weight_scan(head, tail_range, steps: int) -> list[dict]:
     the Holland margin, the four Gao margins, the two analytic bounds, and
     the curve maximum of the reduced objective, for every n.  Fields that do
     not apply (threshold undefined, table not representable) are None."""
-    head = _positive_array(head, "head weights")
+    head = WeightSequence(head)
     lo, hi = float(tail_range[0]), float(tail_range[1])
-    if not (lo > 0.0 and hi >= lo):
-        raise InputError("tail range must satisfy 0 < lo <= hi")
+    if not 0.0 < lo <= hi < math.inf:
+        raise InputError(f"tail range {lo!r}:{hi!r} must satisfy 0 < lo <= hi < inf")
     if steps < 2:
         raise InputError("need at least two steps")
     rows: list[dict] = []
     for j in range(steps):
         w_n = lo * (hi / lo) ** (j / (steps - 1))
-        w = WeightSequence(np.append(head, w_n))
+        w = WeightSequence(np.append(head.w, w_n))
         row: dict = {k: None for k in SCAN_FIELDS}
         row["w_n"] = w_n
         row["holland_margin"] = holland_condition(w).margins[0]

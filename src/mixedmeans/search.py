@@ -30,7 +30,7 @@ import mpmath
 import numpy as np
 
 from .conditions import OUT_OF_RANGE, ReducedProblem
-from .functionals import _top_increment, _top_lines, violation_tolerance
+from .functionals import _orientation, _top_increment, _top_lines, violation_tolerance
 from .means import InputError, WeightSequence
 
 __all__ = [
@@ -93,6 +93,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """``best_value`` is the largest objective value found: F, or for the
+    violation search the oriented increment (see ``violation_search``)."""
+
     best_value: float
     best_point: tuple
     trials_run: int
@@ -385,16 +388,18 @@ def _rado_increment_precise(w: WeightSequence, x, s: float, k: int) -> float:
 def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> SearchResult:
     """Multistart attack on the level-n increment, in its direct form on
     log-data: data drawn log-uniform over [1e-3, 1e3] per coordinate, refined
-    by coordinate ascent on the negated increment.  A positive best value
-    beyond the rounding tolerance is re-verified at 50 digits."""
+    by coordinate ascent on the increment oriented as ``verify`` reads it:
+    negated for s <= 1 and as is for s > 1, where the inequality reverses.
+    So ``best_value`` > 0 is a candidate violation for every s; one beyond
+    the rounding tolerance is re-verified at 50 digits."""
     if w.n < 2:
         raise InputError("need at least two weights")
     if not math.isfinite(s):
         raise InputError("exponent s must be finite")
-    n = w.n
+    n, sign = w.n, _orientation(s)
 
     def fun(Z: np.ndarray) -> np.ndarray:
-        return -_top_increment(w, Z, s)
+        return -sign * _top_increment(w, Z, s)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-_LOG10_RANGE, _LOG10_RANGE, n) * math.log(10.0)
@@ -412,7 +417,7 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
         raise InputError("the increment is NaN at every trial point")
     violation = False
     if best_val > violation_tolerance(w, best_x):
-        violation = _rado_increment_precise(w, best_x, s, n) < -1e-6
+        violation = sign * _rado_increment_precise(w, best_x, s, n) < -1e-6
     return SearchResult(
         best_value=best_val,
         best_point=tuple(float(v) for v in best_x),

@@ -68,6 +68,7 @@ def multistart_max_F(w: WeightSequence, config) -> SearchResult:
 
 def violation_search(w: WeightSequence, s: float, config) -> SearchResult:
     n = w.n
+    sign = 1.0 if s <= 1.0 else -1.0  # the inequality reverses for s > 1
     best_val = -math.inf
     best_x = None
     for t in range(config.trials):
@@ -75,7 +76,7 @@ def violation_search(w: WeightSequence, s: float, config) -> SearchResult:
         z0 = rng.uniform(-_LOG10_RANGE, _LOG10_RANGE, n) * math.log(10.0)
 
         def fun(z):
-            return -float(_top_increment(w, z, s))
+            return -sign * float(_top_increment(w, z, s))
 
         val, z = coordinate_ascent(
             fun, z0, math.log(2.0), math.log(1e-6), math.log(1e6), config.local_steps
@@ -86,7 +87,7 @@ def violation_search(w: WeightSequence, s: float, config) -> SearchResult:
     assert best_x is not None
     violation = False
     if best_val > violation_tolerance(w, best_x):
-        violation = _rado_increment_precise(w, best_x, s, n) < -1e-6
+        violation = sign * _rado_increment_precise(w, best_x, s, n) < -1e-6
     return SearchResult(
         best_value=best_val,
         best_point=tuple(float(v) for v in best_x),

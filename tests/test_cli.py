@@ -215,6 +215,43 @@ class TestSearch:
         assert json.loads(out)["violation"] is True
 
 
+    def test_holding_direction_above_one(self, capsys, tmp_path):
+        # For s > 1 the inequality reverses and a violation is a positive
+        # increment, as verify reads it; Nanjundiah's condition, which holds
+        # for every exponent pair, holds for both weight vectors
+        for w in ([1, 1, 1], [1, 2, 3]):
+            p = tmp_path / "w.json"
+            p.write_text(json.dumps({"w": w}))
+            for s in ("2", "3"):
+                code, out, err = invoke(capsys, ["search", str(p), "--s", s])
+                assert (code, err) == (0, ""), (w, s)
+                assert json.loads(out)["violation"] is False
+
+    def test_violations_above_one_fail_verify(self, capsys, tmp_path):
+        # every violation the search reports for s > 1 is one verify finds
+        rng = np.random.default_rng(76)
+        corpus = [[1, 1, 6], [1, 1, 30]] + [
+            random_weights(rng, n, 0.1, 30.0).w.tolist() for n in (3, 4, 5, 3, 4, 5)
+        ]
+        wf, xf = tmp_path / "w.json", tmp_path / "x.json"
+        found = 0
+        for j, w in enumerate(corpus):
+            wf.write_text(json.dumps({"w": w}))
+            for s in ("1.5", "2", "3"):
+                argv = ["search", str(wf), "--s", s, "--trials", "40", "--seed", str(j)]
+                code, out, _ = invoke(capsys, argv)
+                assert code in (0, 2)
+                doc = json.loads(out)
+                if not doc["violation"]:
+                    continue
+                found += 1
+                assert doc["best_value"] > 0
+                xf.write_text(json.dumps({"x": doc["best_point"]}))
+                code, out, _ = invoke(capsys, ["verify", str(wf), str(xf), "--s", s])
+                assert code == 2, (w, s)
+                assert json.loads(out)["levels"][-1]["rado_increment"] > 0
+        assert found >= 2
+
     def test_negative_local_steps_exits_one(self, capsys, files):
         code, out, err = invoke(
             capsys, ["search", files["w6"], "--local-steps", "-1"]
@@ -294,6 +331,15 @@ class TestScan:
         )
         assert code == 1
         assert "LO:HI" in err
+
+    @pytest.mark.parametrize(
+        "bounds", ["1:inf", "inf:inf", "-inf:1", "nan:2", "0:1", "2:1"]
+    )
+    def test_range_outside_zero_to_inf_exits_one(self, capsys, files, bounds):
+        code, out, err = invoke(capsys, ["scan", files["head11"], "--range", bounds])
+        assert (code, out) == (1, "")
+        assert err.startswith("mixedmeans: error: tail range ")
+        assert err.endswith(" must satisfy 0 < lo <= hi < inf\n")
 
 
 class TestGenWeights:
@@ -402,6 +448,68 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert "overflow" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command", ["check", "certify", "scan", "search", "gen-weights"]
+    )
+    def test_unreadable_files(self, capsys, tmp_path, command):
+        # not UTF-8, a UTF-8 byte order mark, and arrays nested past the
+        # parser's recursion limit: one line naming the file
+        extra = ["--range", "1:2"] if command == "scan" else []
+        deep = "[" * 100_000 + "]" * 100_000
+        for i, data in enumerate((
+            b"\xff\xfe", b"\xef\xbb\xbf{}", f'{{"w": {deep}}}'.encode(),
+        )):
+            p = tmp_path / f"bad{i}.json"
+            p.write_bytes(data)
+            err = self._one_line_error(capsys, [command, str(p), *extra])
+            assert err.startswith(f"mixedmeans: error: cannot read {p}: ")
+
+    def test_unreadable_samples(self, capsys, files, tmp_path):
+        p = tmp_path / "x.json"
+        p.write_bytes(b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+        for command in ("verify", "means"):
+            err = self._one_line_error(capsys, [command, files["w111"], str(p)])
+            assert "cannot read" in err
+
+    def test_booleans_and_strings_are_not_numbers(self, capsys, files, tmp_path):
+        # numpy reads true as 1 and "2" as 2.0; the weights contract is numbers
+        for i, text in enumerate(('{"w": [true, 2, 3]}', '{"w": [1, "2", 3]}')):
+            p = tmp_path / f"w{i}.json"
+            p.write_text(text)
+            for command in ("check", "certify", "gen-weights", "search"):
+                err = self._one_line_error(capsys, [command, str(p)])
+                assert "must be numbers, not booleans or strings" in err
+        p = tmp_path / "x.json"
+        p.write_text('{"x": [1, false, 3]}')
+        self._one_line_error(capsys, ["verify", files["w111"], str(p)])
+
+    def test_one_stderr_line_without_warnings(self, tmp_path):
+        # in a fresh process, so numpy warnings would reach stderr: sums
+        # that overflow float64, in the head and in the increments
+        head, w, x = (tmp_path / f"{k}.json" for k in ("head", "w", "x"))
+        head.write_text('{"w": [1e308, 1e308]}')
+        w.write_text('{"w": [1, 1, 1]}')
+        x.write_text('{"x": [1e308, 1e308, 1e308]}')
+        for argv, message in (
+            (["gen-weights", str(head)], "prefix sums of the weights overflow"),
+            (["verify", str(w), str(x), "--s", "2"], "result is not finite"),
+        ):
+            proc = run_python(
+                ["-m", "mixedmeans.cli", *argv], capture_output=True, text=True
+            )
+            assert (proc.returncode, proc.stdout) == (1, ""), argv
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+            assert message in proc.stderr
+
+    def test_critical_weight_out_of_range(self, capsys, tmp_path):
+        # W_2^2 / S_1 is 1e360 for the first head, whose sums are finite,
+        # and underflows to 0 for the second
+        p = tmp_path / "head.json"
+        for text in ('{"w": [1e-300, 1e30]}', '{"w": [5e-324, 5e-324]}'):
+            p.write_text(text)
+            err = self._one_line_error(capsys, ["gen-weights", str(p)])
+            assert "critical weight is out of float64 range" in err
 
     def test_reduced_problem_out_of_range(self, tmp_path):
         # p_2 = w_n/W_n underflows to 0; the products in alpha overflow
@@ -656,3 +764,118 @@ class TestCertifyScanFuzz:
         if code == 0:
             lines = out.splitlines()
             assert lines[0] == ",".join(SCAN_FIELDS) and len(lines) == steps + 1
+
+
+# Every argv of the fuzz below, with the weights file at {w} and the samples
+# file at {x}: each subcommand that reads a file, on short runs
+_READERS = {
+    "check": ["check", "{w}"],
+    "certify": ["certify", "{w}"],
+    "gen-weights": ["gen-weights", "{w}"],
+    "scan": ["scan", "{w}", "--range", "1:8", "--steps", "2"],
+    "search": ["search", "{w}", "--trials", "2", "--local-steps", "2"],
+    "verify": ["verify", "{w}", "{x}", "--s", "{s}"],
+    "means": ["means", "{w}", "{x}", "--r", "{s}", "--s", "0.5"],
+}
+# finite extremes, the moderate range, and entries that are not positive
+_ENTRIES = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-30, 1.0, 4.5, 1e30, 1e300, 1.7e308]),
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.sampled_from([0.0, -0.0, -1.0]),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["w", "x", "y"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _nested(depth, key):
+    return ('{"%s": ' % key + "[" * depth + "1" + "]" * depth + "}").encode()
+
+
+def _files(key):
+    """File contents for the field ``key``: random bytes, bytes that are not
+    UTF-8, any JSON value (objects with or without the key; NaN and infinities
+    as json writes them), the key over lists of numbers, booleans and strings,
+    nested lists up to and past the parser's recursion limit, and literals
+    that parse as non-finite or non-numbers."""
+    field = st.one_of(_JSON, st.lists(st.one_of(_ENTRIES, _JSON), max_size=8))
+    return st.one_of(
+        st.binary(max_size=40),
+        st.binary(max_size=20).map(lambda b: b"\xff" + b),
+        _JSON.map(lambda v: json.dumps(v).encode()),
+        field.map(lambda v: json.dumps({key: v}).encode()),
+        st.one_of(st.integers(2, 3000), st.just(100_000)).map(
+            lambda depth: _nested(depth, key)
+        ),
+        st.sampled_from([
+            '{"%s": [NaN, 1, 2]}', '{"%s": [1, Infinity]}', '{"%s": [-Infinity]}',
+            '{"%s": [1e999, 1]}', '{"%s": [1, 1e-999]}', '{"%s": [1, 2]',
+            '{"%s": [true, 2, 3]}', '{"%s": ["1", "2"]}', '{"%s": "12"}',
+        ]).map(lambda text: (text % key).encode()),
+    )
+
+
+def _vector(key, n):
+    return st.lists(_ENTRIES, min_size=n, max_size=n).map(
+        lambda v: json.dumps({key: v}).encode()
+    )
+
+
+def _check_stdout(command, code, out, err):
+    """``_check_exit``, and on exit 0 or 2 the subcommand's stdout: strict
+    JSON, CSV with the scan header, or one finite positive number."""
+    verdicts = command in ("check", "certify", "search", "verify")
+    _check_exit(code, out, err, (0, 1, 2) if verdicts else (0, 1))
+    if code == 1:
+        return
+    assert err == ""
+    if command == "gen-weights":
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert 0.0 < float(out) < math.inf
+    elif command == "scan":
+        lines = out.splitlines()
+        assert lines[0] == ",".join(SCAN_FIELDS) and len(lines) == 3
+    else:
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
+
+
+class TestReaderFuzz:
+    """Every subcommand that reads a file, on files of any bytes, and
+    ``verify`` and ``means`` on extreme vectors of equal length: a documented
+    exit code, no traceback, the subcommand's stdout format for 0 and 2, one
+    stderr line for 1, each example within the deadline."""
+
+    @staticmethod
+    def _run(tmp_path_factory, command, weights, samples, s="0.0"):
+        d = tmp_path_factory.mktemp("fuzz")
+        (d / "w.json").write_bytes(weights)
+        (d / "x.json").write_bytes(samples)
+        paths = {"w": d / "w.json", "x": d / "x.json", "s": s}
+        argv = [a.format(**paths) for a in _READERS[command]]
+        _check_stdout(command, *_run_captured(argv))
+
+    @settings(_FUZZ, max_examples=150)
+    @given(
+        command=st.sampled_from(sorted(_READERS)),
+        weights=st.one_of(
+            _files("w"), _FUZZ_WEIGHTS.map(lambda w: json.dumps({"w": w}).encode())
+        ),
+        samples=_files("x"),
+    )
+    def test_any_file(self, tmp_path_factory, command, weights, samples):
+        self._run(tmp_path_factory, command, weights, samples)
+
+    @_FUZZ
+    @given(
+        command=st.sampled_from(["verify", "means"]),
+        pair=st.integers(1, 7).flatmap(
+            lambda n: st.tuples(_vector("w", n), _vector("x", n))
+        ),
+        s=st.sampled_from(["-1", "0", "0.5", "1", "2", "1e300", "-1e-300"]),
+    )
+    def test_extreme_vectors(self, tmp_path_factory, command, pair, s):
+        self._run(tmp_path_factory, command, *pair, s)

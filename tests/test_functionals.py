@@ -13,7 +13,7 @@ from mixedmeans import (
     rado_value,
     violation_tolerance,
 )
-from mixedmeans.functionals import _top_increment, _top_lines
+from mixedmeans.functionals import _orientation, _top_increment, _top_lines
 from sampling import nanjundiah_weights, random_samples, random_weights
 
 
@@ -155,9 +155,9 @@ class TestTopIncrement:
         "s", [-3.0, -1.0, 0.0, 1e-3, 0.5, 1.0, 2.0, 40.0, 1e308, -1e308]
     )
     def test_scalar_lines_bit_identical(self, s):
-        # Every point of a scalar line has the bits of the negated batch row:
-        # NaN where s * log A overflows, and -0.0 at s = 1 (which the search
-        # reports there).
+        # Every point of a scalar line has the bits of the oriented batch row
+        # (negated for s <= 1): NaN where s * log A overflows, and -0.0 at
+        # s = 1 (which the search reports there).
         rng = np.random.default_rng(25)
         clamp = math.log(1e6)
         weights = [random_weights(rng, n) for n in range(2, 21)]
@@ -171,7 +171,7 @@ class TestTopIncrement:
                     Z = np.repeat(z[None], cs.size, axis=0)
                     Z[:, i] = cs
                     with np.errstate(all="ignore"):
-                        want = -_top_increment(w, Z, s)
+                        want = -_orientation(s) * _top_increment(w, Z, s)
                         at = line(z, i)
                         got = np.array([at(c) for c in cs.tolist()])
                         # the same line again, up and down: nothing it keeps changes

@@ -26,7 +26,7 @@ import oracle
 import serial_search
 from mixedmeans import search
 from mixedmeans.conditions import ReducedProblem
-from mixedmeans.functionals import _top_increment, _top_lines
+from mixedmeans.functionals import _orientation, _top_increment, _top_lines
 from mixedmeans.reduction import SCAN_FIELDS
 from mixedmeans.search import _rado_increment_precise
 from sampling import random_samples, random_weights
@@ -514,7 +514,7 @@ class TestSerialReference:
             w = random_weights(rng, n, 0.2, 8.0)
 
             def fun(Z):
-                return -_top_increment(w, Z, s)
+                return -_orientation(s) * _top_increment(w, Z, s)
 
             def draw(rng):
                 return rng.uniform(-3.0, 3.0, n) * math.log(10.0)
