@@ -220,11 +220,35 @@ class ReducedProblem:
         """At every t = log d in ``t``: the two log-products L_1, L_2 of F at
         the point Q_i(d) = W_{i+1}/(W_i + d w_{i+1}) of the curve of its
         interior critical points, where second_i = d Q_i, and log Q along a
-        new last axis.  Neither log Q nor log(d Q) cancels."""
+        new last axis.  One softplus log(1 + e^-|log W_i - t - log w_{i+1}|)
+        per axis serves log Q and log(d Q), neither of which cancels."""
         t = np.asarray(t)[..., None]
-        log_q = self.log_W[1:] - np.logaddexp(self.log_W[:-1], t + self.log_w[1:])
-        log_dq = self.log_W[1:] - np.logaddexp(self.log_W[:-1] - t, self.log_w[1:])
+        b = t + self.log_w[1:]
+        s = np.log1p(np.exp(-np.abs(self.log_W[:-1] - b)))
+        log_q = self.log_W[1:] - (np.maximum(self.log_W[:-1], b) + s)
+        log_dq = self.log_W[1:] - (np.maximum(self.log_W[:-1] - t, self.log_w[1:]) + s)
         return log_q @ self.alpha, log_dq @ self.beta, log_q
+
+    def curve_at(self, t: float):
+        """``curve``'s operations on one float t, to a few ulp: R(t) = L_2 - L_1
+        - t, R'(t) = sum (alpha_i - beta_i) u_i - w_1/W_n with u_i = d w_{i+1}/(W_i
+        + d w_{i+1}), and 8 eps (sum alpha_i |log Q_i| + sum beta_i |log d Q_i| +
+        |t|), R's rounding bound."""
+        L1, L2, size, slope = 0.0, 0.0, 0.0, -self.w_1 / self.W_n
+        for lW, lw, lW_next, a, b in self._curve_rows:
+            x = lW - (t + lw)
+            s = math.log1p(e := math.exp(-abs(x)))
+            log_q = lW_next - (max(lW, t + lw) + s)
+            log_dq = lW_next - (max(lW - t, lw) + s)
+            L1, L2 = L1 + a * log_q, L2 + b * log_dq
+            size += a * abs(log_q) + b * abs(log_dq)
+            slope += (a - b) * (e if x > 0.0 else 1.0) / (1.0 + e)
+        return L2 - L1 - t, slope, 8.0 * sys.float_info.epsilon * (size + abs(t))
+
+    @functools.cached_property
+    def _curve_rows(self):
+        rows = self.log_W[:-1], self.log_w[1:], self.log_W[1:], self.alpha, self.beta
+        return list(zip(*(a.tolist() for a in rows)))
 
     def F(self, L1, L2):
         """F from its two log-products; overwrites and returns ``L1``."""
@@ -363,9 +387,13 @@ def existence_check(head) -> ConditionReport:
 
 def tail_sum_maximizer(head) -> float:
     """The total weight W_n = W_{n-1} S_{n-1} / S_{n-2} at which the
-    right side of the induction bound (see ``induction_gap``) peaks."""
+    right side of the induction bound (see ``induction_gap``) peaks.  Raises
+    ``InputError`` where it overflows float64."""
     w = _head_weights(head)
-    return float(w.W[-1]) * float(w.S[-1]) / float(w.S[-2])
+    value = float(w.W[-1]) * (float(w.S[-1]) / float(w.S[-2]))
+    if not 0.0 < value < math.inf:
+        raise InputError("the maximizing total weight is out of float64 range")
+    return value
 
 
 def induction_gap(head, W_n: float) -> float:

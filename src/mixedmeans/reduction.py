@@ -287,7 +287,9 @@ def interior_bound(w: WeightSequence) -> float:
 
 def find_stationary_d(w: WeightSequence) -> list[float]:
     """The roots of the stationarity residual, sorted: exactly 1.0, d = e^t
-    at each root t of ``search._curve_roots`` in the curve window, and past
+    at each root t of ``search._curve_roots`` in the curve window (a grid
+    sign change of R(t)/t, refined by Newton's method until |R| is within
+    its rounding bound or the bracket within 2**-43 (1 + |t|)), and past
     each end of the window, where R is linear in t to float64 precision,
     its root there in closed form, if it has one:
 
@@ -376,7 +378,9 @@ SCAN_FIELDS = (
 
 
 def weight_scan(head, tail_range, steps: int) -> list[dict]:
-    """Sweep the tail weight over a geometric grid and report, per value,
+    """Sweep the tail weight over the geometric grid from lo to hi =
+    ``tail_range``, formed in logs so that every finite range serves, with
+    ends exactly lo and hi, and report, per value,
     the Holland margin, the four Gao margins, the two analytic bounds, and
     the curve maximum of the reduced objective, for every n.  Fields that do
     not apply (threshold undefined, table not representable) are None."""
@@ -387,8 +391,10 @@ def weight_scan(head, tail_range, steps: int) -> list[dict]:
     if steps < 2:
         raise InputError("need at least two steps")
     rows: list[dict] = []
+    log_lo, log_hi = math.log(lo), math.log(hi)
     for j in range(steps):
-        w_n = lo * (hi / lo) ** (j / (steps - 1))
+        w_n = math.exp(log_lo + j / (steps - 1) * (log_hi - log_lo))
+        w_n = lo if j == 0 else hi if j == steps - 1 else w_n
         w = WeightSequence(np.append(head.w, w_n))
         row: dict = {k: None for k in SCAN_FIELDS}
         row["w_n"] = w_n

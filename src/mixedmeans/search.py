@@ -1,11 +1,12 @@
 """Numeric oracles: the roots of R, which has the sign of the slope of the
 reduced objective F along the curve of its critical points (``curve_max_F``)
 and gives the maximum of F for boxes of up to four dimensions and the roots
-of ``reduction.find_stationary_d``; the multistart ascent of F beyond; and a
-multistart violation search in data space.  The route policy that decides
-when they run (``reduction.certify``, ``reduction.weight_scan``) lives in the
-reduction module, which imports this one.  F and the curve are read from
-the table ``conditions.ReducedProblem``, built once per weight sequence.
+of ``reduction.find_stationary_d``, by Newton's method from the sign changes
+on a grid; the multistart ascent of F beyond; and a multistart violation
+search in data space.  The route policy that decides when they run
+(``reduction.certify``, ``reduction.weight_scan``) lives in the reduction
+module, which imports this one.  F and the curve are read from the table
+``conditions.ReducedProblem``, built once per weight sequence.
 
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
@@ -65,13 +66,12 @@ _BOX_PADDING = 1e-3
 # The curve window reaches _CURVE_MARGIN beyond every t = log(W_i/w_{i+1}),
 # where the Q_i move: e**-37 < 2**-53, so past it each Q_i or d Q_i is
 # constant in float64.  A sign change of R(t)/t on its grid of step
-# _CURVE_STEP is narrowed by _CURVE_ROUNDS rounds of _CURVE_ZOOM points, to
-# 2**-43 in t: more would put the last round's points, whose F is taken, on
-# a few floats.
+# _CURVE_STEP is refined by Newton's method to a root t; F is taken at
+# _CURVE_ZOOM points spanning +-2**-39 (1 + |t|) around it, no closer: they
+# would fall on a few floats.
 _CURVE_MARGIN = 37.0
 _CURVE_STEP = 0.125
 _CURVE_ZOOM = 33
-_CURVE_ROUNDS = 8
 
 # Sampling range for data entries: the functionals are scale invariant,
 # so only the dynamic range matters.
@@ -129,27 +129,34 @@ def _curve_grid(rp: ReducedProblem) -> np.ndarray:
 def _curve_roots(rp: ReducedProblem):
     """The roots t = log d != 0 of R(t) = L_2 - L_1 - t (``ReducedProblem.curve``)
     in the curve window, one per sign change of S(t) = R(t)/t on a grid with
-    a node at t = 0; with log Q at the last round's points, shape (roots,
-    ``_CURVE_ZOOM``, n - 1), and the count of points evaluated.  d = 1 is an
-    exact root: S(0) = R'(0) = sum beta - 1 + sum (alpha_i - beta_i) w_{i+1}/W_{i+1}."""
-    slope = (rp.alpha - rp.beta) @ (rp.w_next / rp.W_next) - rp.w_1 / rp.W_n
-
-    def rises(t):  # S(t) > 0: R(t) = L_2 - L_1 - t has the sign of t
-        L1, L2, log_q = rp.curve(t)
-        return np.where(t == 0.0, slope > 0.0, (L2 - L1 > t) == (t > 0.0)), log_q
-
+    a node at t = 0 (S(0) = R'(0): d = 1 is an exact root), by Newton's
+    method on S in floats (``ReducedProblem.curve_at``), bisecting where a
+    step leaves the bracket or S' is 0 or not finite; on S, a bracket ending
+    at t = 0 never closes on R(0) = 0.  Each stops once |R| is within its
+    rounding bound or the bracket within 2**-43 (1 + |t|), with its last step
+    if in the bracket.  Also log Q at ``_CURVE_ZOOM`` points spanning
+    +-2**-39 (1 + |t|) around each root, shape (roots, ``_CURVE_ZOOM``, n - 1),
+    and the count of points evaluated: grid, Newton and sweep."""
     t = _curve_grid(rp)
-    up = rises(t)[0]
+    L1, L2, _ = rp.curve(t)
+    up = np.where(t == 0.0, rp.curve_at(0.0)[1] > 0.0, (L2 - L1 > t) == (t > 0.0))
     k = np.flatnonzero(up[:-1] != up[1:])
-    a, b = t[k], t[k + 1]
-    r, s = np.arange(k.size), np.linspace(0.0, 1.0, _CURVE_ZOOM)
-    for _ in range(_CURVE_ROUNDS):
-        T = a[:, None] + (b - a)[:, None] * s
-        T[:, -1] = b  # a + (b - a) may round off b
-        up, log_q = rises(T)
-        j = np.argmax(up[:, :-1] != up[:, 1:], axis=1)
-        a, b = T[r, j], T[r, j + 1]
-    return 0.5 * (a + b), log_q, t.size + _CURVE_ROUNDS * k.size * _CURVE_ZOOM
+    roots, evaluations = [], t.size
+    for a, b, rises in zip(t[k].tolist(), t[k + 1].tolist(), up[k].tolist()):
+        x, done = 0.5 * (a + b), False
+        while not done:
+            R, slope, bound = rp.curve_at(x)
+            evaluations += 1
+            like_a = ((R > 0.0) == (x > 0.0)) == rises  # sign S(x) = sign S(a)
+            a, b = (x, b) if like_a else (a, x)
+            done = abs(R) <= bound or b - a <= 2.0**-43 * (1.0 + abs(x))
+            den = slope * x - R  # S/S' = R x/(R' x - R)
+            step = x - R * x / den if den else math.nan
+            x = step if a < step < b else x if done else 0.5 * (a + b)
+        roots.append(x)
+    r = np.array(roots)[:, None]
+    T = r + 2.0**-39 * (1.0 + np.abs(r)) * np.linspace(-1.0, 1.0, _CURVE_ZOOM)
+    return r[:, 0], rp.curve(T)[2], evaluations + T.size
 
 
 def curve_max_F(w: WeightSequence) -> SearchResult:
@@ -167,8 +174,8 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     falls in d, so sign phi'(t) = sign R(t) in t = log d, R = log G_2 -
     log G_1 - t: the local maxima of phi are roots of R (``_curve_roots``).
 
-    The result is the first of the point 1, the corners and the last round's
-    points around every root with the largest table F (``objective_F`` at
+    The result is the first of the point 1, the corners and the points
+    around every root with the largest table F (``objective_F`` at
     ``best_point`` bit for bit).  Raises ``InputError`` unless the table is
     ``ReducedProblem.representable``.
     """

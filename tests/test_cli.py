@@ -341,6 +341,17 @@ class TestScan:
         assert err.startswith("mixedmeans: error: tail range ")
         assert err.endswith(" must satisfy 0 < lo <= hi < inf\n")
 
+    def test_range_wider_than_float64_ratio(self, capsys, files):
+        # hi / lo overflows float64; the grid is formed in logs, ends exact
+        code, out, err = invoke(
+            capsys,
+            ["scan", files["head11"], "--range", "1e-300:1e10", "--steps", "3"],
+        )
+        assert (code, err) == (0, "")
+        w_n = [float(row["w_n"]) for row in csv.DictReader(out.splitlines())]
+        assert w_n[0] == 1e-300 and w_n[2] == 1e10
+        assert w_n[1] == pytest.approx(1e-145, rel=1e-12)
+
 
 class TestGenWeights:
     def test_pair_head(self, capsys, files):

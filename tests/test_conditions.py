@@ -218,6 +218,14 @@ class TestInductionGap:
             gap = induction_gap(head, peak)
             assert abs(math.expm1(-gap)) < 1e-10
 
+    def test_maximizer_out_of_range(self):
+        # W_3 S_3 = 6e400 overflows on the way to 6e200; a value past float64
+        # raises
+        peak = tail_sum_maximizer([1e-300, 1e200, 1e200])
+        assert peak == pytest.approx(6e200, rel=1e-15)
+        with pytest.raises(InputError, match="out of float64 range"):
+            tail_sum_maximizer([1e-300, 1e300])
+
     def test_nonnegative_elsewhere(self):
         rng = np.random.default_rng(35)
         for _ in range(100):

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,7 +30,7 @@ from mixedmeans.conditions import ReducedProblem
 from mixedmeans.functionals import _orientation, _top_increment, _top_lines
 from mixedmeans.reduction import SCAN_FIELDS
 from mixedmeans.search import _rado_increment_precise
-from sampling import random_samples, random_weights
+from sampling import log_uniform, random_samples, random_weights
 
 
 class TestGridMaxF:
@@ -106,6 +107,89 @@ class TestGridMaxF:
             w = random_weights(rng, 6 + j % 15, 0.2, 8.0)
             want = multistart_max_F(w, SearchConfig(seed=j)).best_value
             assert curve_max_F(w).best_value >= want * (1.0 - 1e-15), (w.w, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _curve_corpus():
+    """240 tables, n = 3..8: log-weights uniform in [-2, 2], and heads
+    log-uniform in [0.5, 2] with a tail 1-3 times the critical weight."""
+    rng = np.random.default_rng(64)
+    ws = []
+    for j in range(240):
+        n = 3 + j % 6
+        if j % 2:
+            head = log_uniform(rng, 0.5, 2.0, n - 1)
+            ws.append(np.append(head, critical_weight(head) * rng.uniform(1.0, 3.0)))
+        else:
+            ws.append(np.exp(rng.uniform(-2.0, 2.0, n)))
+    return tuple(tuple(w.tolist()) for w in ws)
+
+
+class TestCurveOracle:
+    """The curve's roots, its maximum and its scalar evaluator against the
+    50-digit oracle and the array kernel."""
+
+    def test_roots_match_the_oracle(self):
+        checked = 0
+        for ws in _curve_corpus():
+            w = WeightSequence(ws)
+            for t in search._curve_roots(ReducedProblem.of(w))[0].tolist():
+                with mpmath.workdps(oracle.DPS):
+                    ref = mpmath.findroot(
+                        lambda d: oracle.stationary_residual(ws, d), math.exp(t)
+                    )
+                assert math.exp(t) == pytest.approx(float(ref), rel=1e-12), (ws, t)
+                checked += 1
+        assert checked > 100
+
+    def test_best_value_is_F_at_best_point(self):
+        for ws in _curve_corpus():
+            res = curve_max_F(WeightSequence(ws))
+            ref = float(oracle.objective_F(ws, res.best_point))
+            assert res.best_value == pytest.approx(ref, rel=1e-14), ws
+
+    def test_scalar_curve_matches_the_kernel(self):
+        # R to a few ulp of the magnitudes it is formed from; R' to a
+        # central difference of the kernel's R
+        eps, h = sys.float_info.epsilon, 1e-5
+        rng = np.random.default_rng(65)
+        for ws in _curve_corpus():
+            rp = ReducedProblem.of(WeightSequence(ws))
+            grid = search._curve_grid(rp)
+            t = np.concatenate([grid[::9], rng.uniform(grid[0], grid[-1], 8), [0.0, 1e-9]])
+            L1, L2, log_q = rp.curve(t)
+            scale = (
+                np.abs(log_q) @ rp.alpha
+                + np.abs(log_q + t[:, None]) @ rp.beta
+                + (rp.alpha + rp.beta) @ np.abs(rp.log_W[1:])
+                + np.abs(t)
+            )
+            up, down = (rp.curve(t + dt) for dt in (h, -h))
+            central = ((up[1] - up[0]) - (down[1] - down[0]) - 2 * h) / (2 * h)
+            for x, R, size, diff in zip(t.tolist(), L2 - L1 - t, scale, central):
+                R_at, slope, _ = rp.curve_at(x)
+                assert abs(R_at - R) <= 4 * eps * size, (ws, x)
+                assert slope == pytest.approx(diff, abs=1e-6), (ws, x)
+
+    def test_slope_at_one(self):
+        # R'(0) = sum (alpha_i - beta_i) w_{i+1}/W_{i+1} - w_1/W_n
+        for ws in _curve_corpus()[:40]:
+            rp = ReducedProblem.of(WeightSequence(ws))
+            want = (rp.alpha - rp.beta) @ (rp.w_next / rp.W_next) - rp.w_1 / rp.W_n
+            assert rp.curve_at(0.0)[1] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_flat_sign_changes_end_at_once(self):
+        # R is flat to rounding on the whole window: dozens of sign changes
+        # of noise, each ended by the rounding bound after one evaluation
+        w = WeightSequence([1.0, 1e20])
+        rp = ReducedProblem.of(w)
+        roots, log_q, evaluations = search._curve_roots(rp)
+        assert roots.size > 20
+        assert log_q.shape == (roots.size, search._CURVE_ZOOM, 1)
+        assert evaluations == search._curve_grid(rp).size + roots.size * (
+            1 + search._CURVE_ZOOM
+        )
+        assert curve_max_F(w).best_value == pytest.approx(1.0, abs=1e-14)
 
 
 def _lattice_cases():
