@@ -62,10 +62,14 @@ class _Parser(argparse.ArgumentParser):
 def _load_field(path: str, key: str):
     """Field ``key`` of the JSON object in the file at ``path``.  A file that
     cannot be opened, is not UTF-8 JSON (``ValueError``) or nests too deeply
-    to parse raises ``InputError``."""
+    to parse raises ``InputError``.  CR and CRLF line breaks read as LF, as
+    in text mode, and so count in a parse error's position."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):

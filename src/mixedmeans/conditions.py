@@ -233,9 +233,11 @@ class ReducedProblem:
         """``curve``'s operations on one float t, to a few ulp: R(t) = L_2 - L_1
         - t, R'(t) = sum (alpha_i - beta_i) u_i - w_1/W_n with u_i = d w_{i+1}/(W_i
         + d w_{i+1}), and 8 eps (sum alpha_i |log Q_i| + sum beta_i |log d Q_i| +
-        |t|), R's rounding bound."""
-        L1, L2, size, slope = 0.0, 0.0, 0.0, -self.w_1 / self.W_n
-        for lW, lw, lW_next, a, b in self._curve_rows:
+        sum (alpha_i + beta_i) |log W_{i+1}| + |t|), R's rounding bound (log Q_i
+        near 0 keeps the rounding of log W_{i+1})."""
+        rows, size = self._curve_rows
+        L1, L2, slope = 0.0, 0.0, -self.w_1 / self.W_n
+        for lW, lw, lW_next, a, b in rows:
             x = lW - (t + lw)
             s = math.log1p(e := math.exp(-abs(x)))
             log_q = lW_next - (max(lW, t + lw) + s)
@@ -248,7 +250,33 @@ class ReducedProblem:
     @functools.cached_property
     def _curve_rows(self):
         rows = self.log_W[:-1], self.log_w[1:], self.log_W[1:], self.alpha, self.beta
-        return list(zip(*(a.tolist() for a in rows)))
+        floor = (self.alpha + self.beta) @ np.abs(self.log_W[1:])
+        return list(zip(*(a.tolist() for a in rows))), float(floor)
+
+    @functools.cached_property
+    def monotone_ends(self) -> tuple[float, float]:
+        """(L, U): R' <= -kappa/2 for t <= L, kappa = w_1/W_n, and R' has the
+        sign of its limit e = sum a_i - kappa for t >= U, so R is strictly
+        monotone on each end.  Proof: R' = sum a_i u_i - kappa with a_i =
+        alpha_i - beta_i, u_i = sigma(t - c_i), c_i = log(W_i/w_{i+1}), and
+        u_i <= e^(t - c_i), 1 - u_i <= e^(c_i - t); so L = log(kappa/2) - log
+        sum_{a_i > 0} a_i e^-c_i and U = log sum_{sign a_i = sign e} |a_i| e^c_i
+        - log(|e|/2).  L is -inf where kappa underflows to 0, U inf where e is
+        within rounding of 0; an empty sum makes its bound +-inf."""
+        rows, _ = self._curve_rows
+        ac = [(a - b, lW - lw) for lW, lw, _, a, b in rows]  # (a_i, c_i)
+        kappa = self.w_1 / self.W_n
+        e = math.fsum(a for a, _ in ac) - kappa
+
+        def log_sum(terms):  # log sum e^x over terms; -inf + log 1 if empty
+            top = max(terms, default=-math.inf)
+            return top + math.log(math.fsum(math.exp(x - top) for x in terms) or 1.0)
+
+        left = log_sum([math.log(a) - c for a, c in ac if a > 0.0])
+        right = log_sum([math.log(abs(a)) + c for a, c in ac if a and (a > 0.0) == (e > 0.0)])
+        lo = math.log(kappa) - math.log(2.0) - left if kappa else -math.inf
+        tol = 4.0 * len(ac) * sys.float_info.epsilon * (1.0 + math.fsum(self.alpha.tolist()))
+        return lo, right - math.log(abs(e) / 2.0) if abs(e) > tol else math.inf
 
     def F(self, L1, L2):
         """F from its two log-products; overwrites and returns ``L1``."""

@@ -51,7 +51,7 @@ def _positive_array(values, label: str) -> np.ndarray:
         raise InputError(f"{label} must be numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise InputError(f"{label} must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not (arr.min() > 0.0 and arr.max() < math.inf):  # NaN fails both
         raise InputError(f"{label} entries must be finite and strictly positive")
     arr.setflags(write=False)
     return arr

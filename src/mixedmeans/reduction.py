@@ -287,11 +287,12 @@ def interior_bound(w: WeightSequence) -> float:
 
 def find_stationary_d(w: WeightSequence) -> list[float]:
     """The roots of the stationarity residual, sorted: exactly 1.0, d = e^t
-    at each root t of ``search._curve_roots`` in the curve window (a grid
-    sign change of R(t)/t, refined by Newton's method until |R| is within
-    its rounding bound or the bracket within 2**-43 (1 + |t|)), and past
-    each end of the window, where R is linear in t to float64 precision,
-    its root there in closed form, if it has one:
+    at each root t of ``search._curve_roots`` in the curve window (a sign
+    change of R(t)/t on a grid that covers [L, U], past which R is strictly
+    monotone (``ReducedProblem.monotone_ends``), refined by Newton's method
+    until |R| is within its rounding bound or the bracket within 2**-43
+    (1 + |t|)), and past each end of the window, where R is linear in t to
+    float64 precision, its root there in closed form, if it has one:
 
         t = sum (alpha_i - beta_i) log(W_{i+1}/w_{i+1}) / (sum alpha - 1)
         on the right,  t = sum (beta_i - alpha_i) log(W_{i+1}/W_i) W_n/w_1

@@ -65,13 +65,14 @@ _BOX_PADDING = 1e-3
 
 # The curve window reaches _CURVE_MARGIN beyond every t = log(W_i/w_{i+1}),
 # where the Q_i move: e**-37 < 2**-53, so past it each Q_i or d Q_i is
-# constant in float64.  A sign change of R(t)/t on its grid of step
-# _CURVE_STEP is refined by Newton's method to a root t; F is taken at
-# _CURVE_ZOOM points spanning +-2**-39 (1 + |t|) around it, no closer: they
-# would fall on a few floats.
+# constant in float64.  A sign change of R(t)/t on its grid, of step
+# _CURVE_STEP where R may not be monotone, is refined by Newton's method to a
+# root t; F is taken at _CURVE_ZOOM points (offsets _ZOOM_OFFSETS) spanning
+# +-2**-39 (1 + |t|) around it, no closer: they would fall on a few floats.
 _CURVE_MARGIN = 37.0
 _CURVE_STEP = 0.125
 _CURVE_ZOOM = 33
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, _CURVE_ZOOM)
 
 # Sampling range for data entries: the functionals are scale invariant,
 # so only the dynamic range matters.
@@ -120,30 +121,46 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _curve_grid(rp: ReducedProblem) -> np.ndarray:
-    """The nodes t = log d of the curve window: step ``_CURVE_STEP``, one at
-    t = 0, reaching ``_CURVE_MARGIN`` beyond every log(W_i/w_{i+1})."""
+    """The nodes t = log d of the curve window, reaching ``_CURVE_MARGIN`` beyond
+    every log(W_i/w_{i+1}): its ends, t = 0, and the lattice of step
+    ``_CURVE_STEP`` that covers [L, U] = ``ReducedProblem.monotone_ends``.
+    Past L and U, R is strictly monotone: at most one root, none by t = 0."""
+    lo, hi = rp.monotone_ends
     reach = np.abs(rp.log_W[:-1] - rp.log_w[1:]).max() + _CURVE_MARGIN
-    return np.arange(-(h := math.ceil(reach / _CURVE_STEP)), h + 1) * _CURVE_STEP
+    h = math.ceil(reach / _CURVE_STEP)
+    first = math.floor(min(max(lo / _CURVE_STEP, -h), h))
+    last = math.ceil(min(max(hi / _CURVE_STEP, -h), h))
+    below = np.arange(max(first, 1 - h), min(last, -1) + 1)
+    above = np.arange(max(first, 1), min(last, h - 1) + 1)
+    return np.concatenate([[-h], below, [0], above, [h]]) * _CURVE_STEP
 
 
 def _curve_roots(rp: ReducedProblem):
     """The roots t = log d != 0 of R(t) = L_2 - L_1 - t (``ReducedProblem.curve``)
-    in the curve window, one per sign change of S(t) = R(t)/t on a grid with
-    a node at t = 0 (S(0) = R'(0): d = 1 is an exact root), by Newton's
+    in the curve window, one per sign change of S(t) = R(t)/t on
+    ``_curve_grid`` (S(0) = R'(0): d = 1 is an exact root), by Newton's
     method on S in floats (``ReducedProblem.curve_at``), bisecting where a
     step leaves the bracket or S' is 0 or not finite; on S, a bracket ending
-    at t = 0 never closes on R(0) = 0.  Each stops once |R| is within its
-    rounding bound or the bracket within 2**-43 (1 + |t|), with its last step
-    if in the bracket.  Also log Q at ``_CURVE_ZOOM`` points spanning
+    at t = 0 never closes on R(0) = 0, and past L or U it holds no other root
+    and is skipped.  A bracket wider than a step starts where R's chord
+    crosses 0, the others at their middle.  Each stops once |R| is within
+    its rounding bound or the bracket within 2**-43 (1 + |t|), with its last
+    step if in the bracket.  Also log Q at ``_CURVE_ZOOM`` points spanning
     +-2**-39 (1 + |t|) around each root, shape (roots, ``_CURVE_ZOOM``, n - 1),
     and the count of points evaluated: grid, Newton and sweep."""
     t = _curve_grid(rp)
+    lo, hi = rp.monotone_ends
     L1, L2, _ = rp.curve(t)
-    up = np.where(t == 0.0, rp.curve_at(0.0)[1] > 0.0, (L2 - L1 > t) == (t > 0.0))
+    D = L2 - L1 - t  # R on the grid
+    up = np.where(t == 0.0, rp.curve_at(0.0)[1] > 0.0, (D > 0.0) == (t > 0.0))
     k = np.flatnonzero(up[:-1] != up[1:])
     roots, evaluations = [], t.size
-    for a, b, rises in zip(t[k].tolist(), t[k + 1].tolist(), up[k].tolist()):
+    for a, b, rises, Da, Db in zip(*(v[k].tolist() for v in (t, t[1:], up, D, D[1:]))):
+        if 0.0 in (a, b) and (b <= lo or a >= hi):
+            continue
         x, done = 0.5 * (a + b), False
+        if b - a > _CURVE_STEP and a < (f := a + (b - a) * Da / (Da - Db)) < b:
+            x = f
         while not done:
             R, slope, bound = rp.curve_at(x)
             evaluations += 1
@@ -155,7 +172,7 @@ def _curve_roots(rp: ReducedProblem):
             x = step if a < step < b else x if done else 0.5 * (a + b)
         roots.append(x)
     r = np.array(roots)[:, None]
-    T = r + 2.0**-39 * (1.0 + np.abs(r)) * np.linspace(-1.0, 1.0, _CURVE_ZOOM)
+    T = r + 2.0**-39 * (1.0 + np.abs(r)) * _ZOOM_OFFSETS
     return r[:, 0], rp.curve(T)[2], evaluations + T.size
 
 
@@ -172,7 +189,8 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     F(Q(d)) = p_1 prod Q_i^alpha_i + p_2 prod (d Q_i)^beta_i; phi(1) = 1.
     At Q(d), dF/dy_i = (W_i w_n / (W_n^2 Q_i)) (G_1 - G_2/d) and every Q_i
     falls in d, so sign phi'(t) = sign R(t) in t = log d, R = log G_2 -
-    log G_1 - t: the local maxima of phi are roots of R (``_curve_roots``).
+    log G_1 - t: the local maxima of phi are roots of R (``_curve_roots``),
+    which is strictly monotone past ``ReducedProblem.monotone_ends``.
 
     The result is the first of the point 1, the corners and the points
     around every root with the largest table F (``objective_F`` at
@@ -183,8 +201,9 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     if not rp.representable:
         raise InputError(OUT_OF_RANGE)
     _, log_q, evaluations = _curve_roots(rp)
-    on_curve = np.minimum(np.exp(log_q.reshape(-1, w.n - 1)), rp.upper)
-    Y = np.vstack([np.ones(w.n - 1), np.zeros(w.n - 1), rp.upper, on_curve])
+    Y = np.empty((3 + log_q.shape[0] * _CURVE_ZOOM, w.n - 1))
+    Y[0], Y[1], Y[2] = 1.0, 0.0, rp.upper
+    np.minimum(np.exp(log_q.reshape(-1, w.n - 1), out=Y[3:]), rp.upper, out=Y[3:])
     vals = rp.F(*rp.log_products(Y))
     k = int(np.argmax(vals))
     return SearchResult(float(vals[k]), tuple(Y[k].tolist()), evaluations)

@@ -476,6 +476,32 @@ class TestErrorPaths:
             err = self._one_line_error(capsys, [command, str(p), *extra])
             assert err.startswith(f"mixedmeans: error: cannot read {p}: ")
 
+    def test_line_breaks_and_encodings(self, capsys, tmp_path):
+        # CRLF and CR read as LF, in values and in a parse error's position;
+        # a UTF-8 byte order mark, UTF-16 and invalid UTF-8 are one-line errors
+        def write(name, data):
+            p = tmp_path / name
+            p.write_bytes(data)
+            return str(p)
+
+        lf = invoke(capsys, ["certify", write("lf.json", b'{\n"w": [1, 1, 6]\n}\n')])
+        crlf = invoke(capsys, ["certify", write("crlf.json", b'{\r\n"w": [1, 1, 6]\r\n}\r\n')])
+        assert crlf == lf and lf[0] == 2
+        for i, data in enumerate((b'{\n"w": [1,,2]\n}', b'{\r\n"w": [1,,2]\r\n}', b'{\r"w": [1,,2]}')):
+            err = self._one_line_error(capsys, ["check", write(f"comma{i}.json", data)])
+            assert err.endswith(": Expecting value: line 2 column 9 (char 10)\n")
+        for i, (data, reason) in enumerate((
+            (b'\xef\xbb\xbf{"w": [1, 2]}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+             ": line 1 column 1 (char 0)"),
+            ('{"w": [1, 2]}'.encode("utf-16"), "'utf-8' codec can't decode byte 0xff in "
+             "position 0: invalid start byte"),
+            (b'{"w": [1, \xc3 2]}', "'utf-8' codec can't decode byte 0xc3 in position 10: "
+             "invalid continuation byte"),
+        )):
+            p = write(f"enc{i}.json", data)
+            err = self._one_line_error(capsys, ["certify", p])
+            assert err == f"mixedmeans: error: cannot read {p}: {reason}\n"
+
     def test_unreadable_samples(self, capsys, files, tmp_path):
         p = tmp_path / "x.json"
         p.write_bytes(b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")

@@ -22,6 +22,7 @@ from mixedmeans import (
     violation_search,
     weight_scan,
 )
+import curve_reference
 import dense_lattice
 import oracle
 import serial_search
@@ -155,7 +156,7 @@ class TestCurveOracle:
         rng = np.random.default_rng(65)
         for ws in _curve_corpus():
             rp = ReducedProblem.of(WeightSequence(ws))
-            grid = search._curve_grid(rp)
+            grid = curve_reference.full_lattice(rp)
             t = np.concatenate([grid[::9], rng.uniform(grid[0], grid[-1], 8), [0.0, 1e-9]])
             L1, L2, log_q = rp.curve(t)
             scale = (
@@ -178,18 +179,85 @@ class TestCurveOracle:
             want = (rp.alpha - rp.beta) @ (rp.w_next / rp.W_next) - rp.w_1 / rp.W_n
             assert rp.curve_at(0.0)[1] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-    def test_flat_sign_changes_end_at_once(self):
-        # R is flat to rounding on the whole window: dozens of sign changes
-        # of noise, each ended by the rounding bound after one evaluation
+    def test_flat_curve_has_no_root(self):
+        # alpha - beta = 0, so R' = -w_1/W_n < 0 on the whole line: the grid
+        # is the window's ends and t = 0, and R's rounding noise gives no root
         w = WeightSequence([1.0, 1e20])
         rp = ReducedProblem.of(w)
+        grid = search._curve_grid(rp)
+        assert grid.tolist() == [curve_reference.full_lattice(rp)[0], 0.0, -grid[0]]
         roots, log_q, evaluations = search._curve_roots(rp)
-        assert roots.size > 20
-        assert log_q.shape == (roots.size, search._CURVE_ZOOM, 1)
-        assert evaluations == search._curve_grid(rp).size + roots.size * (
-            1 + search._CURVE_ZOOM
-        )
+        assert roots.size == 0 and log_q.shape == (0, search._CURVE_ZOOM, 1)
+        assert evaluations == 3
         assert curve_max_F(w).best_value == pytest.approx(1.0, abs=1e-14)
+
+    def test_pruned_roots_match_the_full_lattice(self):
+        # the same roots as on every node of the window, to 1e-12 relative
+        for ws in _curve_corpus():
+            rp = ReducedProblem.of(WeightSequence(ws))
+            want = curve_reference.roots(rp)
+            got = search._curve_roots(rp)[0]
+            assert got.size == want.size and got == pytest.approx(want, rel=1e-12), ws
+
+    def test_pruned_roots_match_the_full_lattice_on_extreme_weights(self):
+        # Each root is within 1e-12 relative, or within the width 2 bound/|R'|
+        # in which float64 cannot tell R from 0, of one of the other's.
+        # Roots wider than a step are sign changes of rounding noise, which
+        # the pruned grid may drop where R is proven monotone.
+        rng = np.random.default_rng(66)
+        tables, noise = 0, [0, 0]
+        for span in (30.0, 300.0):
+            for _ in range(2000):
+                try:
+                    w = WeightSequence(10.0 ** rng.uniform(-span, span, int(rng.integers(2, 9))))
+                    rp = ReducedProblem.of(w)
+                except InputError:
+                    continue
+                if not rp.representable:
+                    continue
+                tables += 1
+                found = []
+                for j, roots in enumerate((curve_reference.roots(rp), search._curve_roots(rp)[0])):
+                    keep = []
+                    for t in roots.tolist():
+                        _, slope, bound = rp.curve_at(t)
+                        width = 2.0 * bound / abs(slope) if slope else math.inf
+                        if width < search._CURVE_STEP:
+                            keep.append((t, max(width, 1e-12 * abs(t))))
+                        else:
+                            noise[j] += 1
+                    found.append(keep)
+                want, got = found
+                assert len(got) == len(want), w.w
+                for (a, wa), (b, wb) in zip(want, got):
+                    assert abs(a - b) <= max(wa, wb), (w.w, a, b)
+        assert tables > 500
+        assert noise[1] < noise[0]
+
+    def test_slope_has_the_proven_sign_past_the_bounds(self):
+        # R' <= -w_1/W_n / 2 at t <= L, and R' has the sign of sum alpha - 1 at t >= U
+        rng = np.random.default_rng(67)
+        checked = 0
+        for span in (2.0, 30.0, 300.0):
+            for _ in range(150):
+                try:
+                    rp = ReducedProblem.of(
+                        WeightSequence(10.0 ** rng.uniform(-span, span, int(rng.integers(2, 9))))
+                    )
+                except InputError:
+                    continue
+                lo, hi = rp.monotone_ends
+                kappa, e = rp.w_1 / rp.W_n, float(np.sum(rp.alpha - rp.beta)) - rp.w_1 / rp.W_n
+                for t in (lo - rng.exponential(20.0, 4)).tolist():
+                    if math.isfinite(t):
+                        assert rp.curve_at(t)[1] <= -0.5 * kappa * (1.0 - 1e-12), (rp.w_n, t)
+                        checked += 1
+                for t in (hi + rng.exponential(20.0, 4)).tolist():
+                    if math.isfinite(t):
+                        assert rp.curve_at(t)[1] * e > 0.0, (t, e)
+                        assert abs(rp.curve_at(t)[1]) >= 0.5 * abs(e) * (1.0 - 1e-12)
+                        checked += 1
+        assert checked > 1000
 
 
 def _lattice_cases():
