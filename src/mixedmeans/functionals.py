@@ -86,19 +86,21 @@ def _orientation(s: float) -> float:
 def _top_lines(w: WeightSequence, s: float):
     """Scalar lines of ``-_orientation(s) * _top_increment``, the violation
     search's objective (n >= 2): ``_top_lines(w, s)(z, i)`` maps c to its
-    value at the row ``z`` with entry i set to c, bit for bit.  A line keeps
-    the sums for log A, O and M over the entries before i, from -inf or -0.0,
-    which add exactly (no term is -0.0), and the terms of the later entries
-    free of c; ``at(c)`` repeats the batch's operations from i on, in one loop
-    for s = 0 (which negates) and one for s != 0.  Its one ``np.exp`` call may
-    warn; ``math.exp`` can differ."""
+    value at the row ``z``, a list of floats, with entry i set to c, bit for
+    bit.  A line keeps the sums for log A, O and M over the entries before i,
+    from -inf or -0.0, which add exactly (no term is -0.0), and the terms of
+    the later entries free of c; ``at(c)`` repeats the batch's operations from
+    i on, in one loop for s = 0 (which negates, and takes ``_logaddexp``'s
+    three branches inline: x + log 2 on a tie) and one for s != 0.  Its one
+    ``np.exp(out, out)`` call, ``out`` positional, may warn; ``math.exp``
+    can differ."""
     if s == 1.0:
         return lambda z, i: lambda c: -0.0
     lw, lW, ww, W = (a.tolist() for a in (w.log_w, w.log_W, w.w, w.W))
-    lae, flip = _logaddexp, -_orientation(s)
+    lae, flip, exp, log1p, log2 = _logaddexp, -_orientation(s), math.exp, math.log1p, math.log(2.0)
 
     def line(z, i):
-        z, a, o = z.tolist(), -math.inf, -math.inf if s else -0.0
+        a, o = -math.inf, -math.inf if s else -0.0
         m, u = o, lw if s else ww  # O sums lw_j + s log A_j in logs, or ww_j log A_j
         rows = [(lw[j] + z[j], u[j], lW[j], lw[j] + s * z[j] if s else u[j] * z[j])
                 for j in range(len(z))]
@@ -115,17 +117,22 @@ def _top_lines(w: WeightSequence, s: float):
                     a_ = lae(a_, ka)
                     p, o_, m_ = o_, lae(o_, uj + s * (a_ - lWj)), lae(m_, km)
                 out[0], out[1], out[2] = (p - lW_p) / s, (o_ - lW_n) / s, (m_ - lW_n) / s
-                e_p, e_n, e_m = np.exp(out, out=out).tolist()
+                e_p, e_n, e_m = np.exp(out, out).tolist()
                 return flip * (W_n * e_n - W_p * e_p - w_n * e_m)
         else:
             def at(c):
-                a_ = lae(a, lw_i + c)
+                ka = lw_i + c
+                d = a - ka  # a_ = _logaddexp(a, ka), and a_ = _logaddexp(a_, ka) below
+                a_ = (a + log1p(exp(-d)) if d > 0 else ka + log1p(exp(d)) if d < 0
+                      else a + log2 if a == ka else d)
                 p, o_, m_ = o, o + u_i * (a_ - lW_i), m + u_i * c
                 for ka, uj, lWj, km in tail:
-                    a_ = lae(a_, ka)
+                    d = a_ - ka
+                    a_ = (a_ + log1p(exp(-d)) if d > 0 else ka + log1p(exp(d)) if d < 0
+                          else a_ + log2 if a_ == ka else d)
                     p, o_, m_ = o_, o_ + uj * (a_ - lWj), m_ + km
                 out[0], out[1], out[2] = p / W_p, o_ / W_n, m_ / W_n
-                e_p, e_n, e_m = np.exp(out, out=out).tolist()
+                e_p, e_n, e_m = np.exp(out, out).tolist()
                 return -(W_n * e_n - W_p * e_p - w_n * e_m)
         return at
 

@@ -15,10 +15,11 @@ trials: per coordinate and step size, a round evaluates the candidates of
 every walk in one array call and replays the greedy walk in array
 operations.  A candidate of the reduced objective recomputes only the
 log-terms of the axis that moves.  The violation search walks in log-data
-on the level-n increment in the direct form ``functionals._top_increment``;
-once at most ``_LIST_WALKS`` walks move, each goes on alone on a scalar line
-of it and evaluates only the candidates that can win.  Either way the walks
-reach exactly the points and values of the serial one-point walk.
+on the level-n increment in the direct form ``functionals._top_increment``.
+Its walks go alone on scalar lines of it (on lists of floats) from the start
+in a block of at most ``_LIST_WALKS`` trials, else once at most that many
+move; a lone walk evaluates only the candidates that can win.  Either way
+the walks reach exactly the points and values of the serial one-point walk.
 """
 from __future__ import annotations
 
@@ -253,48 +254,50 @@ class _LinesF:
         return out
 
 
-def _climb(evaluate, Z, best, i, step, lo, hi, scalar=None) -> None:
-    """The greedy walk on coordinate ``i`` of every row of ``Z`` at one step
-    size, updating ``Z`` and its values ``best`` in place, by the line
-    evaluator ``evaluate`` (see ``_values``).
+def _walk(at, c, b, step, lo, hi, left):
+    """The serial walk on the line ``at`` from c with value b: it tries c +
+    step, then c - step (clamped to [lo, hi]), moves to the first that beats
+    b, up to ``left`` times, and returns the last (c, b).  It skips candidates
+    equal to c (a clamp) or to the position just left: they cannot win."""
+    back = math.nan
+    for _ in range(left):
+        for x in (c + step, c - step):
+            x = lo if x < lo else hi if x > hi else x  # min(max(x, lo), hi)
+            if x != c and x != back and (v := at(x)) > b:
+                c, b, back = x, v, c
+                break
+        else:
+            break
+    return c, b
 
-    From c with value b the walk tries c + step, then c - step (clamped to
-    [lo, hi]), moves to the first that beats b, and repeats up to
-    ``_MAX_MOVES`` times.  A round evaluates the next k positions on both
-    sides, reached by repeated addition as the walk reaches them, and the
-    way back from each unless it lands exactly on the previous position
-    (which cannot win); then it replays the walk.  A walk that runs past
-    the k positions or takes a way back goes on in the next round.
+
+def _climb(evaluate, Z, best, i, step, lo, hi, scalar=None) -> None:
+    """The greedy walk (see ``_walk``) on coordinate ``i`` of every row of
+    ``Z`` at one step size, up to ``_MAX_MOVES`` moves, updating ``Z`` and
+    its values ``best`` in place, by the line evaluator ``evaluate`` (see
+    ``_values``).
+
+    A round evaluates the next k positions on both sides, reached by
+    repeated addition as the walk reaches them, and the way back from each
+    unless it lands exactly on the previous position (which cannot win);
+    then it replays the walk.  A walk that runs past the k positions or
+    takes a way back goes on in the next round.
 
     Given ``scalar``, whose ``scalar(z, i)`` maps a position to the value of
-    row ``z`` with coordinate ``i`` moved there, bit for bit as ``evaluate``,
-    at most ``_LIST_WALKS`` walks go on alone, skipping the candidates equal
-    to their position (a clamp) or to the one just left, which cannot win: a
-    round's numpy calls cost more than one walk.
+    the row ``z`` (a list) with coordinate ``i`` moved there, bit for bit as
+    ``evaluate``, once at most ``_LIST_WALKS`` walks move each goes on by
+    ``_walk``: a round's numpy calls cost more than one walk.
     """
-
-    def alone(rows, moves):  # the serial walk, on the candidates that can win
-        for a, left in zip(rows, moves):
-            at, c, b, back = scalar(Z[a], i), float(Z[a, i]), float(best[a]), math.nan
-            for _ in range(left):
-                for x in (c + step, c - step):
-                    x = lo if x < lo else hi if x > hi else x  # min(max(x, lo), hi)
-                    if x != c and x != back and (v := at(x)) > b:
-                        c, b, back = x, v, c
-                        break
-                else:
-                    break
-            Z[a, i], best[a] = c, b
-
-    if scalar is not None and len(Z) <= _LIST_WALKS:
-        return alone(range(len(Z)), [_MAX_MOVES] * len(Z))
     act = np.arange(len(Z))
     left = np.zeros(len(Z), np.intp) + _MAX_MOVES
     steps = np.array([[step], [-step]])
     k = 2
     while act.size:
         if scalar is not None and act.size <= _LIST_WALKS:
-            return alone(act.tolist(), left[act].tolist())
+            for a, moves in zip(act.tolist(), left[act].tolist()):
+                z = Z[a].tolist()
+                Z[a, i], best[a] = _walk(scalar(z, i), z[i], float(best[a]), step, lo, hi, moves)
+            return
         A, r = act.size, np.arange(act.size)
         k = min(max(2 * k, _ROUND // A), int(left[act].max()))
         line = np.empty((A, 2, k + 1))
@@ -342,7 +345,10 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
     """Yield (value, point) per trial in trial order: ``draw(rng)`` from the
     trial's own stream, refined by the walk with step ``steps`` halved
     ``config.local_steps`` times.  A block of trials ``Z`` walks together,
-    by the line evaluator ``lines(Z)``; one generator is re-keyed per trial."""
+    by the line evaluator ``lines(Z)``.  Given ``scalar`` (see ``_climb``), a
+    block of at most ``_LIST_WALKS`` trials walks each alone (``_walk``) on a
+    list from ``scalar(z, 0)(z[0])``, step by step, coordinate by coordinate,
+    trial by trial.  One generator is re-keyed per trial."""
     rng = _trial_rng(config.seed, 0)
     fresh = rng.bit_generator.state  # zero counter, empty buffer
     block = max(1, _CELL_CAP // (4 * _MAX_MOVES))  # 4: two sides, way back
@@ -352,6 +358,18 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
             fresh["state"]["key"][1] = t
             rng.bit_generator.state = fresh
             rows.append(draw(rng))
+        if scalar is not None and len(rows) <= _LIST_WALKS:
+            with np.errstate(all="ignore"):
+                zs = [z.tolist() for z in rows]
+                bs = [scalar(z, 0)(z[0]) for z in zs]
+                for p in range(config.local_steps):
+                    step = steps * 0.5**p
+                    for i in range(len(zs[0])):
+                        for a, z in enumerate(zs):
+                            at = scalar(z, i)
+                            z[i], bs[a] = _walk(at, z[i], bs[a], step, lo, hi, _MAX_MOVES)
+            yield from zip(bs, np.array(zs))
+            continue
         Z = np.array(rows)
         evaluate = lines(Z)
         with np.errstate(all="ignore"):
@@ -389,26 +407,20 @@ def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
 
 
 def _rado_increment_precise(w: WeightSequence, x, s: float, k: int) -> float:
-    """Independent high-precision re-evaluation of the level-k increment,
-    from 50-digit prefix sums in one pass: P_m = W_m O_m - sum_{i<=m} w_i M_i,
-    with O_m the s-mean of the running arithmetic means A_1..A_m and M_i
-    the s-mean of x_1..x_i."""
+    """Independent high-precision re-evaluation of the level-k increment
+    W_k O_k - W_{k-1} O_{k-1} - w_k M_k, from 50-digit prefix sums in one
+    pass, with O_m the s-mean of the running arithmetic means A_1..A_m and
+    M_k the s-mean of x_1..x_k: only those three means are formed."""
     with mpmath.workdps(50):
         s = mpmath.mpf(s)
         term = mpmath.log if s == 0 else (lambda v: v**s)
-
-        def mean(total, W):
-            """The s-mean whose prefix sum of w·term(v) is total."""
-            return mpmath.exp(total / W) if s == 0 else (total / W) ** (1 / s)
-
-        W = Sx = Sv = SA = SM = P = P_prev = mpmath.mpf(0)
+        mean = mpmath.exp if s == 0 else (lambda v: v ** (1 / s))  # inverse of term
+        W = Sx = Sv = SA = mpmath.mpf(0)
         for wi, xi in zip(w.w[:k].tolist(), np.asarray(x, dtype=float)[:k].tolist()):
-            wi, xi = mpmath.mpf(wi), mpmath.mpf(xi)
+            wi, xi, W_prev, SA_prev = mpmath.mpf(wi), mpmath.mpf(xi), W, SA
             W, Sx, Sv = W + wi, Sx + wi * xi, Sv + wi * term(xi)
             SA += wi * term(Sx / W)
-            SM += wi * mean(Sv, W)
-            P_prev, P = P, W * mean(SA, W) - SM
-        return float(P - P_prev)
+        return float(W * mean(SA / W) - W_prev * mean(SA_prev / W_prev) - wi * mean(Sv / W))
 
 
 def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> SearchResult:

@@ -151,6 +151,27 @@ class TestTopIncrement:
         for s in (0.0, 0.5, 1.0):
             _top_lines(WeightSequence([2]), s)
 
+    @staticmethod
+    def _check_line(line, w, z, i, cs, s):
+        """The scalar line of row ``z`` on entry ``i`` at the positions ``cs``
+        has the bits of the oriented batch rows, evaluated in any order."""
+        Z = np.repeat(z[None], cs.size, axis=0)
+        Z[:, i] = cs
+        with np.errstate(all="ignore"):
+            want = -_orientation(s) * _top_increment(w, Z, s)
+            at = line(z.tolist(), i)
+            got = np.array([at(c) for c in cs.tolist()])
+            # the same line again, up and down: nothing it keeps changes
+            up = np.argsort(cs)
+            for k in (up, up[::-1]):
+                again = np.array([at(c) for c in cs[k].tolist()])
+                assert np.array_equal(again, want[k], equal_nan=True)
+        assert np.array_equal(got, want, equal_nan=True)
+        zero = want == 0.0
+        assert (np.signbit(got[zero]) == np.signbit(want[zero])).all()
+        if s == 1.0:
+            assert np.signbit(got).all()
+
     @pytest.mark.parametrize(
         "s", [-3.0, -1.0, 0.0, 1e-3, 0.5, 1.0, 2.0, 40.0, 1e308, -1e308]
     )
@@ -168,22 +189,20 @@ class TestTopIncrement:
                 z = self._log_data(rng, w.n, clamped)
                 for i in range(w.n):
                     cs = np.append(rng.uniform(-clamp, clamp, 4), [-clamp, clamp])
-                    Z = np.repeat(z[None], cs.size, axis=0)
-                    Z[:, i] = cs
-                    with np.errstate(all="ignore"):
-                        want = -_orientation(s) * _top_increment(w, Z, s)
-                        at = line(z, i)
-                        got = np.array([at(c) for c in cs.tolist()])
-                        # the same line again, up and down: nothing it keeps changes
-                        up = np.argsort(cs)
-                        for k in (up, up[::-1]):
-                            again = np.array([at(c) for c in cs[k].tolist()])
-                            assert np.array_equal(again, want[k], equal_nan=True)
-                    assert np.array_equal(got, want, equal_nan=True)
-                    zero = want == 0.0
-                    assert (np.signbit(got[zero]) == np.signbit(want[zero])).all()
-                    if s == 1.0:
-                        assert np.signbit(got).all()
+                    self._check_line(line, w, z, i, cs, s)
+        # Ties, at z = 0 and c = 0: the running log-sum of w_j x_j equals the
+        # next log-term, logaddexp's x == y branch (x + log 2), at the second
+        # entry for uniform weights and at every entry for 1, 1, 2, 4, ...
+        for n in range(2, 7):
+            doubling = [1.0] + [2.0**j for j in range(n - 1)]
+            for w in (WeightSequence([1.0] * n), WeightSequence(doubling)):
+                sums = np.logaddexp.accumulate(w.log_w)
+                assert sums[0] == w.log_w[1]
+                if w.w[-1] > 1.0:
+                    assert (sums[:-1] == w.log_w[1:]).all()
+                line = _top_lines(w, s)
+                for i in range(n):
+                    self._check_line(line, w, np.zeros(n), i, np.array([0.0, -clamp, clamp]), s)
 
 
 class TestPopoviciuIncrement:
