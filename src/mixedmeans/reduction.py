@@ -132,7 +132,10 @@ def x_to_y(w: WeightSequence, x) -> YPoint:
 def y_to_x(w: WeightSequence, y, scale: float) -> np.ndarray:
     """Reconstruct data from strictly interior reduced coordinates, with
     A_n = scale.  Boundary coordinates correspond to a zero data entry and
-    are rejected.
+    are rejected.  The data are positive exactly where every y_i + y_lo_i
+    lies strictly inside (0, W_{i+1}/W_i), so the sign of each x_i at the
+    transform's precision decides it: a y that ``x_to_y`` rounded onto the
+    top face is inside by its compensation term.
     """
     if w.n < 2:
         raise InputError("need at least two entries")
@@ -141,9 +144,6 @@ def y_to_x(w: WeightSequence, y, scale: float) -> np.ndarray:
     yp = y if isinstance(y, YPoint) else YPoint(np.asarray(y, dtype=float))
     if len(yp) != w.n - 1:
         raise InputError(f"expected {w.n - 1} coordinates, got {len(yp)}")
-    upper = box_upper(w)
-    if np.any(yp.y <= 0.0) or np.any(yp.y >= upper):
-        raise InputError("coordinates must be strictly interior to the box")
     with mpmath.workdps(_TRANSFORM_DPS):
         yv = [mpmath.mpf(float(h)) + mpmath.mpf(float(l))
               for h, l in zip(yp.y, yp.y_lo)]
@@ -161,8 +161,8 @@ def y_to_x(w: WeightSequence, y, scale: float) -> np.ndarray:
         prev_W = mpmath.mpf(0)
         for i in range(w.n):
             xi = (W[i] * A[i] - prev_W * prev) / mpmath.mpf(float(w.w[i]))
-            if xi <= 0:
-                raise InputError("coordinates do not define positive data")
+            if not xi > 0:  # NaN too
+                raise InputError("coordinates must be strictly interior to the box")
             x[i] = float(xi)
             prev, prev_W = A[i], W[i]
     return x
@@ -242,8 +242,9 @@ def eliminate_last(w: WeightSequence, y_head) -> Elimination:
 @dataclass(frozen=True)
 class StationaryPoint:
     """The critical-point family of g at d: its point a_i(d), g there, the
-    slope h'(d) of the stationarity profile h, and the residual h(d) - h(1) =
-    r (R(log d) - R(0)) (``curve_max_F``), zero at a critical point and d = 1."""
+    slope h'(d) = r R'(log d) / d of the stationarity profile h, and the
+    residual h(d) - h(1) = r (R(log d) - R(0)), zero at a critical point and
+    exactly at d = 1; R and R' are ``ReducedProblem.curve_at``'s."""
 
     d: float
     a: np.ndarray
@@ -258,14 +259,10 @@ def stationary_analysis(w: WeightSequence, d: float) -> StationaryPoint:
     if not (d > 0.0 and math.isfinite(d)):
         raise InputError("d must be positive and finite")
     rp = ReducedProblem.of(w)
-    w_tail, W_prev = rp.w_next[:-1], rp.W_prev[:-1]
-    a = rp.W_next[:-1] / (d * w_tail + W_prev)
-    t = np.array([math.log(d), 0.0])
-    L1, L2, _ = rp.curve(t)
-    R = L2 - L1 - t
-    coef = rp.r * (rp.alpha[:-1] - rp.beta[:-1])
-    h_prime = float(np.sum(coef / (d + W_prev / w_tail))) - (rp.w_1 / rp.W_n1) / d
-    return StationaryPoint(d, a, _g(rp, a), h_prime, rp.r * float(R[0] - R[1]))
+    a = rp.W_next[:-1] / (d * rp.w_next[:-1] + rp.W_prev[:-1])
+    R, slope, _ = rp.curve_at(math.log(d))
+    residual = rp.r * (R - rp.curve_at(0.0)[0])
+    return StationaryPoint(d, a, _g(rp, a), rp.r * slope / d, residual)
 
 
 def boundary_bound(w: WeightSequence) -> float:

@@ -68,12 +68,9 @@ _BOX_PADDING = 1e-3
 # where the Q_i move: e**-37 < 2**-53, so past it each Q_i or d Q_i is
 # constant in float64.  A sign change of R(t)/t on its grid, of step
 # _CURVE_STEP where R may not be monotone, is refined by Newton's method to a
-# root t; F is taken at _CURVE_ZOOM points (offsets _ZOOM_OFFSETS) spanning
-# +-2**-39 (1 + |t|) around it, no closer: they would fall on a few floats.
+# root t, where F is taken.
 _CURVE_MARGIN = 37.0
 _CURVE_STEP = 0.125
-_CURVE_ZOOM = 33
-_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, _CURVE_ZOOM)
 
 # Sampling range for data entries: the functionals are scale invariant,
 # so only the dynamic range matters.
@@ -146,9 +143,8 @@ def _curve_roots(rp: ReducedProblem):
     and is skipped.  A bracket wider than a step starts where R's chord
     crosses 0, the others at their middle.  Each stops once |R| is within
     its rounding bound or the bracket within 2**-43 (1 + |t|), with its last
-    step if in the bracket.  Also log Q at ``_CURVE_ZOOM`` points spanning
-    +-2**-39 (1 + |t|) around each root, shape (roots, ``_CURVE_ZOOM``, n - 1),
-    and the count of points evaluated: grid, Newton and sweep."""
+    step if in the bracket.  Also the count of points evaluated: grid and
+    Newton."""
     t = _curve_grid(rp)
     lo, hi = rp.monotone_ends
     L1, L2, _ = rp.curve(t)
@@ -172,9 +168,7 @@ def _curve_roots(rp: ReducedProblem):
             step = x - R * x / den if den else math.nan
             x = step if a < step < b else x if done else 0.5 * (a + b)
         roots.append(x)
-    r = np.array(roots)[:, None]
-    T = r + 2.0**-39 * (1.0 + np.abs(r)) * _ZOOM_OFFSETS
-    return r[:, 0], rp.curve(T)[2], evaluations + T.size
+    return np.array(roots), evaluations
 
 
 def curve_max_F(w: WeightSequence) -> SearchResult:
@@ -193,21 +187,22 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     log G_1 - t: the local maxima of phi are roots of R (``_curve_roots``),
     which is strictly monotone past ``ReducedProblem.monotone_ends``.
 
-    The result is the first of the point 1, the corners and the points
-    around every root with the largest table F (``objective_F`` at
-    ``best_point`` bit for bit).  Raises ``InputError`` unless the table is
+    The result is the first of the point 1, the origin, the top corner and
+    Q at every root with the largest table F (``objective_F`` at
+    ``best_point`` bit for bit); ``trials_run`` counts the points of the
+    curve evaluated.  Raises ``InputError`` unless the table is
     ``ReducedProblem.representable``.
     """
     rp = ReducedProblem.of(w)
     if not rp.representable:
         raise InputError(OUT_OF_RANGE)
-    _, log_q, evaluations = _curve_roots(rp)
-    Y = np.empty((3 + log_q.shape[0] * _CURVE_ZOOM, w.n - 1))
+    roots, evaluations = _curve_roots(rp)
+    Y = np.empty((3 + roots.size, w.n - 1))
     Y[0], Y[1], Y[2] = 1.0, 0.0, rp.upper
-    np.minimum(np.exp(log_q.reshape(-1, w.n - 1), out=Y[3:]), rp.upper, out=Y[3:])
+    np.minimum(np.exp(rp.curve(roots)[2], out=Y[3:]), rp.upper, out=Y[3:])
     vals = rp.F(*rp.log_products(Y))
     k = int(np.argmax(vals))
-    return SearchResult(float(vals[k]), tuple(Y[k].tolist()), evaluations)
+    return SearchResult(float(vals[k]), tuple(Y[k].tolist()), evaluations + roots.size)
 
 
 def _values(fun, Z: np.ndarray, owner: np.ndarray, i: int, pos: np.ndarray):

@@ -73,6 +73,19 @@ class TestCoordinateChange:
             y_to_x(w, np.ones(2), scale=7.0), [7.0, 7.0, 7.0], rtol=1e-13
         )
 
+    def test_round_trip_from_the_top_face(self):
+        # y_i rounds onto W_{i+1}/W_i; its compensation term keeps it inside
+        for ws, x in (
+            ([1, 1], [1, 1e-20]),
+            ([1, 2, 3], [1, 2, 1e-18]),
+            ([1, 1, 1], [5, 1e-17, 3]),
+        ):
+            w = WeightSequence(ws)
+            yp = x_to_y(w, x)
+            assert np.any(yp.y == box_upper(w))
+            scale = float(np.sum(w.w * np.array(x)) / w.total)
+            np.testing.assert_allclose(y_to_x(w, yp, scale), x, rtol=1e-12)
+
     def test_boundary_rejected(self):
         w = WeightSequence([1, 1, 1])
         upper = box_upper(w)
@@ -294,6 +307,21 @@ class TestStationaryAnalysis:
             want = float(oracle.stationary_residual(w.w.tolist(), d))
             got = stationary_analysis(w, d).residual
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (w.w, d)
+
+    def test_slope_matches_oracle(self):
+        # h'(d) against a 50-digit central difference of h(d) - h(1)
+        rng = np.random.default_rng(50)
+        for j in range(100):
+            w = random_weights(rng, 3 + j % 6)
+            d = float(log_uniform(rng, 1e-8, 1e8, 1)[0])
+            with mpmath.workdps(oracle.DPS):
+                h = mpmath.mpf(d) * mpmath.mpf(10) ** -20
+                want = float(
+                    (oracle.stationary_residual(w.w.tolist(), d + h)
+                     - oracle.stationary_residual(w.w.tolist(), d - h)) / (2 * h)
+                )
+            got = stationary_analysis(w, d).h_prime
+            assert got == pytest.approx(want, rel=1e-12), (w.w, d)
 
     def test_profile_decreasing_when_no_excess(self):
         rng = np.random.default_rng(48)

@@ -143,6 +143,21 @@ class TestCurveOracle:
                 checked += 1
         assert checked > 100
 
+    def test_best_is_the_first_maximum_of_the_candidates(self):
+        # the point 1, the origin, the top corner and Q at every root, each
+        # through objective_F on its own: the first largest, bit for bit
+        for ws in _curve_corpus():
+            w = WeightSequence(ws)
+            rp = ReducedProblem.of(w)
+            roots, evaluations = search._curve_roots(rp)
+            points = [np.ones(w.n - 1), np.zeros(w.n - 1), rp.upper]
+            points += [np.minimum(np.exp(rp.curve(t)[2]), rp.upper) for t in roots.tolist()]
+            values = [objective_F(w, y) for y in points]
+            k = values.index(max(values))
+            res = curve_max_F(w)
+            assert res.best_value == values[k] and res.best_point == tuple(points[k].tolist())
+            assert res.trials_run == evaluations + roots.size
+
     def test_best_value_is_F_at_best_point(self):
         for ws in _curve_corpus():
             res = curve_max_F(WeightSequence(ws))
@@ -186,8 +201,8 @@ class TestCurveOracle:
         rp = ReducedProblem.of(w)
         grid = search._curve_grid(rp)
         assert grid.tolist() == [curve_reference.full_lattice(rp)[0], 0.0, -grid[0]]
-        roots, log_q, evaluations = search._curve_roots(rp)
-        assert roots.size == 0 and log_q.shape == (0, search._CURVE_ZOOM, 1)
+        roots, evaluations = search._curve_roots(rp)
+        assert roots.size == 0
         assert evaluations == 3
         assert curve_max_F(w).best_value == pytest.approx(1.0, abs=1e-14)
 
