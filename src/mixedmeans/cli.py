@@ -28,12 +28,7 @@ from .conditions import (
     holland_condition,
     nanjundiah_condition,
 )
-from .functionals import (
-    _orientation,
-    _popoviciu_profile,
-    _rado_increments,
-    violation_tolerance,
-)
+from .functionals import _popoviciu_profile, _rado_increments, _violates
 from .means import (
     InputError,
     WeightSequence,
@@ -139,8 +134,7 @@ def _cmd_verify(args) -> int:
         {"k": k, "rado_increment": inc, "popoviciu_increment": p}
         for k, inc, p in zip(range(2, w.n + 1), rado.tolist(), pop.tolist())
     ]
-    tol = violation_tolerance(w, x)
-    failed = args.s != 1.0 and bool(np.any(_orientation(args.s) * rado < -tol))
+    failed = bool(np.any(_violates(w, x, args.s, rado)))
     _emit({"s": args.s, "levels": levels})
     return 2 if failed else 0
 

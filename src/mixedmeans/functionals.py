@@ -197,3 +197,10 @@ def violation_tolerance(w: WeightSequence, x) -> float:
     1e-9 scaled by W_n * max(x), the natural size of the compared terms.
     """
     return 1e-9 * w.total * float(np.max(np.asarray(x, dtype=float)))
+
+
+def _violates(w: WeightSequence, x, s: float, increment):
+    """The violation rule of ``verify`` and the search: True where an
+    increment at the data x, oriented by ``_orientation(s)``, is below
+    -``violation_tolerance(w, x)``.  NaN is never a violation."""
+    return _orientation(s) * increment < -violation_tolerance(w, x)

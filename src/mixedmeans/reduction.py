@@ -135,7 +135,8 @@ def y_to_x(w: WeightSequence, y, scale: float) -> np.ndarray:
     are rejected.  The data are positive exactly where every y_i + y_lo_i
     lies strictly inside (0, W_{i+1}/W_i), so the sign of each x_i at the
     transform's precision decides it: a y that ``x_to_y`` rounded onto the
-    top face is inside by its compensation term.
+    top face is inside by its compensation term.  A stored float x_i that
+    underflows to 0 or overflows to inf is rejected too.
     """
     if w.n < 2:
         raise InputError("need at least two entries")
@@ -160,10 +161,10 @@ def y_to_x(w: WeightSequence, y, scale: float) -> np.ndarray:
         prev = mpmath.mpf(0)
         prev_W = mpmath.mpf(0)
         for i in range(w.n):
-            xi = (W[i] * A[i] - prev_W * prev) / mpmath.mpf(float(w.w[i]))
-            if not xi > 0:  # NaN too
+            xi = float((W[i] * A[i] - prev_W * prev) / mpmath.mpf(float(w.w[i])))
+            if not 0.0 < xi < math.inf:  # NaN too
                 raise InputError("coordinates must be strictly interior to the box")
-            x[i] = float(xi)
+            x[i] = xi
             prev, prev_W = A[i], W[i]
     return x
 
@@ -299,13 +300,13 @@ def find_stationary_d(w: WeightSequence) -> list[float]:
     if w.n < 3:
         raise InputError("need at least three entries")
     rp = ReducedProblem.of(w)
-    edge, gap = search._curve_grid(rp)[-1], rp.alpha - rp.beta
+    grid, gap = search._curve_grid(rp), rp.alpha - rp.beta
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         left = -(gap @ np.log(rp.upper)) * (rp.W_n / rp.w_1)
         right = gap @ np.log(rp.second_max) / (rp.alpha.sum() - 1.0)
-        past = np.exp([t for t, side in ((left, -1.0), (right, 1.0)) if side * t > edge])
+        past = np.exp([t for t, side in ((left, -1.0), (right, 1.0)) if side * t > grid[-1]])
     past = past[(past > 0.0) & (past < math.inf)]
-    return sorted({1.0, *np.exp(search._curve_roots(rp)[0]).tolist(), *past.tolist()})
+    return sorted({1.0, *np.exp(search._curve_roots(rp, grid)[0]).tolist(), *past.tolist()})
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ every walk in one array call and replays the greedy walk in array
 operations.  A candidate of the reduced objective recomputes only the
 log-terms of the axis that moves.  The violation search walks in log-data
 on the level-n increment in the direct form ``functionals._top_increment``.
-Its walks go alone on scalar lines of it (on lists of floats) from the start
-in a block of at most ``_LIST_WALKS`` trials, else once at most that many
-move; a lone walk evaluates only the candidates that can win.  Either way
-the walks reach exactly the points and values of the serial one-point walk.
+A block of at most ``_LIST_WALKS`` trials walks each alone from its first
+point, on scalar lines of it (lists of floats), evaluating only candidates
+that can win; a larger block takes array rounds to the end.  Either way the
+walks reach exactly the points and values of the serial one-point walk.  A
+violation passes ``functionals._violates`` in floats, then at 50 digits.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import mpmath
 import numpy as np
 
 from .conditions import OUT_OF_RANGE, ReducedProblem
-from .functionals import _orientation, _top_increment, _top_lines, violation_tolerance
+from .functionals import _orientation, _top_increment, _top_lines, _violates
 from .means import InputError, WeightSequence
 
 __all__ = [
@@ -45,22 +46,23 @@ __all__ = [
 ]
 
 # The box dimensions up to which certify takes the curve maximum.  The curve
-# serves every n (scan uses it for all), but at n >= 6 it speeds certify-mix
-# up so far that perfbench's run_passes, which keeps every output until the
-# run ends, pushes peak RSS past the benchmark's bound: multistart goes on
-# there.
+# serves every n (scan uses it for all), but at n >= 6 certify-mix went from
+# 570 to 5368 ops/s and its peak RSS from 50.5 to 116.7 MB (2-core host), past
+# the benchmark's +10% bound, as perfbench's run_passes keeps every output
+# until the run ends: multistart goes on there.
 GRID_DIM_LIMIT = 4
 
 # A walk moves at most _MAX_MOVES steps along one coordinate at one step
 # size.  Its rounds look 4, 8, 16, ... steps ahead on each side, and at
 # least _ROUND steps summed over their rows: a small round costs mostly
-# fixed overhead.  At most _LIST_WALKS walks with a scalar line walk alone
-# (see _climb).  The candidates of one round and the rows of one evaluation
-# stay under _CELL_CAP float64 elements, for any trial count.  The ascent
-# of F stays _BOX_PADDING inside each side of the box.
+# fixed overhead.  A block of at most _LIST_WALKS trials with a scalar line
+# walks each alone (see _multistart): at n = 3..25 that took 0.9-1.0x the
+# time of array rounds up to 16 trials, up to 1.2x from 17 to 24.  A round's
+# candidates and an evaluation's rows stay under _CELL_CAP float64 elements,
+# for any trial count.  The ascent of F stays _BOX_PADDING inside the box.
 _MAX_MOVES = 50
 _ROUND = 32
-_LIST_WALKS = 4
+_LIST_WALKS = 16
 _CELL_CAP = 1 << 16
 _BOX_PADDING = 1e-3
 
@@ -133,10 +135,10 @@ def _curve_grid(rp: ReducedProblem) -> np.ndarray:
     return np.concatenate([[-h], below, [0], above, [h]]) * _CURVE_STEP
 
 
-def _curve_roots(rp: ReducedProblem):
+def _curve_roots(rp: ReducedProblem, t: np.ndarray):
     """The roots t = log d != 0 of R(t) = L_2 - L_1 - t (``ReducedProblem.curve``)
-    in the curve window, one per sign change of S(t) = R(t)/t on
-    ``_curve_grid`` (S(0) = R'(0): d = 1 is an exact root), by Newton's
+    in the curve window, one per sign change of S(t) = R(t)/t on its grid
+    ``t = _curve_grid(rp)`` (S(0) = R'(0): d = 1 is an exact root), by Newton's
     method on S in floats (``ReducedProblem.curve_at``), bisecting where a
     step leaves the bracket or S' is 0 or not finite; on S, a bracket ending
     at t = 0 never closes on R(0) = 0, and past L or U it holds no other root
@@ -145,7 +147,6 @@ def _curve_roots(rp: ReducedProblem):
     its rounding bound or the bracket within 2**-43 (1 + |t|), with its last
     step if in the bracket.  Also the count of points evaluated: grid and
     Newton."""
-    t = _curve_grid(rp)
     lo, hi = rp.monotone_ends
     L1, L2, _ = rp.curve(t)
     D = L2 - L1 - t  # R on the grid
@@ -196,7 +197,7 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     rp = ReducedProblem.of(w)
     if not rp.representable:
         raise InputError(OUT_OF_RANGE)
-    roots, evaluations = _curve_roots(rp)
+    roots, evaluations = _curve_roots(rp, _curve_grid(rp))
     Y = np.empty((3 + roots.size, w.n - 1))
     Y[0], Y[1], Y[2] = 1.0, 0.0, rp.upper
     np.minimum(np.exp(rp.curve(roots)[2], out=Y[3:]), rp.upper, out=Y[3:])
@@ -249,13 +250,13 @@ class _LinesF:
         return out
 
 
-def _walk(at, c, b, step, lo, hi, left):
+def _walk(at, c, b, step, lo, hi):
     """The serial walk on the line ``at`` from c with value b: it tries c +
     step, then c - step (clamped to [lo, hi]), moves to the first that beats
-    b, up to ``left`` times, and returns the last (c, b).  It skips candidates
-    equal to c (a clamp) or to the position just left: they cannot win."""
+    b, up to ``_MAX_MOVES`` times, and returns the last (c, b).  It skips
+    candidates equal to c (a clamp) or to the position just left: none wins."""
     back = math.nan
-    for _ in range(left):
+    for _ in range(_MAX_MOVES):
         for x in (c + step, c - step):
             x = lo if x < lo else hi if x > hi else x  # min(max(x, lo), hi)
             if x != c and x != back and (v := at(x)) > b:
@@ -266,7 +267,7 @@ def _walk(at, c, b, step, lo, hi, left):
     return c, b
 
 
-def _climb(evaluate, Z, best, i, step, lo, hi, scalar=None) -> None:
+def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
     """The greedy walk (see ``_walk``) on coordinate ``i`` of every row of
     ``Z`` at one step size, up to ``_MAX_MOVES`` moves, updating ``Z`` and
     its values ``best`` in place, by the line evaluator ``evaluate`` (see
@@ -277,22 +278,12 @@ def _climb(evaluate, Z, best, i, step, lo, hi, scalar=None) -> None:
     unless it lands exactly on the previous position (which cannot win);
     then it replays the walk.  A walk that runs past the k positions or
     takes a way back goes on in the next round.
-
-    Given ``scalar``, whose ``scalar(z, i)`` maps a position to the value of
-    the row ``z`` (a list) with coordinate ``i`` moved there, bit for bit as
-    ``evaluate``, once at most ``_LIST_WALKS`` walks move each goes on by
-    ``_walk``: a round's numpy calls cost more than one walk.
     """
     act = np.arange(len(Z))
     left = np.zeros(len(Z), np.intp) + _MAX_MOVES
     steps = np.array([[step], [-step]])
     k = 2
     while act.size:
-        if scalar is not None and act.size <= _LIST_WALKS:
-            for a, moves in zip(act.tolist(), left[act].tolist()):
-                z = Z[a].tolist()
-                Z[a, i], best[a] = _walk(scalar(z, i), z[i], float(best[a]), step, lo, hi, moves)
-            return
         A, r = act.size, np.arange(act.size)
         k = min(max(2 * k, _ROUND // A), int(left[act].max()))
         line = np.empty((A, 2, k + 1))
@@ -340,10 +331,13 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
     """Yield (value, point) per trial in trial order: ``draw(rng)`` from the
     trial's own stream, refined by the walk with step ``steps`` halved
     ``config.local_steps`` times.  A block of trials ``Z`` walks together,
-    by the line evaluator ``lines(Z)``.  Given ``scalar`` (see ``_climb``), a
-    block of at most ``_LIST_WALKS`` trials walks each alone (``_walk``) on a
-    list from ``scalar(z, 0)(z[0])``, step by step, coordinate by coordinate,
-    trial by trial.  One generator is re-keyed per trial."""
+    by the line evaluator ``lines(Z)``, in array rounds (``_climb``).  Given
+    ``scalar``, whose ``scalar(z, i)`` maps a position to the value of the
+    row ``z`` (a list) with coordinate ``i`` moved there, bit for bit as
+    ``lines``, a block of at most ``_LIST_WALKS`` trials walks each alone
+    (``_walk``) on a list from ``scalar(z, 0)(z[0])``, step by step,
+    coordinate by coordinate, trial by trial.  One generator is re-keyed per
+    trial."""
     rng = _trial_rng(config.seed, 0)
     fresh = rng.bit_generator.state  # zero counter, empty buffer
     block = max(1, _CELL_CAP // (4 * _MAX_MOVES))  # 4: two sides, way back
@@ -362,7 +356,7 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
                     for i in range(len(zs[0])):
                         for a, z in enumerate(zs):
                             at = scalar(z, i)
-                            z[i], bs[a] = _walk(at, z[i], bs[a], step, lo, hi, _MAX_MOVES)
+                            z[i], bs[a] = _walk(at, z[i], bs[a], step, lo, hi)
             yield from zip(bs, np.array(zs))
             continue
         Z = np.array(rows)
@@ -371,7 +365,7 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
             best = evaluate(Z, np.arange(len(Z)), 0, Z[:, 0])
             for p in range(config.local_steps):
                 for i in range(Z.shape[1]):
-                    _climb(evaluate, Z, best, i, steps * 0.5**p, lo, hi, scalar)
+                    _climb(evaluate, Z, best, i, steps * 0.5**p, lo, hi)
         yield from zip(best.tolist(), Z)
 
 
@@ -423,8 +417,10 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
     log-data: data drawn log-uniform over [1e-3, 1e3] per coordinate, refined
     by coordinate ascent on the increment oriented as ``verify`` reads it:
     negated for s <= 1 and as is for s > 1, where the inequality reverses.
-    So ``best_value`` > 0 is a candidate violation for every s; one beyond
-    the rounding tolerance is re-verified at 50 digits."""
+    So ``best_value`` > 0 is a candidate violation for every s.  The point is
+    a violation if the increment breaks the rule of ``verify``
+    (``functionals._violates``) in floats, from ``best_value``, and again at
+    50 digits."""
     if w.n < 2:
         raise InputError("need at least two weights")
     if not math.isfinite(s):
@@ -448,13 +444,13 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
             best_x = np.exp(z)
     if best_x is None:
         raise InputError("the increment is NaN at every trial point")
-    violation = False
-    if best_val > violation_tolerance(w, best_x):
-        violation = sign * _rado_increment_precise(w, best_x, s, n) < -1e-6
     return SearchResult(
         best_value=best_val,
         best_point=tuple(float(v) for v in best_x),
         trials_run=config.trials,
         seed=config.seed,
-        violation=violation,
+        violation=(
+            _violates(w, best_x, s, -sign * best_val)  # the float increment
+            and _violates(w, best_x, s, _rado_increment_precise(w, best_x, s, n))
+        ),
     )

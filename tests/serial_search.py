@@ -8,9 +8,9 @@ import math
 
 import numpy as np
 
-from mixedmeans import SearchResult, WeightSequence, violation_tolerance
+from mixedmeans import SearchResult, WeightSequence
 from mixedmeans.conditions import ReducedProblem
-from mixedmeans.functionals import _top_increment
+from mixedmeans.functionals import _top_increment, _violates
 from mixedmeans.search import (
     _BOX_PADDING,
     _LOG10_RANGE,
@@ -85,9 +85,9 @@ def violation_search(w: WeightSequence, s: float, config) -> SearchResult:
             best_val = val
             best_x = np.exp(z)
     assert best_x is not None
-    violation = False
-    if best_val > violation_tolerance(w, best_x):
-        violation = sign * _rado_increment_precise(w, best_x, s, n) < -1e-6
+    violation = _violates(w, best_x, s, -sign * best_val) and _violates(
+        w, best_x, s, _rado_increment_precise(w, best_x, s, n)
+    )
     return SearchResult(
         best_value=best_val,
         best_point=tuple(float(v) for v in best_x),

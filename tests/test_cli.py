@@ -214,6 +214,16 @@ class TestSearch:
         assert code == 2
         assert json.loads(out)["violation"] is True
 
+    def test_violation_at_small_scale(self, capsys, tmp_path):
+        # the walk ends at data of scale ~1e-5, where the increment is -3e-7
+        # (test_search.TestViolationSearch.test_violation_at_small_scale)
+        w = [1.7030417326851062, 1.216843312378811, 1.1014381992620612,
+             0.8423990253330988, 0.8838727362440361, 5.47685358903886]
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps({"w": w}))
+        code, out, _ = invoke(capsys, ["search", str(p), "--trials", "1", "--seed", "1"])
+        assert code == 2
+        assert json.loads(out)["violation"] is True
 
     def test_holding_direction_above_one(self, capsys, tmp_path):
         # For s > 1 the inequality reverses and a violation is a positive

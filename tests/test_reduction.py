@@ -94,6 +94,16 @@ class TestCoordinateChange:
         with pytest.raises(InputError):
             y_to_x(w, [0.0, 0.5], scale=1.0)
 
+    def test_data_past_float64_rejected(self):
+        # interior points whose x_2 is positive at the transform's precision
+        # but underflows to 0.0 (1e-325) or overflows to inf (5e309) as a float
+        for ws, y, scale in (
+            ([1, 1], YPoint([2.0], [-1e-20]), 1e-305),
+            ([1, 1e-300], [0.5], 1e10),
+        ):
+            with pytest.raises(InputError, match="strictly interior"):
+                y_to_x(WeightSequence(ws), y, scale)
+
 
 class TestObjectiveF:
     def test_ones_give_one(self):

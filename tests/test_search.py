@@ -6,6 +6,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mixedmeans import (
     InputError,
@@ -20,6 +22,7 @@ from mixedmeans import (
     objective_F,
     rado_increment,
     violation_search,
+    violation_tolerance,
     weight_scan,
 )
 import curve_reference
@@ -126,6 +129,11 @@ def _curve_corpus():
     return tuple(tuple(w.tolist()) for w in ws)
 
 
+def _roots(rp):
+    """``search._curve_roots`` on the curve grid of ``rp``: roots and count."""
+    return search._curve_roots(rp, search._curve_grid(rp))
+
+
 class TestCurveOracle:
     """The curve's roots, its maximum and its scalar evaluator against the
     50-digit oracle and the array kernel."""
@@ -134,7 +142,8 @@ class TestCurveOracle:
         checked = 0
         for ws in _curve_corpus():
             w = WeightSequence(ws)
-            for t in search._curve_roots(ReducedProblem.of(w))[0].tolist():
+            rp = ReducedProblem.of(w)
+            for t in _roots(rp)[0].tolist():
                 with mpmath.workdps(oracle.DPS):
                     ref = mpmath.findroot(
                         lambda d: oracle.stationary_residual(ws, d), math.exp(t)
@@ -149,7 +158,7 @@ class TestCurveOracle:
         for ws in _curve_corpus():
             w = WeightSequence(ws)
             rp = ReducedProblem.of(w)
-            roots, evaluations = search._curve_roots(rp)
+            roots, evaluations = _roots(rp)
             points = [np.ones(w.n - 1), np.zeros(w.n - 1), rp.upper]
             points += [np.minimum(np.exp(rp.curve(t)[2]), rp.upper) for t in roots.tolist()]
             values = [objective_F(w, y) for y in points]
@@ -201,7 +210,7 @@ class TestCurveOracle:
         rp = ReducedProblem.of(w)
         grid = search._curve_grid(rp)
         assert grid.tolist() == [curve_reference.full_lattice(rp)[0], 0.0, -grid[0]]
-        roots, evaluations = search._curve_roots(rp)
+        roots, evaluations = search._curve_roots(rp, grid)
         assert roots.size == 0
         assert evaluations == 3
         assert curve_max_F(w).best_value == pytest.approx(1.0, abs=1e-14)
@@ -211,7 +220,7 @@ class TestCurveOracle:
         for ws in _curve_corpus():
             rp = ReducedProblem.of(WeightSequence(ws))
             want = curve_reference.roots(rp)
-            got = search._curve_roots(rp)[0]
+            got = _roots(rp)[0]
             assert got.size == want.size and got == pytest.approx(want, rel=1e-12), ws
 
     def test_pruned_roots_match_the_full_lattice_on_extreme_weights(self):
@@ -232,7 +241,7 @@ class TestCurveOracle:
                     continue
                 tables += 1
                 found = []
-                for j, roots in enumerate((curve_reference.roots(rp), search._curve_roots(rp)[0])):
+                for j, roots in enumerate((curve_reference.roots(rp), _roots(rp)[0])):
                     keep = []
                     for t in roots.tolist():
                         _, slope, bound = rp.curve_at(t)
@@ -385,6 +394,36 @@ class TestViolationSearch:
             < -1e-6
         )
 
+    def test_violation_at_small_scale(self):
+        # The walk ends at data of scale ~1e-5, where the increment is
+        # -3e-7: far beyond violation_tolerance (~1.6e-13), so a violation,
+        # which no absolute bound on the 50-digit increment may drop.
+        w = WeightSequence([
+            1.7030417326851062, 1.216843312378811, 1.1014381992620612,
+            0.8423990253330988, 0.8838727362440361, 5.47685358903886,
+        ])
+        res = violation_search(w, 0.0, SearchConfig(seed=1, trials=1))
+        assert res.violation
+        assert res.best_value == pytest.approx(2.98e-7, rel=1e-2)
+        precise = _rado_increment_precise(w, res.best_point, 0.0, w.n)
+        assert -1e-6 < precise < -violation_tolerance(w, res.best_point)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        head=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=2, max_size=6),
+        tail=st.one_of(
+            st.floats(min_value=0.3, max_value=1.0),
+            st.floats(min_value=-6.0, max_value=-4.0).map(lambda e: 1.0 + 10.0**e),
+        ),
+        trials=st.integers(1, 20),
+        seed=st.integers(0, 2**32),
+    )
+    def test_no_violation_where_holland_or_gao_holds(self, head, tail, trials, seed):
+        w = WeightSequence([*head, critical_weight(head) * tail])
+        assume(holland_condition(w).holds or gao_conditions(w).holds)
+        res = violation_search(w, 0.0, SearchConfig(seed=seed, trials=trials))
+        assert not res.violation, (w.w.tolist(), trials, seed)
+
     def test_deterministic(self):
         w = WeightSequence([1, 2, 5])
         cfg = SearchConfig(seed=9, trials=60)
@@ -449,7 +488,7 @@ class TestSerialReference:
 
     @staticmethod
     def _scalar_line(fun):
-        """The scalar line of the batch objective ``fun``, as ``_climb`` takes."""
+        """The scalar line of the batch objective ``fun``, as ``_multistart`` takes."""
 
         def line(z, i):
             z = np.array(z, dtype=float)
@@ -519,10 +558,10 @@ class TestSerialReference:
                 assert val == ref_val
                 assert z.tolist() == ref_z.tolist()
 
-    # At the default search._LIST_WALKS the tests above take array rounds
-    # while many walks move and walk them alone once few do; here only array
-    # rounds, or every walk alone from the start.  F has no scalar line and
-    # takes array rounds at both settings.
+    # At the default search._LIST_WALKS the tests above walk a block of at
+    # most that many trials alone and a larger one in array rounds; here
+    # every block in array rounds, or every walk alone.  F has no scalar line
+    # and takes array rounds at both settings.
     @pytest.mark.parametrize("list_walks", [0, 10**6], ids=["arrays", "walk"])
     def test_violation_search_each_replay(self, monkeypatch, list_walks):
         monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
@@ -539,12 +578,22 @@ class TestSerialReference:
         monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
         self.test_rough_objectives(monkeypatch, max_moves)
 
+    def test_block_split_matches_the_serial_walk(self):
+        # _LIST_WALKS trials walk alone, one more take array rounds
+        rng = np.random.default_rng(75)
+        for j, (n, s) in enumerate(((2, 0.0), (3, 2.0), (5, 0.5), (8, -1.0))):
+            w = random_weights(rng, n, 0.2, 8.0)
+            for trials in (search._LIST_WALKS, search._LIST_WALKS + 1):
+                cfg = SearchConfig(seed=j, trials=trials, local_steps=4)
+                assert violation_search(w, s, cfg) == serial_search.violation_search(w, s, cfg)
+
     def test_budget_ends_walk_before_step_back(self, monkeypatch):
         # Row 0 makes its seventh and last move up to 0.31 + 7 steps, where
         # the step back lands off the lattice and would win; the budget is
         # spent, so the walk ends there.  Row 1 steps back after one move,
         # so the second round (after a first one of 4 steps) looks further
-        # ahead than row 0 has moves left.
+        # ahead than row 0 has moves left.  Alone, each walk has the whole
+        # budget of _MAX_MOVES.
         monkeypatch.setattr(search, "_MAX_MOVES", 7)
         monkeypatch.setattr(search, "_ROUND", 1)
         step, starts, backs = 0.1, (0.31, -0.45), []
@@ -561,11 +610,10 @@ class TestSerialReference:
             return near + 1000.0 * np.isin(z, backs)
 
         # in array rounds, then each walk alone on a scalar line
-        for line in (None, self._scalar_line(fun)):
+        for alone in (False, True):
             Z = np.array(starts)[:, None]
             best = fun(Z)
-            evaluate = functools.partial(search._values, fun)
-            search._climb(evaluate, Z, best, 0, step, -5.0, 5.0, line)
+            self._climb_or_walk(fun, Z, best, step, alone)
             for t, start in enumerate(starts):
                 ref_val, ref_z = serial_search.coordinate_ascent(
                     lambda z: float(fun(z[None])[0]), np.array([start]), step,
@@ -574,16 +622,25 @@ class TestSerialReference:
                 assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
             assert Z[1, 0] == backs[1]
 
-    @pytest.mark.parametrize("list_walks", [0, 2], ids=["arrays", "walk"])
-    def test_budget_cuts_run(self, monkeypatch, list_walks):
+    def _climb_or_walk(self, fun, Z, best, step, alone):
+        """Coordinate 0 of the rows of ``Z`` in [-5, 5], in array rounds
+        (``_climb``), or each row alone (``_walk``) on the scalar line of
+        ``fun``, with ``best`` updated in place."""
+        if not alone:
+            search._climb(functools.partial(search._values, fun), Z, best, 0, step, -5.0, 5.0)
+            return
+        line = self._scalar_line(fun)
+        for t, z in enumerate(Z.tolist()):
+            Z[t, 0], best[t] = search._walk(line(z, 0), z[0], float(best[t]), step, -5.0, 5.0)
+
+    @pytest.mark.parametrize("alone", [False, True], ids=["arrays", "walk"])
+    def test_budget_cuts_run(self, monkeypatch, alone):
         # Row 1 takes its step back after one move, so the second round (after
         # a first one of 4 steps) looks 5 steps ahead.  Row 0 climbs in every
         # step but has 3 moves left after the first round, so it stops there.
-        # Row 2 never moves.  With two walks alone, rows 0 and 1 go on alone
-        # after the first round, with the moves they have left.
+        # Row 2 never moves.  Alone, row 0 stops after its seventh move too.
         monkeypatch.setattr(search, "_MAX_MOVES", 7)
         monkeypatch.setattr(search, "_ROUND", 1)
-        monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
         step, starts = 0.1, (0.31, -0.45, -0.33)
         back = starts[1] + step - step
         assert back != starts[1]
@@ -595,9 +652,7 @@ class TestSerialReference:
 
         Z = np.array(starts)[:, None]
         best = fun(Z)
-        evaluate = functools.partial(search._values, fun)
-        line = self._scalar_line(fun)
-        search._climb(evaluate, Z, best, 0, step, -5.0, 5.0, line)
+        self._climb_or_walk(fun, Z, best, step, alone)
         for t, start in enumerate(starts):
             ref_val, ref_z = serial_search.coordinate_ascent(
                 lambda z: float(fun(z[None])[0]), np.array([start]), step,
