@@ -10,17 +10,17 @@ module, which imports this one.  F and the curve are read from the table
 
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
-order.  Both multistart searches run a batched line ascent over blocks of
-trials: per coordinate and step size, a round evaluates the candidates of
-every walk in one array call and replays the greedy walk in array
-operations.  A candidate of the reduced objective recomputes only the
+order.  Both multistart searches run a greedy line ascent over blocks of
+trials, one way along each coordinate (``_walk``): a round evaluates the
+next steps of every walk in one array call, and each walk takes its run of
+winning steps.  A candidate of the reduced objective recomputes only the
 log-terms of the axis that moves.  The violation search walks in log-data
 on the level-n increment in the direct form ``functionals._top_increment``.
 A block of at most ``_LIST_WALKS`` trials walks each alone from its first
-point, on scalar lines of it (lists of floats), evaluating only candidates
-that can win; a larger block takes array rounds to the end.  Either way the
-walks reach exactly the points and values of the serial one-point walk.  A
-violation passes ``functionals._violates`` in floats, then at 50 digits.
+point, on scalar lines of it (lists of floats), step by step; a larger
+block takes array rounds to the end.  Either way the walks reach exactly
+the points and values of the serial one-point walk.  A violation passes
+``functionals._violates`` in floats, then at 50 digits.
 """
 from __future__ import annotations
 
@@ -47,22 +47,23 @@ __all__ = [
 
 # The box dimensions up to which certify takes the curve maximum.  The curve
 # serves every n (scan uses it for all), but at n >= 6 certify-mix went from
-# 570 to 5368 ops/s and its peak RSS from 50.5 to 116.7 MB (2-core host), past
-# the benchmark's +10% bound, as perfbench's run_passes keeps every output
-# until the run ends: multistart goes on there.
+# 867-906 to 5050 ops/s and its peak RSS from 53-57 to 117 MB (2-core host),
+# past the benchmark's +10% bound, as perfbench's run_passes keeps every
+# output until the run ends: multistart goes on there.
 GRID_DIM_LIMIT = 4
 
 # A walk moves at most _MAX_MOVES steps along one coordinate at one step
 # size.  Its rounds look 4, 8, 16, ... steps ahead on each side, and at
 # least _ROUND steps summed over their rows: a small round costs mostly
 # fixed overhead.  A block of at most _LIST_WALKS trials with a scalar line
-# walks each alone (see _multistart): at n = 3..25 that took 0.9-1.0x the
-# time of array rounds up to 16 trials, up to 1.2x from 17 to 24.  A round's
-# candidates and an evaluation's rows stay under _CELL_CAP float64 elements,
-# for any trial count.  The ascent of F stays _BOX_PADDING inside the box.
+# walks each alone (see _multistart): at n = 3..25 and s in {-1, 0, 0.5, 2}
+# that took a median 0.6x the time of array rounds at 4 trials, 0.9-1.0x at
+# 8, 1.03-1.1x at 9-12, 1.25-1.3x at 16.  A round's candidates and an
+# evaluation's rows stay under _CELL_CAP float64 elements, for any trial
+# count.  The ascent of F stays _BOX_PADDING inside the box.
 _MAX_MOVES = 50
 _ROUND = 32
-_LIST_WALKS = 16
+_LIST_WALKS = 8
 _CELL_CAP = 1 << 16
 _BOX_PADDING = 1e-3
 
@@ -251,80 +252,58 @@ class _LinesF:
 
 
 def _walk(at, c, b, step, lo, hi):
-    """The serial walk on the line ``at`` from c with value b: it tries c +
-    step, then c - step (clamped to [lo, hi]), moves to the first that beats
-    b, up to ``_MAX_MOVES`` times, and returns the last (c, b).  It skips
-    candidates equal to c (a clamp) or to the position just left: none wins."""
-    back = math.nan
-    for _ in range(_MAX_MOVES):
-        for x in (c + step, c - step):
+    """The serial walk on the line ``at`` from c with value b: it climbs by
+    +step (clamped to [lo, hi]) while each step beats the last value, or, if
+    the first does not, by -step the same way, and returns the last (c, b).
+    It stops at the first step that does not win, at a clamp (a candidate
+    equal to c, not evaluated) or after ``_MAX_MOVES`` moves."""
+    moves = 0
+    for s in (step, -step):
+        while moves < _MAX_MOVES:
+            x = c + s
             x = lo if x < lo else hi if x > hi else x  # min(max(x, lo), hi)
-            if x != c and x != back and (v := at(x)) > b:
-                c, b, back = x, v, c
+            if x == c or not (v := at(x)) > b:
                 break
-        else:
+            c, b, moves = x, v, moves + 1
+        if moves:
             break
     return c, b
 
 
 def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
     """The greedy walk (see ``_walk``) on coordinate ``i`` of every row of
-    ``Z`` at one step size, up to ``_MAX_MOVES`` moves, updating ``Z`` and
-    its values ``best`` in place, by the line evaluator ``evaluate`` (see
-    ``_values``).
+    ``Z`` at one step size, updating ``Z`` and its values ``best`` in place,
+    by the line evaluator ``evaluate`` (see ``_values``).
 
     A round evaluates the next k positions on both sides, reached by
-    repeated addition as the walk reaches them, and the way back from each
-    unless it lands exactly on the previous position (which cannot win);
-    then it replays the walk.  A walk that runs past the k positions or
-    takes a way back goes on in the next round.
+    repeated addition, and each walk takes its run of winning steps on its
+    side: + if its first step wins, else -.  A walk that wins all k goes on
+    along that side; all such walks have as many moves left, which cap k.
     """
     act = np.arange(len(Z))
-    left = np.zeros(len(Z), np.intp) + _MAX_MOVES
     steps = np.array([[step], [-step]])
-    k = 2
-    while act.size:
+    side, k, left = None, 2, _MAX_MOVES
+    while act.size and left:
         A, r = act.size, np.arange(act.size)
-        k = min(max(2 * k, _ROUND // A), int(left[act].max()))
+        k = min(max(2 * k, _ROUND // A), left)
         line = np.empty((A, 2, k + 1))
         line[:, :, 1:] = steps
         line[:, :, 0] = Z[act, i][:, None]
         np.add.accumulate(line, axis=-1, out=line)
         np.minimum(np.maximum(line, lo, out=line), hi, out=line)
-        back = line[:, :, 1:] - steps
-        np.minimum(np.maximum(back, lo, out=back), hi, out=back)
-        probe = back != line[:, :, :-1]
-        owner = np.concatenate([act.repeat(2 * k), act[probe.nonzero()[0]]])
-        pos = np.concatenate([line[:, :, 1:].ravel(), back[probe]])
-        vals = evaluate(Z, owner, i, pos)
-        v = vals[: 2 * A * k].reshape(A, 2, k)
-        vb = np.empty((A, 2, k))
-        vb.fill(np.nan)
-        vb[probe] = vals[2 * A * k :]
-
-        # The walk takes the + line if its first step wins, else the - line
-        # if that one does, and climbs while each step wins; along + the way
-        # back is tried after the next step fails, along - before it.  ``run``
-        # counts the steps up to the first that fails (k if none does), ``m``
-        # the moves within the budget.
-        b, rest = best[act], left[act]
-        up = v[:, 0, 0] > b
-        side = np.where(up, 0, 1)
-        start = up | (v[:, 1, 0] > b)
-        line, back, v, vb = line[r, side], back[r, side], v[r, side], vb[r, side]
-        wins_back = vb > v
-        on = (v[:, 1:] > v[:, :-1]) & (up[:, None] | ~wins_back[:, :-1])
-        on = np.concatenate([on, np.zeros((A, 1), bool)], axis=1)
-        run = 1 + np.argmin(on, axis=1)
-        m = np.where(start, np.minimum(run, rest), 0)
-        rest -= m
-        at = np.maximum(m - 1, 0)
-        # a walk that stopped inside the round, moves left, takes a winning way back
-        leave = (m > 0) & (m == run) & (run < k) & (rest > 0) & wins_back[r, at]
-        Z[act, i] = np.where(leave, back[r, at], line[r, m])
-        best[act] = np.where(leave, vb[r, at], np.where(m > 0, v[r, at], b))
-        left[act] = rest - leave
-        act = act[(left[act] > 0) & (leave | (m == k))]
+        v = evaluate(Z, act.repeat(2 * k), i, line[:, :, 1:].ravel()).reshape(A, 2, k)
+        b = best[act]
+        if side is None:  # first round
+            side = np.where(v[:, 0, 0] > b, 0, 1)
+        line, v = line[r, side], v[r, side]
+        # ``m`` counts the steps that win up to the first that fails (k if
+        # none does); a clamp repeats the last value, so it fails
+        wins = v > np.concatenate([b[:, None], v[:, :-1]], axis=1)
+        m = np.logical_and.accumulate(wins, axis=1).sum(axis=1)
+        Z[act, i] = line[r, m]
+        best[act] = np.where(m > 0, v[r, m - 1], b)
+        left -= k
+        act, side = act[m == k], side[m == k]
 
 
 def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
@@ -340,7 +319,7 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
     trial."""
     rng = _trial_rng(config.seed, 0)
     fresh = rng.bit_generator.state  # zero counter, empty buffer
-    block = max(1, _CELL_CAP // (4 * _MAX_MOVES))  # 4: two sides, way back
+    block = max(1, _CELL_CAP // (2 * _MAX_MOVES))  # 2: two sides
     for first in range(0, config.trials, block):
         rows = []
         for t in range(first, min(first + block, config.trials)):

@@ -2,7 +2,9 @@
 
 This is the one-point-at-a-time greedy coordinate ascent, with the
 per-trial loops of ``violation_search`` and ``multistart_max_F`` around it.
-The batched search must return results equal to these, field by field.
+On each coordinate and step size it walks one way, the first that wins,
+and stops at the first step that does not.  The batched search must return
+results equal to these, field by field.
 """
 import math
 
@@ -20,23 +22,24 @@ from mixedmeans.search import (
 
 
 def coordinate_ascent(fun, z, steps, lo, hi, local_steps, max_moves=50):
-    """Greedy coordinate ascent with a geometrically shrinking step."""
+    """Greedy coordinate ascent with a geometrically shrinking step.  Along
+    each coordinate it climbs by +step (clamped to [lo, hi]) while each step
+    beats the last value, or, if the first does not, by -step the same way,
+    for at most ``max_moves`` moves: it never turns back."""
     best = fun(z)
     for p in range(local_steps):
         step = steps * 0.5**p
         for i in range(z.size):
-            for _ in range(max_moves):
-                moved = False
-                for sgn in (1.0, -1.0):
+            moves = 0
+            for sgn in (1.0, -1.0):
+                while moves < max_moves:
                     cand = z.copy()
                     cand[i] = min(max(cand[i] + sgn * step, lo), hi)
                     val = fun(cand)
-                    if val > best:
-                        best = val
-                        z = cand
-                        moved = True
+                    if not val > best:
                         break
-                if not moved:
+                    best, z, moves = val, cand, moves + 1
+                if moves:
                     break
     return best, z
 

@@ -522,10 +522,10 @@ class TestSerialReference:
 
     @pytest.mark.parametrize("max_moves", [50, 5, 2])
     def test_rough_objectives(self, monkeypatch, max_moves):
-        # Values that jump between neighbouring floats make the walk take
-        # its steps back (off the lattice by rounding) and turn at the
+        # Values that jump between neighbouring floats make the walks stop
+        # after a step or two, in either direction, and run into the
         # clamps, which the smooth objectives above rarely do.  Small move
-        # budgets make those steps back count against the budget.
+        # budgets cut the walks short.
         monkeypatch.setattr(search, "_MAX_MOVES", max_moves)
 
         def rough(Z):
@@ -579,34 +579,40 @@ class TestSerialReference:
         self.test_rough_objectives(monkeypatch, max_moves)
 
     def test_block_split_matches_the_serial_walk(self):
-        # _LIST_WALKS trials walk alone, one more take array rounds
+        # _LIST_WALKS trials walk alone, one more take array rounds; a split
+        # below 1 or past 64 trials is tested at 1 or 64, on one side of it
+        split = min(max(search._LIST_WALKS, 1), 64)
         rng = np.random.default_rng(75)
         for j, (n, s) in enumerate(((2, 0.0), (3, 2.0), (5, 0.5), (8, -1.0))):
             w = random_weights(rng, n, 0.2, 8.0)
-            for trials in (search._LIST_WALKS, search._LIST_WALKS + 1):
+            for trials in (split, split + 1):
                 cfg = SearchConfig(seed=j, trials=trials, local_steps=4)
                 assert violation_search(w, s, cfg) == serial_search.violation_search(w, s, cfg)
 
     def test_budget_ends_walk_before_step_back(self, monkeypatch):
-        # Row 0 makes its seventh and last move up to 0.31 + 7 steps, where
-        # the step back lands off the lattice and would win; the budget is
-        # spent, so the walk ends there.  Row 1 steps back after one move,
-        # so the second round (after a first one of 4 steps) looks further
-        # ahead than row 0 has moves left.  Alone, each walk has the whole
-        # budget of _MAX_MOVES.
+        # Row 0 climbs to the peak at 3 in every step and makes its seventh
+        # and last move up to 0.61 + 7 steps: 4 in a first round, then 3 in a
+        # second one, cut to the moves it has left.  That round's - line
+        # starts at the step back from 0.61 + 4 steps, which lands off the
+        # lattice and would win; the walk goes on up.  Row 1 moves once, and
+        # its step back lands off the lattice and would win; it stops.  Alone,
+        # each walk has the whole budget of _MAX_MOVES.
         monkeypatch.setattr(search, "_MAX_MOVES", 7)
         monkeypatch.setattr(search, "_ROUND", 1)
-        step, starts, backs = 0.1, (0.31, -0.45), []
-        for start, moves in zip(starts, (7, 1)):
+        step, starts, backs, tops = 0.1, (0.61, -0.45), [], []
+        for start, moves in zip(starts, (4, 1)):
             line = [start]
             for _ in range(moves):
                 line.append(line[-1] + step)
             backs.append(line[-1] - step)
             assert backs[-1] != line[-2]
+            tops.append(line[-1])
+        for _ in range(3):
+            tops[0] += step
 
         def fun(Z):
             z = Z[:, 0]
-            near = np.where(z >= 0.0, -abs(z - 1.03), -abs(z + 0.33))
+            near = np.where(z >= 0.0, -abs(z - 3.0), -abs(z + 0.33))
             return near + 1000.0 * np.isin(z, backs)
 
         # in array rounds, then each walk alone on a scalar line
@@ -620,7 +626,8 @@ class TestSerialReference:
                     -5.0, 5.0, 1, 7,
                 )
                 assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
-            assert Z[1, 0] == backs[1]
+            assert Z[:, 0].tolist() == tops
+            assert not np.isin(Z[:, 0], backs).any()
 
     def _climb_or_walk(self, fun, Z, best, step, alone):
         """Coordinate 0 of the rows of ``Z`` in [-5, 5], in array rounds
@@ -635,20 +642,30 @@ class TestSerialReference:
 
     @pytest.mark.parametrize("alone", [False, True], ids=["arrays", "walk"])
     def test_budget_cuts_run(self, monkeypatch, alone):
-        # Row 1 takes its step back after one move, so the second round (after
-        # a first one of 4 steps) looks 5 steps ahead.  Row 0 climbs in every
-        # step but has 3 moves left after the first round, so it stops there.
-        # Row 2 never moves.  Alone, row 0 stops after its seventh move too.
+        # Row 0 climbs in every step; in array rounds it makes 4 moves in a
+        # first round, then the 3 it has left, and stops there.  Row 1 moves
+        # once; its step back lands off the lattice and would win, but the
+        # walk stops.  Row 2 never moves.  Row 3 climbs to its peak at 2.03 in
+        # exactly the 4 steps of a first round; in the second, its + step
+        # fails and its step back, which lands off the lattice and would win,
+        # is the first of the - line: the walk keeps its side and stops.
+        # Alone, row 0 stops after its seventh move too.
         monkeypatch.setattr(search, "_MAX_MOVES", 7)
         monkeypatch.setattr(search, "_ROUND", 1)
-        step, starts = 0.1, (0.31, -0.45, -0.33)
-        back = starts[1] + step - step
-        assert back != starts[1]
+        step, starts, lines = 0.1, (0.31, -0.45, -0.33, 1.61), []
+        for start, moves in zip(starts, (7, 1, 0, 4)):
+            lines.append([start])
+            for _ in range(moves):
+                lines[-1].append(lines[-1][-1] + step)
+        backs = [lines[t][-1] - step for t in (1, 3)]
+        assert backs[0] != lines[1][-2] and backs[1] != lines[3][-2]
 
         def fun(Z):
             z = Z[:, 0]
-            near = np.where(z >= 0.0, -abs(z - 3.0), -abs(z + 0.33))
-            return near + 1000.0 * (z == back)
+            near = np.where(
+                z < 0.0, -abs(z + 0.33), np.where(z < 1.5, -abs(z - 3.0), -abs(z - 2.03))
+            )
+            return near + 1000.0 * np.isin(z, backs)
 
         Z = np.array(starts)[:, None]
         best = fun(Z)
@@ -659,20 +676,19 @@ class TestSerialReference:
                 -5.0, 5.0, 1, 7,
             )
             assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
-        top = starts[0]
-        for _ in range(7):
-            top += step
-        assert Z[:, 0].tolist() == [top, back, starts[2]]
+        assert Z[:, 0].tolist() == [line[-1] for line in lines]
+        assert not np.isin(Z[:, 0], backs).any()
 
     @staticmethod
-    def _lone_walks(fun, lines, draw, cfg, steps, lo, hi):
+    def _lone_walks(monkeypatch, fun, lines, draw, cfg, steps, lo, hi):
         """Run the walks of ``cfg.trials`` trials, which go alone from the
-        start, by the batch objective ``fun`` and its scalar lines ``lines``,
-        and check them against the serial walk.  The batch is never called.
+        start (``_LIST_WALKS`` is raised to ``cfg.trials`` if below it), by
+        the batch objective ``fun`` and its scalar lines ``lines``, and check
+        them against the serial walk.  The batch is never called.
         The scalar lines must be evaluated first at each walk's start, then at
         exactly the serial walk's candidates, walk by walk, less those equal
-        to the walk's position (a clamp) or to the position it has just left.
-        Returns the counts of the two kinds of skipped candidate."""
+        to the walk's position (a clamp).  No candidate of a walk lies back
+        toward the point it started from.  Returns the count of clamps."""
         rows, points, walks = [], [], {}
 
         def batch(Z):
@@ -699,6 +715,7 @@ class TestSerialReference:
 
             return counted
 
+        monkeypatch.setattr(search, "_LIST_WALKS", max(search._LIST_WALKS, cfg.trials))
         got = list(search._multistart(
             lambda Z: functools.partial(search._values, batch),
             cfg, draw, steps, lo, hi, line,
@@ -711,19 +728,17 @@ class TestSerialReference:
             assert (val, z.tolist()) == (ref[0], ref[1].tolist())
         # a block walks step by step and coordinate by coordinate, row by row
         want = [float(draw(search._trial_rng(cfg.seed, t))[0]) for t in range(cfg.trials)]
-        clamps, backs = 0, 0
+        clamps = 0
         for key in sorted(walks):
-            back, here = math.nan, walks[key][0][0]
+            start = walks[key][0][0]
             for c, x in walks[key]:
-                if c != here:  # the walk moved on from here
-                    back, here = here, c
+                assert (x - c) * (c - start) >= 0.0  # it never turns back
                 clamps += x == c
-                backs += x == back
-                if x != c and x != back:
+                if x != c:
                     want.append(x)
         assert rows == []
         assert points == want
-        return clamps, backs
+        return clamps
 
     @pytest.mark.parametrize("trials, list_walks", [(1, None), (3, 3)])
     def test_lone_walks_evaluate_what_the_serial_walk_does(
@@ -742,17 +757,18 @@ class TestSerialReference:
             def draw(rng):
                 return rng.uniform(-3.0, 3.0, n) * math.log(10.0)
 
-            skipped += sum(self._lone_walks(
-                fun, _top_lines(w, s), draw, SearchConfig(seed=n, trials=trials),
+            skipped += self._lone_walks(
+                monkeypatch, fun, _top_lines(w, s), draw, SearchConfig(seed=n, trials=trials),
                 math.log(2.0), math.log(1e-6), math.log(1e6),
-            ))
+            )
         assert skipped > 0
 
     @pytest.mark.parametrize("trials", [1, 3])
-    def test_lone_walks_skip_clamps(self, trials):
+    def test_lone_walks_skip_clamps(self, monkeypatch, trials):
         # Rough values (see test_rough_objectives) from starts on the clamps:
         # the first step out of the box lands on the start, which the lone
-        # walk does not evaluate again.
+        # walk does not evaluate again; in array rounds its value repeats the
+        # start's and does not win.
         def rough(Z):
             return np.sin(1e17 * Z).sum(axis=-1) - (Z**2).sum(axis=-1)
 
@@ -760,10 +776,19 @@ class TestSerialReference:
             return np.where(rng.uniform(size=3) < 0.5, -2.0, 2.0)
 
         cfg = SearchConfig(seed=3, trials=trials, local_steps=4)
-        clamps, backs = self._lone_walks(
-            rough, self._scalar_line(rough), draw, cfg, 0.7, -2.0, 2.0
-        )
-        assert clamps > 0 and backs > 0
+        line = self._scalar_line(rough)
+        assert self._lone_walks(monkeypatch, rough, line, draw, cfg, 0.7, -2.0, 2.0) > 0
+        monkeypatch.setattr(search, "_LIST_WALKS", 0)
+
+        def lines(Z):
+            return functools.partial(search._values, rough)
+
+        for t, (val, z) in enumerate(search._multistart(lines, cfg, draw, 0.7, -2.0, 2.0, line)):
+            ref = serial_search.coordinate_ascent(
+                lambda z: float(rough(z[None])[0]),
+                draw(search._trial_rng(cfg.seed, t)), 0.7, -2.0, 2.0, cfg.local_steps,
+            )
+            assert (val, z.tolist()) == (ref[0], ref[1].tolist())
 
     def test_chunking_changes_nothing(self, monkeypatch):
         w = WeightSequence([1, 2, 0.5, 6])
