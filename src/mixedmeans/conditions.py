@@ -178,6 +178,10 @@ class ReducedProblem:
             raise InputError(OUT_OF_RANGE) from None
         for arr in (self.upper, self.alpha, self.beta, self.second_max):
             arr.setflags(write=False)
+        # whether every exponent is positive and every box bound exceeds 1, as
+        # the faces of the box need; float64 may round them to 0 or 1
+        exponents = self.alpha.tolist() + self.beta.tolist()
+        self.representable = min(exponents) > 0.0 and min(self.upper.tolist()) > 1.0
         self.log_p = (math.log(self.p[0]), math.log(self.p[1]))
 
     @classmethod
@@ -188,33 +192,25 @@ class ReducedProblem:
             w.reduced = cls(w)
         return w.reduced
 
-    @property
-    def representable(self) -> bool:
-        """Whether every exponent is positive and every box bound exceeds 1,
-        as the faces of the box need; float64 may round them to 0 or 1."""
-        ok = (self.alpha > 0.0) & (self.beta > 0.0) & (self.upper > 1.0)
-        return bool(ok.all())
-
-    def second(self, y, i):
-        """The second bases second_i(y) on axis or axes ``i``, clipped at 0."""
-        return np.maximum((self.W_next[i] - self.W_prev[i] * y) / self.w_next[i], 0.0)
-
     def log_terms(self, y, i):
-        """(alpha_i log y_i, beta_i log second_i(y)) on axis or axes ``i``;
-        a zero base gives -inf even where its exponent underflowed to 0."""
+        """alpha_i log y_i and beta_i log second_i(y) on axis or axes ``i``,
+        stacked on a new first axis, from one log call; a zero base gives
+        -inf even where its exponent underflowed to 0 (so not representable)."""
+        second = np.maximum((self.W_next[i] - self.W_prev[i] * y) / self.w_next[i], 0.0)
+        base = np.array([y, second])
         with np.errstate(divide="ignore", invalid="ignore"):
-            return tuple(
-                np.where(base == 0.0, -np.inf, e * np.log(base))
-                for e, base in ((self.alpha[i], y), (self.beta[i], self.second(y, i)))
-            )
+            terms = np.log(base)
+            terms[0] *= self.alpha[i]
+            terms[1] *= self.beta[i]
+        return terms if self.representable else np.where(base == 0.0, -np.inf, terms)
 
     def log_products(self, y):
         """log of both products of F over the leading coordinates, for points
         y of shape (..., d), summed over the last axis in axis order (a
         running sum, for any d; numpy's pairwise ``sum`` is not in order past
         seven axes); arrays (0-d for one point) for ``F`` and ``log_g``."""
-        terms = self.log_terms(y, slice(0, np.shape(y)[-1]))
-        return tuple(np.asarray(t.cumsum(axis=-1)[..., -1]) for t in terms)
+        L = self.log_terms(y, slice(0, np.shape(y)[-1])).cumsum(axis=-1)[..., -1]
+        return L[0, ...], L[1, ...]
 
     def curve(self, t):
         """At every t = log d in ``t``: the two log-products L_1, L_2 of F at
@@ -247,11 +243,22 @@ class ReducedProblem:
             slope += (a - b) * (e if x > 0.0 else 1.0) / (1.0 + e)
         return L2 - L1 - t, slope, 8.0 * sys.float_info.epsilon * (size + abs(t))
 
+    def curve_log_q(self, t: float) -> list:
+        """``curve``'s log Q_i at one float t, from the rows of ``curve_at``."""
+        return [lW_next - (max(lW, t + lw) + math.log1p(math.exp(-abs(lW - (t + lw)))))
+                for lW, lw, lW_next, _, _ in self._curve_rows[0]]
+
     @functools.cached_property
     def _curve_rows(self):
         rows = self.log_W[:-1], self.log_w[1:], self.log_W[1:], self.alpha, self.beta
         floor = (self.alpha + self.beta) @ np.abs(self.log_W[1:])
         return list(zip(*(a.tolist() for a in rows))), float(floor)
+
+    @functools.cached_property
+    def curve_reach(self) -> float:
+        """max |c_i|, c_i = log(W_i/w_{i+1}), the farthest centre of the
+        curve's softplus terms from t = 0."""
+        return max(abs(lW - lw) for lW, lw, *_ in self._curve_rows[0])
 
     @functools.cached_property
     def monotone_ends(self) -> tuple[float, float]:

@@ -139,6 +139,8 @@ def _log_means(w: WeightSequence, z: np.ndarray, r: float) -> np.ndarray:
     index order, so a row of a batch gives the same bits as a call on it."""
     if r == 0.0:
         return np.cumsum(w.w * z, axis=-1) / w.W
+    if r == 1.0:  # r z and / r are exact at r = 1
+        return np.logaddexp.accumulate(w.log_w + z, axis=-1) - w.log_W
     return (np.logaddexp.accumulate(w.log_w + r * z, axis=-1) - w.log_W) / r
 
 

@@ -127,13 +127,13 @@ def _curve_grid(rp: ReducedProblem) -> np.ndarray:
     ``_CURVE_STEP`` that covers [L, U] = ``ReducedProblem.monotone_ends``.
     Past L and U, R is strictly monotone: at most one root, none by t = 0."""
     lo, hi = rp.monotone_ends
-    reach = np.abs(rp.log_W[:-1] - rp.log_w[1:]).max() + _CURVE_MARGIN
+    reach = rp.curve_reach + _CURVE_MARGIN
     h = math.ceil(reach / _CURVE_STEP)
     first = math.floor(min(max(lo / _CURVE_STEP, -h), h))
     last = math.ceil(min(max(hi / _CURVE_STEP, -h), h))
-    below = np.arange(max(first, 1 - h), min(last, -1) + 1)
-    above = np.arange(max(first, 1), min(last, h - 1) + 1)
-    return np.concatenate([[-h], below, [0], above, [h]]) * _CURVE_STEP
+    below = range(max(first, 1 - h), min(last, -1) + 1)
+    above = range(max(first, 1), min(last, h - 1) + 1)
+    return np.array([-h, *below, 0, *above, h], dtype=float) * _CURVE_STEP
 
 
 def _curve_roots(rp: ReducedProblem, t: np.ndarray):
@@ -150,12 +150,11 @@ def _curve_roots(rp: ReducedProblem, t: np.ndarray):
     Newton."""
     lo, hi = rp.monotone_ends
     L1, L2, _ = rp.curve(t)
-    D = L2 - L1 - t  # R on the grid
-    up = np.where(t == 0.0, rp.curve_at(0.0)[1] > 0.0, (D > 0.0) == (t > 0.0))
-    k = np.flatnonzero(up[:-1] != up[1:])
-    roots, evaluations = [], t.size
-    for a, b, rises, Da, Db in zip(*(v[k].tolist() for v in (t, t[1:], up, D, D[1:]))):
-        if 0.0 in (a, b) and (b <= lo or a >= hi):
+    t, D = t.tolist(), (L2 - L1 - t).tolist()  # R on the grid
+    up = [(R > 0.0) == (x > 0.0) if x else rp.curve_at(0.0)[1] > 0.0 for x, R in zip(t, D)]
+    roots, evaluations = [], len(t)
+    for a, b, rises, after, Da, Db in zip(t, t[1:], up, up[1:], D, D[1:]):
+        if rises == after or 0.0 in (a, b) and (b <= lo or a >= hi):
             continue
         x, done = 0.5 * (a + b), False
         if b - a > _CURVE_STEP and a < (f := a + (b - a) * Da / (Da - Db)) < b:
@@ -199,9 +198,9 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     if not rp.representable:
         raise InputError(OUT_OF_RANGE)
     roots, evaluations = _curve_roots(rp, _curve_grid(rp))
-    Y = np.empty((3 + roots.size, w.n - 1))
-    Y[0], Y[1], Y[2] = 1.0, 0.0, rp.upper
-    np.minimum(np.exp(rp.curve(roots)[2], out=Y[3:]), rp.upper, out=Y[3:])
+    ends = [[1.0] * (w.n - 1), [0.0] * (w.n - 1), rp.upper.tolist()]
+    Y = np.array(ends + [rp.curve_log_q(t) for t in roots.tolist()])  # log Q at the roots
+    np.minimum(np.exp(Y[3:], out=Y[3:]), rp.upper, out=Y[3:])
     vals = rp.F(*rp.log_products(Y))
     k = int(np.argmax(vals))
     return SearchResult(float(vals[k]), tuple(Y[k].tolist()), evaluations + roots.size)
@@ -229,7 +228,7 @@ class _LinesF:
 
     def __init__(self, rp: ReducedProblem, Z: np.ndarray):
         self.rp, self.axis, self.before = rp, 0, None
-        terms = np.array(rp.log_terms(Z * rp.upper, slice(None)))
+        terms = rp.log_terms(Z * rp.upper, slice(None))  # (2, rows, dims)
         self.terms = terms.transpose(2, 0, 1).copy()  # (dims, 2, rows)
 
     def __call__(self, Z, owner, i, pos):
@@ -242,7 +241,7 @@ class _LinesF:
         rows = max(1, _CELL_CAP // T[..., 0].size)
         for a in range(0, pos.size, rows):
             o = owner[a : a + rows]
-            L = np.array(rp.log_terms(pos[a : a + rows] * rp.upper[i], i))
+            L = rp.log_terms(pos[a : a + rows] * rp.upper[i], i)
             if i:
                 L += self.before[:, o]
             for t in np.take(T[i + 1 :], o, axis=2):
@@ -275,27 +274,25 @@ def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
     ``Z`` at one step size, updating ``Z`` and its values ``best`` in place,
     by the line evaluator ``evaluate`` (see ``_values``).
 
-    A round evaluates the next k positions on both sides, reached by
-    repeated addition, and each walk takes its run of winning steps on its
-    side: + if its first step wins, else -.  A walk that wins all k goes on
-    along that side; all such walks have as many moves left, which cap k.
+    A round evaluates the next k positions of each walk, by repeated
+    addition, on its side (+ if its first step wins, else -; both in the
+    first round); each takes its run of winning steps, and those that win
+    all k, which have as many moves left (a cap on k), go on.
     """
-    act = np.arange(len(Z))
-    steps = np.array([[step], [-step]])
-    side, k, left = None, 2, _MAX_MOVES
+    act, steps = np.arange(len(Z)), np.full((len(Z), 2), (step, -step))  # then its side
+    k, left = 2, _MAX_MOVES
     while act.size and left:
-        A, r = act.size, np.arange(act.size)
+        A, sides, r = act.size, steps.shape[1], np.arange(act.size)
         k = min(max(2 * k, _ROUND // A), left)
-        line = np.empty((A, 2, k + 1))
-        line[:, :, 1:] = steps
+        line = np.empty((A, sides, k + 1))
+        line[:, :, 1:] = steps[..., None]
         line[:, :, 0] = Z[act, i][:, None]
         np.add.accumulate(line, axis=-1, out=line)
         np.minimum(np.maximum(line, lo, out=line), hi, out=line)
-        v = evaluate(Z, act.repeat(2 * k), i, line[:, :, 1:].ravel()).reshape(A, 2, k)
+        v = evaluate(Z, act.repeat(sides * k), i, line[:, :, 1:].ravel()).reshape(A, sides, k)
         b = best[act]
-        if side is None:  # first round
-            side = np.where(v[:, 0, 0] > b, 0, 1)
-        line, v = line[r, side], v[r, side]
+        side = np.where(v[:, 0, 0] > b, 0, 1) if sides == 2 else 0  # +: the first wins
+        line, v, steps = line[r, side], v[r, side], steps[r, side, None]
         # ``m`` counts the steps that win up to the first that fails (k if
         # none does); a clamp repeats the last value, so it fails
         wins = v > np.concatenate([b[:, None], v[:, :-1]], axis=1)
@@ -303,7 +300,7 @@ def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
         Z[act, i] = line[r, m]
         best[act] = np.where(m > 0, v[r, m - 1], b)
         left -= k
-        act, side = act[m == k], side[m == k]
+        act, steps = act[m == k], steps[m == k]
 
 
 def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
@@ -334,8 +331,7 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
                     step = steps * 0.5**p
                     for i in range(len(zs[0])):
                         for a, z in enumerate(zs):
-                            at = scalar(z, i)
-                            z[i], bs[a] = _walk(at, z[i], bs[a], step, lo, hi)
+                            z[i], bs[a] = _walk(scalar(z, i), z[i], bs[a], step, lo, hi)
             yield from zip(bs, np.array(zs))
             continue
         Z = np.array(rows)

@@ -10,8 +10,10 @@ critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives nine commands:
 s in {-1, 0, 0.5, 2}, with the sequence's own ``--seed``.  Every command
 runs through ``mixedmeans.cli.run`` in one child process per checkout, the
 two side by side.  The script prints how many of the commands differ in stdout or exit
-code, then each that does.  It exits 0 whatever the count, and fails only
-if a child does.
+code, then each that does, with its route (``certify``) or verdict
+(``search``) on both sides and how many ulp apart its value is
+(``numeric_max.value`` or ``best_value``).  It exits 0 whatever the count,
+and fails only if a child does.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -76,6 +79,26 @@ def outputs(src: Path, commands) -> list:
     return json.loads(child.stdout)
 
 
+def _verdict(code: int, stdout: str):
+    """The route or verdict of one output and its value (None if it has none)."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return f"exit {code}", None
+    if "route" in doc:
+        return doc["route"], (doc["numeric_max"] or {}).get("value")
+    return "violation" if doc["violation"] else "no violation", doc["best_value"]
+
+
+def _ulps(a: float, b: float) -> int:
+    """How many floats apart a and b are (the bits as ordered integers)."""
+    keys = []
+    for v in (a, b):
+        bits = struct.unpack("<q", struct.pack("<d", v))[0]
+        keys.append(bits if bits >= 0 else -(bits & (2**63 - 1)))
+    return abs(keys[0] - keys[1])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src", type=Path)
@@ -85,13 +108,14 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(2) as pool:
             mine, theirs = pool.map(outputs, (SRC, other), (commands, commands))
     differ = [
-        " ".join(Path(a).name if a.endswith(".json") else a for a in command)
-        for command, one, two in zip(commands, mine, theirs)
-        if one != two
+        (command, one, two) for command, one, two in zip(commands, mine, theirs) if one != two
     ]
     print(f"{len(differ)} of {len(commands)} stdouts differ")
-    for command in differ:
-        print(f"  {command}")
+    for command, one, two in differ:
+        (route, value), (other, other_value) = _verdict(*one), _verdict(*two)
+        apart = "no value" if None in (value, other_value) else f"{_ulps(value, other_value)} ulp"
+        name = " ".join(Path(a).name if a.endswith(".json") else a for a in command)
+        print(f"  {name}: {route} / {other}, {apart}")
     return 0
 
 

@@ -1,9 +1,13 @@
-"""The curve roots on the full window lattice, a reference for the pruned grid
-of ``mixedmeans.search._curve_roots``.
+"""References for the curve maximum ``mixedmeans.search.curve_max_F``.
 
-Every node of step ``_CURVE_STEP`` across the window is evaluated, with no
-bound on where R is monotone, and each grid sign change of S(t) = R(t)/t is
-refined by the same bracketed Newton iteration on ``ReducedProblem.curve_at``.
+``roots``: the curve roots on the full window lattice, a reference for the
+pruned grid of ``search._curve_roots``.  Every node of step ``_CURVE_STEP``
+across the window is evaluated, with no bound on where R is monotone, and
+each grid sign change of S(t) = R(t)/t is refined by the same bracketed
+Newton iteration on ``ReducedProblem.curve_at``.
+
+``curve_max_F``: the maximum with each root's point Q from a second array
+pass over the roots (``ReducedProblem.curve``), not from the scalar rows.
 """
 import math
 
@@ -39,3 +43,12 @@ def roots(rp: ReducedProblem) -> np.ndarray:
             x = step if a < step < b else x if done else 0.5 * (a + b)
         found.append(x)
     return np.array(found)
+
+
+def curve_max_F(rp: ReducedProblem) -> float:
+    """F's largest value at the point 1, the two corners and Q at each root of
+    ``search._curve_roots``, with Q from ``ReducedProblem.curve``'s log Q."""
+    roots, _ = search._curve_roots(rp, search._curve_grid(rp))
+    ends = np.array([np.ones_like(rp.upper), np.zeros_like(rp.upper), rp.upper])
+    Y = np.vstack([ends, np.minimum(np.exp(rp.curve(roots)[2]), rp.upper)])
+    return float(rp.F(*rp.log_products(Y)).max())

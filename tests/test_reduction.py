@@ -182,6 +182,18 @@ class TestObjectiveF:
                 assert got.shape == ()
                 assert float(got) == sum(float(t[k][1, 7]) for t in terms)
 
+    def test_zero_base_with_an_underflowed_exponent_gives_minus_inf(self):
+        # beta_1 = w_2/W_3 underflows to 0 (the table is not representable),
+        # and the second base of axis 1 vanishes at its top, y_1 = 1: its
+        # log-term is -inf, not 0 * -inf = NaN, and so is the product's: F
+        # at (1, 1) is p_1 G_1 = p_1
+        w = WeightSequence([1, 1e-300, 1e300])
+        rp = ReducedProblem(w)
+        assert rp.beta[0] == 0.0 and rp.upper[0] == 1.0 and not rp.representable
+        assert rp.log_terms(np.array([0.5, 1.0]), 0)[1].tolist() == [0.0, -math.inf]
+        assert rp.log_products(np.array([1.0, 1.0]))[1] == -math.inf
+        assert objective_F(w, [1.0, 1.0]) == rp.p[0]
+
 
 class TestObjectiveG:
     def test_ones_give_one(self):

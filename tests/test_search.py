@@ -154,13 +154,15 @@ class TestCurveOracle:
 
     def test_best_is_the_first_maximum_of_the_candidates(self):
         # the point 1, the origin, the top corner and Q at every root, each
-        # through objective_F on its own: the first largest, bit for bit
+        # through objective_F on its own: the first largest, bit for bit.  Q
+        # comes from the scalar rows, as curve_max_F forms it; a test on
+        # extreme weights below compares those points with the array pass
         for ws in _curve_corpus():
             w = WeightSequence(ws)
             rp = ReducedProblem.of(w)
             roots, evaluations = _roots(rp)
             points = [np.ones(w.n - 1), np.zeros(w.n - 1), rp.upper]
-            points += [np.minimum(np.exp(rp.curve(t)[2]), rp.upper) for t in roots.tolist()]
+            points += [np.minimum(np.exp(rp.curve_log_q(t)), rp.upper) for t in roots.tolist()]
             values = [objective_F(w, y) for y in points]
             k = values.index(max(values))
             res = curve_max_F(w)
@@ -174,8 +176,9 @@ class TestCurveOracle:
             assert res.best_value == pytest.approx(ref, rel=1e-14), ws
 
     def test_scalar_curve_matches_the_kernel(self):
-        # R to a few ulp of the magnitudes it is formed from; R' to a
-        # central difference of the kernel's R
+        # R, and each log Q_i of curve_log_q, to a few ulp of the magnitudes
+        # they are formed from (log Q_i from log W_i, log w_{i+1}, t and a
+        # softplus below 1); R' to a central difference of the kernel's R
         eps, h = sys.float_info.epsilon, 1e-5
         rng = np.random.default_rng(65)
         for ws in _curve_corpus():
@@ -191,10 +194,13 @@ class TestCurveOracle:
             )
             up, down = (rp.curve(t + dt) for dt in (h, -h))
             central = ((up[1] - up[0]) - (down[1] - down[0]) - 2 * h) / (2 * h)
-            for x, R, size, diff in zip(t.tolist(), L2 - L1 - t, scale, central):
+            for x, R, size, diff, q in zip(t.tolist(), L2 - L1 - t, scale, central, log_q):
                 R_at, slope, _ = rp.curve_at(x)
                 assert abs(R_at - R) <= 4 * eps * size, (ws, x)
                 assert slope == pytest.approx(diff, abs=1e-6), (ws, x)
+                q_size = np.abs(rp.log_W[1:]) + np.abs(rp.log_W[:-1]) + np.abs(rp.log_w[1:])
+                q_size += abs(x) + 1.0
+                assert (np.abs(rp.curve_log_q(x) - q) <= 4 * eps * q_size).all(), (ws, x)
 
     def test_slope_at_one(self):
         # R'(0) = sum (alpha_i - beta_i) w_{i+1}/W_{i+1} - w_1/W_n
@@ -257,6 +263,26 @@ class TestCurveOracle:
                     assert abs(a - b) <= max(wa, wb), (w.w, a, b)
         assert tables > 500
         assert noise[1] < noise[0]
+
+    def test_scalar_root_points_match_the_array_pass_on_extreme_weights(self):
+        # Q at each root comes from the scalar rows (math.exp, math.log1p),
+        # not numpy's: the maximum is within 4 ulp of the array pass's, with
+        # the same verdict, and it is objective_F at its point, bit for bit
+        rng = np.random.default_rng(68)
+        tables = 0
+        while tables < 300:
+            try:
+                w = WeightSequence(10.0 ** rng.uniform(-300.0, 300.0, int(rng.integers(2, 9))))
+                rp = ReducedProblem.of(w)
+            except InputError:
+                continue
+            if not rp.representable:
+                continue
+            tables += 1
+            got, want = curve_max_F(w), curve_reference.curve_max_F(rp)
+            assert abs(got.best_value - want) <= 4 * math.ulp(want), w.w
+            assert (got.best_value > 1.0 + 1e-9) == (want > 1.0 + 1e-9), w.w
+            assert objective_F(w, got.best_point) == got.best_value, w.w
 
     def test_slope_has_the_proven_sign_past_the_bounds(self):
         # R' <= -w_1/W_n / 2 at t <= L, and R' has the sign of sum alpha - 1 at t >= U
@@ -639,6 +665,33 @@ class TestSerialReference:
         line = self._scalar_line(fun)
         for t, z in enumerate(Z.tolist()):
             Z[t, 0], best[t] = search._walk(line(z, 0), z[0], float(best[t]), step, -5.0, 5.0)
+
+    def test_climb_evaluates_one_side_after_the_first_round(self, monkeypatch):
+        # The first round takes k steps on each side of every walk; after it,
+        # each walk's side is fixed and a round takes its k steps on that
+        # side only.  Row 0 climbs to 3 and row 1 down to -3 over several
+        # rounds, row 2 sits on the peak at 3 and stops in the first.
+        monkeypatch.setattr(search, "_ROUND", 1)
+        rows = []
+
+        def fun(Z):
+            return -abs(abs(Z[:, 0]) - 3.0)
+
+        def evaluate(Z, owner, i, pos):
+            rows.append(np.bincount(owner, minlength=len(Z)).tolist())
+            return search._values(fun, Z, owner, i, pos)
+
+        starts = (0.05, -0.05, 3.0)
+        Z = np.array(starts)[:, None]
+        best = fun(Z)
+        search._climb(evaluate, Z, best, 0, 0.1, -5.0, 5.0)
+        # k = 4 on both sides, then 8, 16 and the 22 moves left on one side
+        assert rows == [[8, 8, 8], [8, 8, 0], [16, 16, 0], [22, 22, 0]]
+        for t, start in enumerate(starts):
+            ref_val, ref_z = serial_search.coordinate_ascent(
+                lambda z: float(fun(z[None])[0]), np.array([start]), 0.1, -5.0, 5.0, 1,
+            )
+            assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
 
     @pytest.mark.parametrize("alone", [False, True], ids=["arrays", "walk"])
     def test_budget_cuts_run(self, monkeypatch, alone):
