@@ -28,7 +28,7 @@ from .conditions import (
     holland_condition,
     nanjundiah_condition,
 )
-from .functionals import _popoviciu_profile, _rado_increments, _violates
+from .functionals import _confirmed_violation, _popoviciu_profile, _rado_increments
 from .means import (
     InputError,
     WeightSequence,
@@ -134,7 +134,7 @@ def _cmd_verify(args) -> int:
         {"k": k, "rado_increment": inc, "popoviciu_increment": p}
         for k, inc, p in zip(range(2, w.n + 1), rado.tolist(), pop.tolist())
     ]
-    failed = bool(np.any(_violates(w, x, args.s, rado)))
+    failed = _confirmed_violation(w, x, args.s, rado, 2)
     _emit({"s": args.s, "levels": levels})
     return 2 if failed else 0
 

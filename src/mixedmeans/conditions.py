@@ -17,8 +17,10 @@ right-neighborhood where the Gao conditions hold.
 ``ReducedProblem`` is the one table of the reduced problem (box, exponents,
 second bases, corner log-products), built once per weight sequence by
 ``ReducedProblem.of``.  The Gao product margins read its corners;
-``reduction`` and ``search`` build F, g, the elimination step, the curve
-and the bounds from it.
+``reduction`` and ``search`` build F, g, the elimination step and the bounds
+from it.  It owns the curve of F's interior critical points: its kernel, its
+monotone ends, its grid and its Newton roots, each formed once, which
+``search.curve_max_F`` and ``reduction.find_stationary_d`` both read.
 """
 from __future__ import annotations
 
@@ -48,6 +50,14 @@ __all__ = [
 # reported as failing with the boundary flag set.
 STRICT_TOL = 1e-12
 OUT_OF_RANGE = "weights out of float64 range for the reduced problem"
+
+# The curve window reaches _CURVE_MARGIN beyond every t = log(W_i/w_{i+1}),
+# where the Q_i move: e**-37 < 2**-53, so past it each Q_i or d Q_i is
+# constant in float64.  A sign change of R(t)/t on its grid, of step
+# _CURVE_STEP where R may not be monotone, is refined by Newton's method to a
+# root t, where F is taken.
+_CURVE_MARGIN = 37.0
+_CURVE_STEP = 0.125
 
 
 def _exp(v: float) -> float:
@@ -255,12 +265,6 @@ class ReducedProblem:
         return list(zip(*(a.tolist() for a in rows))), float(floor)
 
     @functools.cached_property
-    def curve_reach(self) -> float:
-        """max |c_i|, c_i = log(W_i/w_{i+1}), the farthest centre of the
-        curve's softplus terms from t = 0."""
-        return max(abs(lW - lw) for lW, lw, *_ in self._curve_rows[0])
-
-    @functools.cached_property
     def monotone_ends(self) -> tuple[float, float]:
         """(L, U): R' <= -kappa/2 for t <= L, kappa = w_1/W_n, and R' has the
         sign of its limit e = sum a_i - kappa for t >= U, so R is strictly
@@ -284,6 +288,58 @@ class ReducedProblem:
         lo = math.log(kappa) - math.log(2.0) - left if kappa else -math.inf
         tol = 4.0 * len(ac) * sys.float_info.epsilon * (1.0 + math.fsum(self.alpha.tolist()))
         return lo, right - math.log(abs(e) / 2.0) if abs(e) > tol else math.inf
+
+    @functools.cached_property
+    def curve_grid(self) -> np.ndarray:
+        """The nodes t = log d of the curve window, reaching ``_CURVE_MARGIN``
+        beyond every c_i = log(W_i/w_{i+1}): its ends, t = 0, and the lattice of
+        step ``_CURVE_STEP`` that covers [L, U] = ``monotone_ends``.  Past L and
+        U, R is strictly monotone: at most one root, none by t = 0."""
+        lo, hi = self.monotone_ends
+        reach = max(abs(lW - lw) for lW, lw, *_ in self._curve_rows[0]) + _CURVE_MARGIN
+        h = math.ceil(reach / _CURVE_STEP)
+        first = math.floor(min(max(lo / _CURVE_STEP, -h), h))
+        last = math.ceil(min(max(hi / _CURVE_STEP, -h), h))
+        below = range(max(first, 1 - h), min(last, -1) + 1)
+        above = range(max(first, 1), min(last, h - 1) + 1)
+        grid = np.array([-h, *below, 0, *above, h], dtype=float) * _CURVE_STEP
+        grid.setflags(write=False)
+        return grid
+
+    @functools.cached_property
+    def curve_roots(self) -> tuple[tuple, int]:
+        """The roots t = log d != 0 of R(t) = L_2 - L_1 - t (``curve``) in the
+        curve window, one per sign change of S(t) = R(t)/t on ``curve_grid``
+        (S(0) = R'(0): d = 1 is an exact root), by Newton's method on S in
+        floats (``curve_at``), bisecting where a step leaves the bracket or S'
+        is 0 or not finite; on S, a bracket ending at t = 0 never closes on
+        R(0) = 0, and past L or U it holds no other root and is skipped.  A
+        bracket wider than a step starts where R's chord crosses 0, the others
+        at their middle.  Each stops once |R| is within its rounding bound or
+        the bracket within 2**-43 (1 + |t|), with its last step if in the
+        bracket.  Also the count of points evaluated: grid and Newton."""
+        (lo, hi), t = self.monotone_ends, self.curve_grid
+        L1, L2, _ = self.curve(t)
+        t, D = t.tolist(), (L2 - L1 - t).tolist()  # R on the grid
+        up = [(R > 0.0) == (x > 0.0) if x else self.curve_at(0.0)[1] > 0.0 for x, R in zip(t, D)]
+        roots, evaluations = [], len(t)
+        for a, b, rises, after, Da, Db in zip(t, t[1:], up, up[1:], D, D[1:]):
+            if rises == after or 0.0 in (a, b) and (b <= lo or a >= hi):
+                continue
+            x, done = 0.5 * (a + b), False
+            if b - a > _CURVE_STEP and a < (f := a + (b - a) * Da / (Da - Db)) < b:
+                x = f
+            while not done:
+                R, slope, bound = self.curve_at(x)
+                evaluations += 1
+                like_a = ((R > 0.0) == (x > 0.0)) == rises  # sign S(x) = sign S(a)
+                a, b = (x, b) if like_a else (a, x)
+                done = abs(R) <= bound or b - a <= 2.0**-43 * (1.0 + abs(x))
+                den = slope * x - R  # S/S' = R x/(R' x - R)
+                step = x - R * x / den if den else math.nan
+                x = step if a < step < b else x if done else 0.5 * (a + b)
+            roots.append(x)
+        return tuple(roots), evaluations
 
     def F(self, L1, L2):
         """F from its two log-products; overwrites and returns ``L1``."""

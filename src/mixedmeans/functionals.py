@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from .conditions import ReducedProblem
@@ -204,3 +205,28 @@ def _violates(w: WeightSequence, x, s: float, increment):
     increment at the data x, oriented by ``_orientation(s)``, is below
     -``violation_tolerance(w, x)``.  NaN is never a violation."""
     return _orientation(s) * increment < -violation_tolerance(w, x)
+
+
+def _rado_increment_precise(w: WeightSequence, x, s: float, k: int) -> float:
+    """Independent high-precision re-evaluation of the level-k increment
+    W_k O_k - W_{k-1} O_{k-1} - w_k M_k, from 50-digit prefix sums in one
+    pass, with O_m the s-mean of the running arithmetic means A_1..A_m and
+    M_k the s-mean of x_1..x_k: only those three means are formed."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        term = mpmath.log if s == 0 else (lambda v: v**s)
+        mean = mpmath.exp if s == 0 else (lambda v: v ** (1 / s))  # inverse of term
+        W = Sx = Sv = SA = mpmath.mpf(0)
+        for wi, xi in zip(w.w[:k].tolist(), np.asarray(x, dtype=float)[:k].tolist()):
+            wi, xi, W_prev, SA_prev = mpmath.mpf(wi), mpmath.mpf(xi), W, SA
+            W, Sx, Sv = W + wi, Sx + wi * xi, Sv + wi * term(xi)
+            SA += wi * term(Sx / W)
+        return float(W * mean(SA / W) - W_prev * mean(SA_prev / W_prev) - wi * mean(Sv / W))
+
+
+def _confirmed_violation(w: WeightSequence, x, s: float, increments, k: int) -> bool:
+    """Whether the float increments at levels k, k + 1, ... of the data x
+    (``verify``'s row, or the search's one level-n value) hold a violation: a
+    level that breaks ``_violates`` in floats and at 50 digits."""
+    flagged = (np.flatnonzero(_violates(w, x, s, increments)) + k).tolist()
+    return any(_violates(w, x, s, _rado_increment_precise(w, x, s, j)) for j in flagged)

@@ -10,14 +10,16 @@ family a_i(d) = W_{i+1} / (d w_{i+1} + W_i); d = 1 gives the constant
 point where g = 1 exactly; extended to the last axis, it holds every
 interior critical point of F (``search.curve_max_F``).  A member is critical
 where the residual h(d) - h(1) = r R(log d) vanishes, R the function whose
-sign is that of F's slope along the curve (``stationary_analysis``,
-``find_stationary_d``).  ``certify`` packages the case analysis: Holland
-margin, then the Gao conditions, then the maximum of F; ``weight_scan``
-sweeps the same quantities over the tail.  All of them read the table
-``conditions.ReducedProblem``, built once per weight sequence.
+sign is that of F's slope along the curve (``stationary_analysis``, and
+``find_stationary_d``, from the table's ``curve_roots``).  ``certify``
+packages the case analysis: Holland margin, then the Gao conditions, then
+the maximum of F; ``weight_scan`` sweeps the same quantities over the tail.
+All of them read the table ``conditions.ReducedProblem``, built once per
+weight sequence.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -98,6 +100,11 @@ def box_upper(w: WeightSequence) -> np.ndarray:
     return ReducedProblem.of(w).upper
 
 
+def _prefix_sums(terms) -> list:
+    """The running sums of ``terms`` from 0, in order, at the working precision."""
+    return list(itertools.accumulate(terms, initial=mpmath.mpf(0)))[1:]
+
+
 def x_to_y(w: WeightSequence, x) -> YPoint:
     """Map data to reduced coordinates y_i = A_i/A_{i+1}.
 
@@ -108,23 +115,13 @@ def x_to_y(w: WeightSequence, x) -> YPoint:
         raise InputError("need at least two entries")
     x = as_samples(x, w.n)
     with mpmath.workdps(_TRANSFORM_DPS):
-        t = mpmath.mpf(0)
-        totals = []
-        for wi, xi in zip(w.w, x):
-            t += mpmath.mpf(float(wi)) * mpmath.mpf(float(xi))
-            totals.append(t)
-        W = [mpmath.mpf(float(v)) for v in w.w]
-        Wsum = []
-        acc = mpmath.mpf(0)
-        for v in W:
-            acc += v
-            Wsum.append(acc)
-        hi = np.empty(w.n - 1)
-        lo = np.empty(w.n - 1)
+        totals = _prefix_sums(mpmath.mpf(float(wi)) * mpmath.mpf(float(xi))
+                              for wi, xi in zip(w.w, x))
+        Wsum = _prefix_sums(mpmath.mpf(float(v)) for v in w.w)
+        hi, lo = np.empty(w.n - 1), np.empty(w.n - 1)
         for i in range(w.n - 1):
             yi = (totals[i] * Wsum[i + 1]) / (totals[i + 1] * Wsum[i])
-            h = float(yi)
-            hi[i] = h
+            hi[i] = h = float(yi)
             lo[i] = float(yi - mpmath.mpf(h))
     return YPoint(hi, lo)
 
@@ -148,18 +145,13 @@ def y_to_x(w: WeightSequence, y, scale: float) -> np.ndarray:
     with mpmath.workdps(_TRANSFORM_DPS):
         yv = [mpmath.mpf(float(h)) + mpmath.mpf(float(l))
               for h, l in zip(yp.y, yp.y_lo)]
-        W = []
-        acc = mpmath.mpf(0)
-        for v in w.w:
-            acc += mpmath.mpf(float(v))
-            W.append(acc)
+        W = _prefix_sums(mpmath.mpf(float(v)) for v in w.w)
         A = [mpmath.mpf(0)] * w.n
         A[-1] = mpmath.mpf(float(scale))
         for i in range(w.n - 2, -1, -1):
             A[i] = A[i + 1] * yv[i]
         x = np.empty(w.n)
-        prev = mpmath.mpf(0)
-        prev_W = mpmath.mpf(0)
+        prev = prev_W = mpmath.mpf(0)
         for i in range(w.n):
             xi = float((W[i] * A[i] - prev_W * prev) / mpmath.mpf(float(w.w[i])))
             if not 0.0 < xi < math.inf:  # NaN too
@@ -285,12 +277,12 @@ def interior_bound(w: WeightSequence) -> float:
 
 def find_stationary_d(w: WeightSequence) -> list[float]:
     """The roots of the stationarity residual, sorted: exactly 1.0, d = e^t
-    at each root t of ``search._curve_roots`` in the curve window (a sign
-    change of R(t)/t on a grid that covers [L, U], past which R is strictly
-    monotone (``ReducedProblem.monotone_ends``), refined by Newton's method
-    until |R| is within its rounding bound or the bracket within 2**-43
-    (1 + |t|)), and past each end of the window, where R is linear in t to
-    float64 precision, its root there in closed form, if it has one:
+    at each root t of ``ReducedProblem.curve_roots`` in the curve window
+    ``ReducedProblem.curve_grid`` (a sign change of R(t)/t on a grid that
+    covers [L, U], past which R is strictly monotone, refined by Newton's
+    method until |R| is within its rounding bound or the bracket within
+    2**-43 (1 + |t|)), and past each end of the window, where R is linear in
+    t to float64 precision, its root there in closed form, if it has one:
 
         t = sum (alpha_i - beta_i) log(W_{i+1}/w_{i+1}) / (sum alpha - 1)
         on the right,  t = sum (beta_i - alpha_i) log(W_{i+1}/W_i) W_n/w_1
@@ -300,13 +292,13 @@ def find_stationary_d(w: WeightSequence) -> list[float]:
     if w.n < 3:
         raise InputError("need at least three entries")
     rp = ReducedProblem.of(w)
-    grid, gap = search._curve_grid(rp), rp.alpha - rp.beta
+    grid, gap = rp.curve_grid, rp.alpha - rp.beta
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         left = -(gap @ np.log(rp.upper)) * (rp.W_n / rp.w_1)
         right = gap @ np.log(rp.second_max) / (rp.alpha.sum() - 1.0)
         past = np.exp([t for t, side in ((left, -1.0), (right, 1.0)) if side * t > grid[-1]])
     past = past[(past > 0.0) & (past < math.inf)]
-    return sorted({1.0, *np.exp(search._curve_roots(rp, grid)[0]).tolist(), *past.tolist()})
+    return sorted({1.0, *np.exp(rp.curve_roots[0]).tolist(), *past.tolist()})
 
 
 @dataclass(frozen=True)

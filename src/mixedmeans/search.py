@@ -1,12 +1,12 @@
-"""Numeric oracles: the roots of R, which has the sign of the slope of the
-reduced objective F along the curve of its critical points (``curve_max_F``)
-and gives the maximum of F for boxes of up to four dimensions and the roots
-of ``reduction.find_stationary_d``, by Newton's method from the sign changes
-on a grid; the multistart ascent of F beyond; and a multistart violation
-search in data space.  The route policy that decides when they run
-(``reduction.certify``, ``reduction.weight_scan``) lives in the reduction
-module, which imports this one.  F and the curve are read from the table
-``conditions.ReducedProblem``, built once per weight sequence.
+"""Numeric oracles: the maximum of the reduced objective F on the curve of
+its critical points (``curve_max_F``, for boxes of up to four dimensions in
+``certify`` and for every n in ``scan``), the multistart ascent of F beyond,
+and a multistart violation search in data space.  The route policy that
+decides when they run (``reduction.certify``, ``reduction.weight_scan``)
+lives in the reduction module, which imports this one.  F, the curve and
+its roots (``ReducedProblem.curve_roots``, on the grid ``curve_grid``) are
+read from the table ``conditions.ReducedProblem``, built once per weight
+sequence; this module holds no curve window of its own.
 
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
@@ -20,7 +20,8 @@ A block of at most ``_LIST_WALKS`` trials walks each alone from its first
 point, on scalar lines of it (lists of floats), step by step; a larger
 block takes array rounds to the end.  Either way the walks reach exactly
 the points and values of the serial one-point walk.  A violation passes
-``functionals._violates`` in floats, then at 50 digits.
+``functionals._violates`` in floats, then at 50 digits, by the rule
+``verify`` applies too (``functionals._confirmed_violation``).
 """
 from __future__ import annotations
 
@@ -29,11 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .conditions import OUT_OF_RANGE, ReducedProblem
-from .functionals import _orientation, _top_increment, _top_lines, _violates
+from .functionals import _confirmed_violation, _orientation, _top_increment, _top_lines
 from .means import InputError, WeightSequence
 
 __all__ = [
@@ -66,14 +66,6 @@ _ROUND = 32
 _LIST_WALKS = 8
 _CELL_CAP = 1 << 16
 _BOX_PADDING = 1e-3
-
-# The curve window reaches _CURVE_MARGIN beyond every t = log(W_i/w_{i+1}),
-# where the Q_i move: e**-37 < 2**-53, so past it each Q_i or d Q_i is
-# constant in float64.  A sign change of R(t)/t on its grid, of step
-# _CURVE_STEP where R may not be monotone, is refined by Newton's method to a
-# root t, where F is taken.
-_CURVE_MARGIN = 37.0
-_CURVE_STEP = 0.125
 
 # Sampling range for data entries: the functionals are scale invariant,
 # so only the dynamic range matters.
@@ -121,57 +113,6 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _curve_grid(rp: ReducedProblem) -> np.ndarray:
-    """The nodes t = log d of the curve window, reaching ``_CURVE_MARGIN`` beyond
-    every log(W_i/w_{i+1}): its ends, t = 0, and the lattice of step
-    ``_CURVE_STEP`` that covers [L, U] = ``ReducedProblem.monotone_ends``.
-    Past L and U, R is strictly monotone: at most one root, none by t = 0."""
-    lo, hi = rp.monotone_ends
-    reach = rp.curve_reach + _CURVE_MARGIN
-    h = math.ceil(reach / _CURVE_STEP)
-    first = math.floor(min(max(lo / _CURVE_STEP, -h), h))
-    last = math.ceil(min(max(hi / _CURVE_STEP, -h), h))
-    below = range(max(first, 1 - h), min(last, -1) + 1)
-    above = range(max(first, 1), min(last, h - 1) + 1)
-    return np.array([-h, *below, 0, *above, h], dtype=float) * _CURVE_STEP
-
-
-def _curve_roots(rp: ReducedProblem, t: np.ndarray):
-    """The roots t = log d != 0 of R(t) = L_2 - L_1 - t (``ReducedProblem.curve``)
-    in the curve window, one per sign change of S(t) = R(t)/t on its grid
-    ``t = _curve_grid(rp)`` (S(0) = R'(0): d = 1 is an exact root), by Newton's
-    method on S in floats (``ReducedProblem.curve_at``), bisecting where a
-    step leaves the bracket or S' is 0 or not finite; on S, a bracket ending
-    at t = 0 never closes on R(0) = 0, and past L or U it holds no other root
-    and is skipped.  A bracket wider than a step starts where R's chord
-    crosses 0, the others at their middle.  Each stops once |R| is within
-    its rounding bound or the bracket within 2**-43 (1 + |t|), with its last
-    step if in the bracket.  Also the count of points evaluated: grid and
-    Newton."""
-    lo, hi = rp.monotone_ends
-    L1, L2, _ = rp.curve(t)
-    t, D = t.tolist(), (L2 - L1 - t).tolist()  # R on the grid
-    up = [(R > 0.0) == (x > 0.0) if x else rp.curve_at(0.0)[1] > 0.0 for x, R in zip(t, D)]
-    roots, evaluations = [], len(t)
-    for a, b, rises, after, Da, Db in zip(t, t[1:], up, up[1:], D, D[1:]):
-        if rises == after or 0.0 in (a, b) and (b <= lo or a >= hi):
-            continue
-        x, done = 0.5 * (a + b), False
-        if b - a > _CURVE_STEP and a < (f := a + (b - a) * Da / (Da - Db)) < b:
-            x = f
-        while not done:
-            R, slope, bound = rp.curve_at(x)
-            evaluations += 1
-            like_a = ((R > 0.0) == (x > 0.0)) == rises  # sign S(x) = sign S(a)
-            a, b = (x, b) if like_a else (a, x)
-            done = abs(R) <= bound or b - a <= 2.0**-43 * (1.0 + abs(x))
-            den = slope * x - R  # S/S' = R x/(R' x - R)
-            step = x - R * x / den if den else math.nan
-            x = step if a < step < b else x if done else 0.5 * (a + b)
-        roots.append(x)
-    return np.array(roots), evaluations
-
-
 def curve_max_F(w: WeightSequence) -> SearchResult:
     """Maximum of the reduced objective F over the closed box.
 
@@ -185,8 +126,8 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     F(Q(d)) = p_1 prod Q_i^alpha_i + p_2 prod (d Q_i)^beta_i; phi(1) = 1.
     At Q(d), dF/dy_i = (W_i w_n / (W_n^2 Q_i)) (G_1 - G_2/d) and every Q_i
     falls in d, so sign phi'(t) = sign R(t) in t = log d, R = log G_2 -
-    log G_1 - t: the local maxima of phi are roots of R (``_curve_roots``),
-    which is strictly monotone past ``ReducedProblem.monotone_ends``.
+    log G_1 - t: the local maxima of phi are roots of R, which is strictly
+    monotone past ``ReducedProblem.monotone_ends`` (``ReducedProblem.curve_roots``).
 
     The result is the first of the point 1, the origin, the top corner and
     Q at every root with the largest table F (``objective_F`` at
@@ -197,13 +138,13 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     rp = ReducedProblem.of(w)
     if not rp.representable:
         raise InputError(OUT_OF_RANGE)
-    roots, evaluations = _curve_roots(rp, _curve_grid(rp))
+    roots, evaluations = rp.curve_roots
     ends = [[1.0] * (w.n - 1), [0.0] * (w.n - 1), rp.upper.tolist()]
-    Y = np.array(ends + [rp.curve_log_q(t) for t in roots.tolist()])  # log Q at the roots
+    Y = np.array(ends + [rp.curve_log_q(t) for t in roots])  # log Q at the roots
     np.minimum(np.exp(Y[3:], out=Y[3:]), rp.upper, out=Y[3:])
     vals = rp.F(*rp.log_products(Y))
     k = int(np.argmax(vals))
-    return SearchResult(float(vals[k]), tuple(Y[k].tolist()), evaluations + roots.size)
+    return SearchResult(float(vals[k]), tuple(Y[k].tolist()), evaluations + len(roots))
 
 
 def _values(fun, Z: np.ndarray, owner: np.ndarray, i: int, pos: np.ndarray):
@@ -370,23 +311,6 @@ def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
     )
 
 
-def _rado_increment_precise(w: WeightSequence, x, s: float, k: int) -> float:
-    """Independent high-precision re-evaluation of the level-k increment
-    W_k O_k - W_{k-1} O_{k-1} - w_k M_k, from 50-digit prefix sums in one
-    pass, with O_m the s-mean of the running arithmetic means A_1..A_m and
-    M_k the s-mean of x_1..x_k: only those three means are formed."""
-    with mpmath.workdps(50):
-        s = mpmath.mpf(s)
-        term = mpmath.log if s == 0 else (lambda v: v**s)
-        mean = mpmath.exp if s == 0 else (lambda v: v ** (1 / s))  # inverse of term
-        W = Sx = Sv = SA = mpmath.mpf(0)
-        for wi, xi in zip(w.w[:k].tolist(), np.asarray(x, dtype=float)[:k].tolist()):
-            wi, xi, W_prev, SA_prev = mpmath.mpf(wi), mpmath.mpf(xi), W, SA
-            W, Sx, Sv = W + wi, Sx + wi * xi, Sv + wi * term(xi)
-            SA += wi * term(Sx / W)
-        return float(W * mean(SA / W) - W_prev * mean(SA_prev / W_prev) - wi * mean(Sv / W))
-
-
 def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> SearchResult:
     """Multistart attack on the level-n increment, in its direct form on
     log-data: data drawn log-uniform over [1e-3, 1e3] per coordinate, refined
@@ -394,8 +318,8 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
     negated for s <= 1 and as is for s > 1, where the inequality reverses.
     So ``best_value`` > 0 is a candidate violation for every s.  The point is
     a violation if the increment breaks the rule of ``verify``
-    (``functionals._violates``) in floats, from ``best_value``, and again at
-    50 digits."""
+    (``functionals._confirmed_violation``) in floats, from ``best_value``,
+    and again at 50 digits."""
     if w.n < 2:
         raise InputError("need at least two weights")
     if not math.isfinite(s):
@@ -424,8 +348,5 @@ def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> Searc
         best_point=tuple(float(v) for v in best_x),
         trials_run=config.trials,
         seed=config.seed,
-        violation=(
-            _violates(w, best_x, s, -sign * best_val)  # the float increment
-            and _violates(w, best_x, s, _rado_increment_precise(w, best_x, s, n))
-        ),
+        violation=_confirmed_violation(w, best_x, s, -sign * best_val, n),
     )

@@ -1,17 +1,21 @@
-"""Compare the stdout of ``certify`` and ``search`` between this checkout's
-``src/`` and another's, on a seeded corpus of weight sequences.
+"""Compare the stdout of ``certify``, ``search``, ``verify`` and ``scan``
+between this checkout's ``src/`` and another's, on a seeded corpus of
+weight sequences.
 
     python tests/compare_outputs.py OTHER_SRC
 
 Each of 170 weight sequences drawn from a fixed seed (n = 2..9: a head
 log-uniform in [0.5, 2] and a tail below, at, just above or well above the
-critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives nine commands:
-``certify``, and ``search`` at ``--trials 1`` and at the default trials for
-s in {-1, 0, 0.5, 2}, with the sequence's own ``--seed``.  Every command
-runs through ``mixedmeans.cli.run`` in one child process per checkout, the
-two side by side.  The script prints how many of the commands differ in stdout or exit
+critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives fifteen commands:
+``certify``; ``search`` at ``--trials 1`` and at the default trials for s in
+{-1, 0, 0.5, 2}, with the sequence's own ``--seed``; ``verify`` on one
+sample, log-uniform in [1e-3, 1e3] per entry from a second seed, for s in
+{-1, 0, 1e-12, 0.5, 2}; and ``scan`` of its head over the tails from half
+to three times the critical weight.  Every command runs through
+``mixedmeans.cli.run`` in one child process per checkout, the two side by
+side.  The script prints how many of the commands differ in stdout or exit
 code, then each that does, with its route (``certify``) or verdict
-(``search``) on both sides and how many ulp apart its value is
+(``search``, ``verify``) on both sides and how many ulp apart its value is
 (``numeric_max.value`` or ``best_value``).  It exits 0 whatever the count,
 and fails only if a child does.
 """
@@ -33,6 +37,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 WEIGHTS = 170
 EXPONENTS = ("-1", "0", "0.5", "2")
+VERIFY_EXPONENTS = ("-1", "0", "1e-12", "0.5", "2")
 TAILS = ((0.3, 0.9), (1.0, 1.0), (1.0 + 1e-6, 1.0 + 1e-4), (1.0, 1.6), (2.0, 3.0))
 
 # Reads a JSON list of argument lists on stdin, runs each through cli.run,
@@ -52,21 +57,26 @@ json.dump(out, sys.stdout)
 
 def corpus(directory: Path) -> list[list[str]]:
     """The commands on ``WEIGHTS`` weight files written to ``directory``."""
-    rng = np.random.default_rng(0)
+    rng, samples = np.random.default_rng(0), np.random.default_rng(1)
     commands = []
     for j in range(WEIGHTS):
         head = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 1 + j % 8))
         W = np.cumsum(head)
         critical = W[-1] ** 2 / np.cumsum(W)[-2] if head.size > 1 else head[0]
         tail = critical * rng.uniform(*TAILS[j % len(TAILS)])
-        path = directory / f"w{j}.json"
+        path, x, h = (directory / f"{kind}{j}.json" for kind in "wxh")
         path.write_text(json.dumps({"w": [*head.tolist(), float(tail)]}))
+        log_x = samples.uniform(-math.log(1e3), math.log(1e3), head.size + 1)
+        x.write_text(json.dumps({"x": np.exp(log_x).tolist()}))
+        h.write_text(json.dumps({"w": head.tolist()}))
         commands.append(["certify", str(path)])
         for trials in ("1", "200"):
             for s in EXPONENTS:
                 commands.append(
                     ["search", str(path), f"--s={s}", "--trials", trials, "--seed", str(j)]
                 )
+        commands += [["verify", str(path), str(x), f"--s={s}"] for s in VERIFY_EXPONENTS]
+        commands.append(["scan", str(h), "--range", f"{critical / 2}:{critical * 3}"])
     return commands
 
 
@@ -87,6 +97,8 @@ def _verdict(code: int, stdout: str):
         return f"exit {code}", None
     if "route" in doc:
         return doc["route"], (doc["numeric_max"] or {}).get("value")
+    if "levels" in doc:
+        return "violation" if code == 2 else "no violation", None
     return "violation" if doc["violation"] else "no violation", doc["best_value"]
 
 

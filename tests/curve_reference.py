@@ -1,7 +1,7 @@
 """References for the curve maximum ``mixedmeans.search.curve_max_F``.
 
 ``roots``: the curve roots on the full window lattice, a reference for the
-pruned grid of ``search._curve_roots``.  Every node of step ``_CURVE_STEP``
+pruned grid of ``ReducedProblem.curve_roots``.  Every node of step ``_CURVE_STEP``
 across the window is evaluated, with no bound on where R is monotone, and
 each grid sign change of S(t) = R(t)/t is refined by the same bracketed
 Newton iteration on ``ReducedProblem.curve_at``.
@@ -13,15 +13,14 @@ import math
 
 import numpy as np
 
-from mixedmeans import search
-from mixedmeans.conditions import ReducedProblem
+from mixedmeans.conditions import _CURVE_MARGIN, _CURVE_STEP, ReducedProblem
 
 
 def full_lattice(rp: ReducedProblem) -> np.ndarray:
     """Every node t = j ``_CURVE_STEP`` of the curve window."""
-    reach = np.abs(rp.log_W[:-1] - rp.log_w[1:]).max() + search._CURVE_MARGIN
-    h = math.ceil(reach / search._CURVE_STEP)
-    return np.arange(-h, h + 1) * search._CURVE_STEP
+    reach = np.abs(rp.log_W[:-1] - rp.log_w[1:]).max() + _CURVE_MARGIN
+    h = math.ceil(reach / _CURVE_STEP)
+    return np.arange(-h, h + 1) * _CURVE_STEP
 
 
 def roots(rp: ReducedProblem) -> np.ndarray:
@@ -47,8 +46,8 @@ def roots(rp: ReducedProblem) -> np.ndarray:
 
 def curve_max_F(rp: ReducedProblem) -> float:
     """F's largest value at the point 1, the two corners and Q at each root of
-    ``search._curve_roots``, with Q from ``ReducedProblem.curve``'s log Q."""
-    roots, _ = search._curve_roots(rp, search._curve_grid(rp))
+    ``ReducedProblem.curve_roots``, with Q from ``ReducedProblem.curve``'s log Q."""
+    roots = np.array(rp.curve_roots[0])
     ends = np.array([np.ones_like(rp.upper), np.zeros_like(rp.upper), rp.upper])
     Y = np.vstack([ends, np.minimum(np.exp(rp.curve(roots)[2]), rp.upper)])
     return float(rp.F(*rp.log_products(Y)).max())

@@ -12,13 +12,8 @@ import numpy as np
 
 from mixedmeans import SearchResult, WeightSequence
 from mixedmeans.conditions import ReducedProblem
-from mixedmeans.functionals import _top_increment, _violates
-from mixedmeans.search import (
-    _BOX_PADDING,
-    _LOG10_RANGE,
-    _rado_increment_precise,
-    _trial_rng,
-)
+from mixedmeans.functionals import _rado_increment_precise, _top_increment, _violates
+from mixedmeans.search import _BOX_PADDING, _LOG10_RANGE, _trial_rng
 
 
 def coordinate_ascent(fun, z, steps, lo, hi, local_steps, max_moves=50):

@@ -20,8 +20,10 @@ from mixedmeans import (
     popoviciu_increment,
     rado_increment,
     search,
+    violation_tolerance,
 )
 from mixedmeans.cli import run
+from mixedmeans.functionals import _rado_increment_precise
 from mixedmeans.reduction import SCAN_FIELDS
 from sampling import random_samples, random_weights
 
@@ -195,6 +197,18 @@ class TestVerify:
         code, out, _ = invoke(capsys, ["verify", files["w6"], str(xf)])
         assert code == 2
         assert json.loads(out)["levels"][-1]["rado_increment"] < 0
+
+
+    def test_violation_made_up_by_rounding_exits_zero(self, capsys, files, tmp_path):
+        # At s = 1e-12 the level-2 increment reads -8.5e-5 in floats, past
+        # the tolerance 6.0e-7, but +6.8e-5 at 50 digits: no violation
+        xf = tmp_path / "x.json"
+        xf.write_text('{"x": [1.154, 1.119, 201.511]}')
+        w, x = WeightSequence([1, 1, 1]), [1.154, 1.119, 201.511]
+        code, out, _ = invoke(capsys, ["verify", files["w111"], str(xf), "--s", "1e-12"])
+        assert code == 0
+        assert json.loads(out)["levels"][0]["rado_increment"] < -violation_tolerance(w, x)
+        assert _rado_increment_precise(w, x, 1e-12, 2) == pytest.approx(6.8e-5, rel=0.05)
 
 
 class TestSearch:

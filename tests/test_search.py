@@ -30,10 +30,14 @@ import dense_lattice
 import oracle
 import serial_search
 from mixedmeans import search
-from mixedmeans.conditions import ReducedProblem
-from mixedmeans.functionals import _orientation, _top_increment, _top_lines
-from mixedmeans.reduction import SCAN_FIELDS
-from mixedmeans.search import _rado_increment_precise
+from mixedmeans.conditions import _CURVE_STEP, ReducedProblem
+from mixedmeans.functionals import (
+    _orientation,
+    _rado_increment_precise,
+    _top_increment,
+    _top_lines,
+)
+from mixedmeans.reduction import SCAN_FIELDS, find_stationary_d
 from sampling import log_uniform, random_samples, random_weights
 
 
@@ -130,8 +134,9 @@ def _curve_corpus():
 
 
 def _roots(rp):
-    """``search._curve_roots`` on the curve grid of ``rp``: roots and count."""
-    return search._curve_roots(rp, search._curve_grid(rp))
+    """``ReducedProblem.curve_roots`` of ``rp``: the roots as an array, and the count."""
+    roots, evaluations = rp.curve_roots
+    return np.array(roots), evaluations
 
 
 class TestCurveOracle:
@@ -214,12 +219,22 @@ class TestCurveOracle:
         # is the window's ends and t = 0, and R's rounding noise gives no root
         w = WeightSequence([1.0, 1e20])
         rp = ReducedProblem.of(w)
-        grid = search._curve_grid(rp)
+        grid = rp.curve_grid
         assert grid.tolist() == [curve_reference.full_lattice(rp)[0], 0.0, -grid[0]]
-        roots, evaluations = search._curve_roots(rp, grid)
-        assert roots.size == 0
-        assert evaluations == 3
+        assert rp.curve_roots == ((), 3)
         assert curve_max_F(w).best_value == pytest.approx(1.0, abs=1e-14)
+
+    def test_one_grid_pass_serves_the_maximum_and_the_roots(self, monkeypatch):
+        # the table forms its grid and roots once: curve_max_F, then
+        # find_stationary_d on the same weights, evaluate the grid once
+        calls = []
+        curve = ReducedProblem.curve
+        monkeypatch.setattr(ReducedProblem, "curve", lambda rp, t: calls.append(t) or curve(rp, t))
+        w = WeightSequence([1.0, 1.0, 6.0])
+        res = curve_max_F(w)
+        roots = find_stationary_d(w)
+        assert len(calls) == 1 and calls[0] is ReducedProblem.of(w).curve_grid
+        assert len(roots) > 1 and res.best_value > 1.0
 
     def test_pruned_roots_match_the_full_lattice(self):
         # the same roots as on every node of the window, to 1e-12 relative
@@ -252,7 +267,7 @@ class TestCurveOracle:
                     for t in roots.tolist():
                         _, slope, bound = rp.curve_at(t)
                         width = 2.0 * bound / abs(slope) if slope else math.inf
-                        if width < search._CURVE_STEP:
+                        if width < _CURVE_STEP:
                             keep.append((t, max(width, 1e-12 * abs(t))))
                         else:
                             noise[j] += 1
