@@ -5,6 +5,8 @@ Subcommands mirror the library: ``means``, ``check``, ``certify``,
 files ({"w": [...]} for weights and heads, {"x": [...]} for samples);
 outputs are JSON on stdout (floats at full round-trip precision) except
 ``scan``, which emits CSV, and ``gen-weights``, which prints one number.
+A command line is a subcommand's name and then its arguments, which that
+subcommand's own parser reads (``mixedmeans SUBCOMMAND -h`` lists them).
 
 Exit codes: 0 success / condition holds, 2 condition fails or violation
 found, 1 usage or input error (one-line diagnostic on stderr).
@@ -179,58 +181,50 @@ def _finite(text: str) -> float:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser tree, built on the first call and shared after that;
-    parsing leaves it unchanged and fills a fresh namespace every time."""
+def _build_parser() -> tuple[_Parser, dict]:
+    """The parser tree and a map from each subcommand's name to its parser,
+    built on the first call and shared after that; parsing leaves them
+    unchanged and fills a fresh namespace every time."""
     parser = _Parser(prog="mixedmeans", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("means", help="partial and mixed means for w, x, r, s")
-    p.add_argument("weights")
-    p.add_argument("samples")
+    def command(name, func, summary, *positionals):
+        commands[name] = p = sub.add_parser(name, help=summary)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("means", _cmd_means, "partial and mixed means for w, x, r, s",
+                "weights", "samples")
     p.add_argument("--r", type=_finite, default=1.0)
     p.add_argument("--s", type=_finite, default=0.0)
-    p.set_defaults(func=_cmd_means)
-
-    p = sub.add_parser("check", help="all weight-condition reports")
-    p.add_argument("weights")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("certify", help="certification route and slack")
-    p.add_argument("weights")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("verify", help="increment values for k = 2..n")
-    p.add_argument("weights")
-    p.add_argument("samples")
+    command("check", _cmd_check, "all weight-condition reports", "weights")
+    command("certify", _cmd_certify, "certification route and slack", "weights")
+    p = command("verify", _cmd_verify, "increment values for k = 2..n", "weights", "samples")
     p.add_argument("--s", type=_finite, default=0.0)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("search", help="multistart violation search")
-    p.add_argument("weights")
+    p = command("search", _cmd_search, "multistart violation search", "weights")
     p.add_argument("--s", type=_finite, default=0.0)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--local-steps", type=int, default=8)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("scan", help="tail-weight region scan (CSV)")
-    p.add_argument("head")
+    p = command("scan", _cmd_scan, "tail-weight region scan (CSV)", "head")
     p.add_argument("--range", required=True, help="LO:HI, geometric grid")
     p.add_argument("--steps", type=int, default=31)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("gen-weights", help="critical tail weight for a head")
-    p.add_argument("head")
-    p.set_defaults(func=_cmd_gen_weights)
-
-    return parser
+    command("gen-weights", _cmd_gen_weights, "critical tail weight for a head", "head")
+    return parser, commands
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    try:  # the top-level parser would hand the rest of argv to the same one
+        if (command := commands.get(argv[0]) if argv else None) is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:  # no numpy warning lines: a result that is not finite ends as one error

@@ -8,7 +8,8 @@ increment inequality, ordered by generality:
 * Holland: W_{n-1}^2 >= w_n * (W_1 + ... + W_{n-2});
 * Gao: a strict-excess regime where Holland fails but the excess
   e = w_n S_{n-2} / W_{n-1}^2 - 1 stays below w_1/w_n and two product
-  bounds hold.
+  bounds hold.  e is formed without the square where it underflows, so a
+  tiny head gives a margin, not a division by 0.
 
 ``existence_check`` verifies that for any positive head w_1..w_{n-1} the
 critical tail weight (which puts Holland exactly on its boundary) has a
@@ -16,7 +17,9 @@ right-neighborhood where the Gao conditions hold.
 
 ``ReducedProblem`` is the one table of the reduced problem (box, exponents,
 second bases, corner log-products), built once per weight sequence by
-``ReducedProblem.of``.  The Gao product margins read its corners;
+``ReducedProblem.of``.  The Gao product margins read its corners: two
+floats, from one numpy log and float sums in ``np.sum``'s order
+(``log_corners``);
 ``reduction`` and ``search`` build F, g, the elimination step and the bounds
 from it.  It owns the curve of F's interior critical points: its kernel, its
 monotone ends, its grid and its Newton roots, each formed once, which
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -134,8 +138,13 @@ def holland_condition(w: WeightSequence) -> ConditionReport:
 
 
 def _excess(w: WeightSequence) -> float:
-    """e = w_n S_{n-2} / W_{n-1}^2 - 1, the amount by which Holland fails."""
-    return float(w.w[-1]) * float(w.S[-3]) / float(w.W[-2]) ** 2 - 1.0
+    """e = w_n S_{n-2} / W_{n-1}^2 - 1, the amount by which Holland fails;
+    as (w_n / W_{n-1}) (S_{n-2} / W_{n-1}) - 1 where W_{n-1}^2 is below the
+    normal floats (W_{n-1} below ~1.5e-154), so that it never divides by 0."""
+    w_n, S_n2, W_n1 = float(w.w[-1]), float(w.S[-3]), float(w.W[-2])
+    if (square := W_n1**2) >= sys.float_info.min:
+        return w_n * S_n2 / square - 1.0
+    return (w_n / W_n1) * (S_n2 / W_n1) - 1.0
 
 
 class ReducedProblem:
@@ -361,13 +370,19 @@ class ReducedProblem:
 
     @functools.cached_property
     def log_corners(self) -> tuple[float, float]:
-        head = slice(0, self.upper.size - 1)
-        log_c_top = np.sum(self.alpha[head] * np.log(self.upper[head]))
-        log_cp_zero = np.sum(self.beta[head] * np.log(self.second_max[head]))
-        L = self.log_g(
-            np.array([log_c_top, -np.inf]), np.array([-np.inf, log_cp_zero])
-        )
-        return float(L[0]), float(L[1])
+        """log g = r L + log p_k at the upper corner (k = 1) and the origin
+        (k = 2), where the other product is 0, with L = sum alpha_i log
+        upper_i or sum beta_i log second_max_i over the head: one numpy log,
+        then floats, summed in ``np.sum``'s order (in sequence below 8 terms)."""
+        m = self.upper.size - 1
+        logs = np.log(np.concatenate((self.upper[:m], self.second_max[:m]))).tolist()
+        sums = []
+        for k, exponents in enumerate((self.alpha, self.beta)):
+            terms = [e * v for e, v in zip(exponents[:m].tolist(), logs[k * m:])]
+            # not builtin sum: it compensates its rounding from Python 3.12
+            total = np.sum(terms) if m >= 8 else functools.reduce(operator.add, terms, 0.0)
+            sums.append(float(total))
+        return self.r * sums[0] + self.log_p[0], self.r * sums[1] + self.log_p[1]
 
     def interior_bound(self, e: float) -> float:
         """Bound on g at interior critical points past d_0 = (w_1/w_n)/e:

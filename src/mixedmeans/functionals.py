@@ -211,8 +211,10 @@ def _rado_increment_precise(w: WeightSequence, x, s: float, k: int) -> float:
     """Independent high-precision re-evaluation of the level-k increment
     W_k O_k - W_{k-1} O_{k-1} - w_k M_k, from 50-digit prefix sums in one
     pass, with O_m the s-mean of the running arithmetic means A_1..A_m and
-    M_k the s-mean of x_1..x_k: only those three means are formed."""
-    with mpmath.workdps(50):
+    M_k the s-mean of x_1..x_k: only those three means are formed.  At 0 <
+    |s| < 1 it works at 50 + ceil(-log10 |s|) digits, since v**s = 1 + s log v
+    + ... keeps the increment only past the digits that |s| takes."""
+    with mpmath.workdps(50 + (math.ceil(-math.log10(abs(s))) if 0.0 < abs(s) < 1.0 else 0)):
         s = mpmath.mpf(s)
         term = mpmath.log if s == 0 else (lambda v: v**s)
         mean = mpmath.exp if s == 0 else (lambda v: v ** (1 / s))  # inverse of term

@@ -333,8 +333,8 @@ def certify(w: WeightSequence) -> Certificate:
 
     gao = gao_conditions(w)  # Holland fails => n >= 3
     reports.append(gao)
-    if gao.holds:
-        slack = 1.0 - max(boundary_bound(w), interior_bound(w))
+    if gao.holds:  # the interior bound from gao's excess, e > STRICT_TOL
+        slack = 1.0 - max(boundary_bound(w), ReducedProblem.of(w).interior_bound(gao.margins[0]))
         return Certificate("gao", tuple(reports), slack=slack)
 
     if not ReducedProblem.of(w).representable:

@@ -1,23 +1,26 @@
-"""Compare the stdout of ``certify``, ``search``, ``verify`` and ``scan``
-between this checkout's ``src/`` and another's, on a seeded corpus of
-weight sequences.
+"""Compare the stdout of ``certify``, ``check``, ``search``, ``verify``,
+``scan`` and ``gen-weights`` between this checkout's ``src/`` and another's,
+on a seeded corpus of weight sequences.
 
     python tests/compare_outputs.py OTHER_SRC
 
 Each of 170 weight sequences drawn from a fixed seed (n = 2..9: a head
 log-uniform in [0.5, 2] and a tail below, at, just above or well above the
-critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives fifteen commands:
-``certify``; ``search`` at ``--trials 1`` and at the default trials for s in
-{-1, 0, 0.5, 2}, with the sequence's own ``--seed``; ``verify`` on one
-sample, log-uniform in [1e-3, 1e3] per entry from a second seed, for s in
-{-1, 0, 1e-12, 0.5, 2}; and ``scan`` of its head over the tails from half
-to three times the critical weight.  Every command runs through
+critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives seventeen
+commands: ``certify``; ``check``, whose stdout holds the Gao margins of
+every sequence, not only where Holland fails; ``search`` at ``--trials 1``
+and at the default trials for s in {-1, 0, 0.5, 2}, with the sequence's own
+``--seed``; ``verify`` on one sample, log-uniform in [1e-3, 1e3] per entry
+from a second seed, for s in {-1, 0, 1e-12, 0.5, 2}; ``scan`` of its head
+over the tails from half to three times the critical weight; and
+``gen-weights`` of its head.  Every command runs through
 ``mixedmeans.cli.run`` in one child process per checkout, the two side by
 side.  The script prints how many of the commands differ in stdout or exit
-code, then each that does, with its route (``certify``) or verdict
-(``search``, ``verify``) on both sides and how many ulp apart its value is
-(``numeric_max.value`` or ``best_value``).  It exits 0 whatever the count,
-and fails only if a child does.
+code, then each that does, with its route (``certify``), verdict
+(``check``, ``search``, ``verify``) or exit code on both sides and how many
+ulp apart its value is (``numeric_max.value``, ``best_value`` or the
+critical weight of ``gen-weights``).  It exits 0 whatever the count, and
+fails only if a child does.
 """
 from __future__ import annotations
 
@@ -69,7 +72,7 @@ def corpus(directory: Path) -> list[list[str]]:
         log_x = samples.uniform(-math.log(1e3), math.log(1e3), head.size + 1)
         x.write_text(json.dumps({"x": np.exp(log_x).tolist()}))
         h.write_text(json.dumps({"w": head.tolist()}))
-        commands.append(["certify", str(path)])
+        commands += [["certify", str(path)], ["check", str(path)]]
         for trials in ("1", "200"):
             for s in EXPONENTS:
                 commands.append(
@@ -77,6 +80,7 @@ def corpus(directory: Path) -> list[list[str]]:
                 )
         commands += [["verify", str(path), str(x), f"--s={s}"] for s in VERIFY_EXPONENTS]
         commands.append(["scan", str(h), "--range", f"{critical / 2}:{critical * 3}"])
+        commands.append(["gen-weights", str(h)])
     return commands
 
 
@@ -95,6 +99,10 @@ def _verdict(code: int, stdout: str):
         doc = json.loads(stdout)
     except ValueError:
         return f"exit {code}", None
+    if isinstance(doc, float):  # gen-weights
+        return f"exit {code}", doc
+    if "gao" in doc:  # check
+        return "holds" if code == 0 else "fails", None
     if "route" in doc:
         return doc["route"], (doc["numeric_max"] or {}).get("value")
     if "levels" in doc:

@@ -17,7 +17,7 @@ from mixedmeans import (
     nanjundiah_condition,
     tail_sum_maximizer,
 )
-from mixedmeans.conditions import ReducedProblem
+from mixedmeans.conditions import ReducedProblem, _exp
 from sampling import log_uniform, random_weights
 
 
@@ -117,6 +117,89 @@ class TestGao:
         assert not rep.holds
         assert rep.margins[2] == -sys.float_info.max
         assert all(math.isfinite(m) for m in rep.margins)
+
+
+def _reference_log_corners(rp):
+    """``log_corners`` as arrays: one np.log and np.sum per corner, then
+    ``log_g`` on [log c, -inf] and [-inf, log c'] (numpy's logaddexp)."""
+    head = slice(0, rp.upper.size - 1)
+    log_c_top = np.sum(rp.alpha[head] * np.log(rp.upper[head]))
+    log_cp_zero = np.sum(rp.beta[head] * np.log(rp.second_max[head]))
+    L = rp.log_g(np.array([log_c_top, -np.inf]), np.array([-np.inf, log_cp_zero]))
+    return float(L[0]), float(L[1])
+
+
+def _reference_gao_margins(w):
+    """The four Gao margins from the array corners and the excess
+    w_n S_{n-2} / W_{n-1}**2 - 1."""
+    rp = ReducedProblem.of(w)
+    top, origin = _reference_log_corners(rp)
+    e = float(w.w[-1]) * float(w.S[-3]) / float(w.W[-2]) ** 2 - 1.0
+    try:
+        margin_c = -math.expm1(top)
+    except OverflowError:
+        margin_c = -sys.float_info.max
+    bound = _exp(origin) * (1.0 + e * rp.W_n1 / rp.w_1)
+    return e, rp.w_1 / rp.w_n - e, margin_c, max(1.0 - bound, -sys.float_info.max)
+
+
+def _corner_tables(count):
+    """``count`` weight sequences of n = 3..12 whose table builds: a fifth
+    of weights 10^U[-300, 300], the rest a head log-uniform in [0.5, 2]
+    with a tail at 0.3..3 or 1 + 10^U[-8, -1] critical weights, or
+    exp(U[-3, 3]) entries."""
+    rng = np.random.default_rng(2025)
+    tables, j = [], 0
+    while len(tables) < count:
+        n, kind, j = 3 + j % 10, j // 10 % 5, j + 1
+        if kind == 0:
+            w = 10.0 ** rng.uniform(-300, 300, n)
+        elif kind == 4:
+            w = np.exp(rng.uniform(-3, 3, n))
+        else:
+            head = log_uniform(rng, 0.5, 2.0, n - 1)
+            W = np.cumsum(head)
+            factor = rng.uniform(0.3, 3.0) if kind < 3 else 1.0 + 10.0 ** rng.uniform(-8, -1)
+            w = np.append(head, W[-1] ** 2 / np.cumsum(W)[-2] * factor)
+        try:
+            ReducedProblem.of(w := WeightSequence(w))
+        except InputError:
+            continue
+        tables.append(w)
+    return tables
+
+
+class TestCorners:
+    def test_corners_and_gao_margins_match_the_array_reference(self):
+        hex_of = lambda values: [float(v).hex() for v in values]  # noqa: E731
+        compared = set()
+        for w in _corner_tables(3000):
+            rp = ReducedProblem.of(w)
+            assert hex_of(rp.log_corners) == hex_of(_reference_log_corners(rp)), w.w
+            if float(w.W[-2]) ** 2 >= sys.float_info.min:  # the excess divides by it
+                ref = _reference_gao_margins(w)
+                assert hex_of(gao_conditions(w).margins) == hex_of(ref), w.w
+                compared.add(w.n)
+        assert compared == set(range(3, 13))  # n >= 10 reaches numpy's pairwise sum
+
+
+class TestTinyHead:
+    # W_{n-1}^2 underflows to 0 below ~1e-162: the excess divides by neither
+    w = [1e-300, 1e-300, 1.0]
+
+    def test_excess_and_threshold(self):
+        w = WeightSequence(self.w)
+        rep = gao_conditions(w)
+        assert rep.margins[0] == pytest.approx(2.5e299, rel=1e-15)
+        assert not rep.holds
+        assert all(math.isfinite(m) for m in rep.margins)
+        assert d_zero(w) == 0.0  # (w_1/w_n)/e = 4e-600 underflows
+
+    def test_quotient_form_only_below_normal_squares(self):
+        # at W_{n-1} = 1e-150 the square is normal: the excess keeps its bits
+        w = WeightSequence([5e-151, 5e-151, 3e-300])
+        e = float(w.w[-1]) * float(w.S[-3]) / float(w.W[-2]) ** 2 - 1.0
+        assert gao_conditions(w).margins[0] == e
 
 
 class TestDZero:

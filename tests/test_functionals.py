@@ -13,7 +13,12 @@ from mixedmeans import (
     rado_value,
     violation_tolerance,
 )
-from mixedmeans.functionals import _orientation, _top_increment, _top_lines
+from mixedmeans.functionals import (
+    _orientation,
+    _rado_increment_precise,
+    _top_increment,
+    _top_lines,
+)
 from sampling import nanjundiah_weights, random_samples, random_weights
 
 
@@ -84,6 +89,15 @@ class TestRadoIncrement:
             got = rado_increment(w, x, s, k)
             want = float(oracle.rado_increment(w.w, x, s, k))
             assert got == pytest.approx(want, abs=violation_tolerance(w, x))
+
+
+    @pytest.mark.parametrize("s", [1e-60, -1e-60, 1e-300])
+    def test_precise_increment_at_tiny_s(self, s):
+        # v**s = 1 + s log v + ...: at 50 digits the level-2 increment read
+        # 0.0 at s = 1e-60; the s = 0 value is 6.788862803829715e-05
+        w, x = WeightSequence([1, 1, 1]), [1.154, 1.119, 201.511]
+        want = _rado_increment_precise(w, x, 0.0, 2)
+        assert _rado_increment_precise(w, x, s, 2) == pytest.approx(want, rel=1e-12)
 
 
 class TestTopIncrement:

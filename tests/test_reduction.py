@@ -430,6 +430,12 @@ class TestBounds:
         assert boundary_bound(WeightSequence([1, 1, 1e200])) == math.inf
         assert math.isfinite(interior_bound(WeightSequence([1, 1, 1e200])))
 
+    def test_interior_bound_of_tiny_head(self):
+        # W_{n-1}^2 underflows to 0: the bound is 1 minus the tail margin
+        w = WeightSequence([1e-300, 1e-300, 1.0])
+        assert interior_bound(w) == pytest.approx(7.071067811865474e299, rel=1e-12)
+        assert 1.0 - interior_bound(w) == gao_conditions(w).margins[3]
+
     def test_interior_bound_needs_excess(self):
         with pytest.raises(NotApplicableError):
             interior_bound(WeightSequence([1, 1, 3]))
