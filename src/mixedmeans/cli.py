@@ -185,7 +185,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     """The parser tree and a map from each subcommand's name to its parser,
     built on the first call and shared after that; parsing leaves them
     unchanged and fills a fresh namespace every time."""
-    parser = _Parser(prog="mixedmeans", description=__doc__)
+    parser = _Parser(prog="mixedmeans", description=__doc__.replace("``", ""))
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 

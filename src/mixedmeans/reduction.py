@@ -29,7 +29,6 @@ import numpy as np
 
 from . import search
 from .conditions import (
-    OUT_OF_RANGE,
     ConditionReport,
     NotApplicableError,
     ReducedProblem,
@@ -322,9 +321,10 @@ class Certificate:
 def certify(w: WeightSequence) -> Certificate:
     """Select a certification route for the level-n inequality: the Holland
     margin if it is nonnegative, else the Gao conditions, else a numeric
-    maximum of F (on the curve up to ``search.GRID_DIM_LIMIT`` box
-    dimensions, multistart beyond), refuted above 1 + 1e-9.  The numeric
-    route raises ``InputError`` unless ``ReducedProblem.representable``.
+    maximum of F over the closed box, refuted above 1 + 1e-9: the box's
+    end points and the curve's roots up to ``search.GRID_DIM_LIMIT`` box
+    dimensions, the same end points and multistart walks beyond.  Both
+    numeric routes raise ``InputError`` unless ``ReducedProblem.representable``.
     """
     hol = holland_condition(w)
     reports = [hol]
@@ -337,8 +337,6 @@ def certify(w: WeightSequence) -> Certificate:
         slack = 1.0 - max(boundary_bound(w), ReducedProblem.of(w).interior_bound(gao.margins[0]))
         return Certificate("gao", tuple(reports), slack=slack)
 
-    if not ReducedProblem.of(w).representable:
-        raise InputError(OUT_OF_RANGE)
     if w.n - 1 <= search.GRID_DIM_LIMIT:
         result = search.curve_max_F(w)
     else:

@@ -1,12 +1,13 @@
-"""Numeric oracles: the maximum of the reduced objective F on the curve of
-its critical points (``curve_max_F``, for boxes of up to four dimensions in
-``certify`` and for every n in ``scan``), the multistart ascent of F beyond,
-and a multistart violation search in data space.  The route policy that
-decides when they run (``reduction.certify``, ``reduction.weight_scan``)
-lives in the reduction module, which imports this one.  F, the curve and
-its roots (``ReducedProblem.curve_roots``, on the grid ``curve_grid``) are
-read from the table ``conditions.ReducedProblem``, built once per weight
-sequence; this module holds no curve window of its own.
+"""Numeric oracles: the maximum of the reduced objective F over the closed
+box from its end points and the curve of its critical points
+(``curve_max_F``, for boxes of up to four dimensions in ``certify`` and for
+every n in ``scan``), from the same end points and a multistart ascent of
+F beyond, and a multistart violation search in data space.  The route
+policy that decides when they run (``reduction.certify``,
+``reduction.weight_scan``) lives in the reduction module, which imports
+this one.  F, the curve and its roots (``ReducedProblem.curve_roots``, on
+the grid ``curve_grid``) are read from the table
+``conditions.ReducedProblem``, built once per weight sequence.
 
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
@@ -46,10 +47,11 @@ __all__ = [
 ]
 
 # The box dimensions up to which certify takes the curve maximum.  The curve
-# serves every n (scan uses it for all), but at n >= 6 certify-mix went from
-# 867-906 to 5050 ops/s and its peak RSS from 53-57 to 117 MB (2-core host),
-# past the benchmark's +10% bound, as perfbench's run_passes keeps every
-# output until the run ends: multistart goes on there.
+# serves every n (scan uses it for all), but with it at n >= 6 certify-mix
+# went from 975-1030 to 6456-6836 ops/s and its peak RSS from 56-57 to
+# 128-140 MB (20-s runs, 2-core host), past the benchmark's +10% bound, as
+# perfbench's run_passes keeps every output until the run ends: multistart
+# goes on there.
 GRID_DIM_LIMIT = 4
 
 # A walk moves at most _MAX_MOVES steps along one coordinate at one step
@@ -60,12 +62,11 @@ GRID_DIM_LIMIT = 4
 # that took a median 0.6x the time of array rounds at 4 trials, 0.9-1.0x at
 # 8, 1.03-1.1x at 9-12, 1.25-1.3x at 16.  A round's candidates and an
 # evaluation's rows stay under _CELL_CAP float64 elements, for any trial
-# count.  The ascent of F stays _BOX_PADDING inside the box.
+# count.
 _MAX_MOVES = 50
 _ROUND = 32
 _LIST_WALKS = 8
 _CELL_CAP = 1 << 16
-_BOX_PADDING = 1e-3
 
 # Sampling range for data entries: the functionals are scale invariant,
 # so only the dynamic range matters.
@@ -113,6 +114,15 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _box_ends(rp: ReducedProblem) -> list:
+    """The first candidates of both maxima of F, as rows: the point 1, the
+    origin and the top corner of the closed box.  Raises ``InputError``
+    unless the table is ``ReducedProblem.representable``."""
+    if not rp.representable:
+        raise InputError(OUT_OF_RANGE)
+    return [[1.0] * rp.upper.size, [0.0] * rp.upper.size, rp.upper.tolist()]
+
+
 def curve_max_F(w: WeightSequence) -> SearchResult:
     """Maximum of the reduced objective F over the closed box.
 
@@ -129,17 +139,13 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     log G_1 - t: the local maxima of phi are roots of R, which is strictly
     monotone past ``ReducedProblem.monotone_ends`` (``ReducedProblem.curve_roots``).
 
-    The result is the first of the point 1, the origin, the top corner and
-    Q at every root with the largest table F (``objective_F`` at
-    ``best_point`` bit for bit); ``trials_run`` counts the points of the
-    curve evaluated.  Raises ``InputError`` unless the table is
-    ``ReducedProblem.representable``.
+    The result is the first of the end points (``_box_ends``) and Q at
+    every root with the largest table F (``objective_F`` at ``best_point``
+    bit for bit); ``trials_run`` counts the points of the curve evaluated.
+    Raises ``InputError`` unless the table is ``ReducedProblem.representable``.
     """
     rp = ReducedProblem.of(w)
-    if not rp.representable:
-        raise InputError(OUT_OF_RANGE)
-    roots, evaluations = rp.curve_roots
-    ends = [[1.0] * (w.n - 1), [0.0] * (w.n - 1), rp.upper.tolist()]
+    ends, (roots, evaluations) = _box_ends(rp), rp.curve_roots  # raises first
     Y = np.array(ends + [rp.curve_log_q(t) for t in roots])  # log Q at the roots
     np.minimum(np.exp(Y[3:], out=Y[3:]), rp.upper, out=Y[3:])
     vals = rp.F(*rp.log_products(Y))
@@ -286,29 +292,25 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
 
 
 def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
-    """Multistart coordinate ascent of the reduced objective over the open
-    box shrunk by ``_BOX_PADDING``.  A candidate recomputes only the
-    log-terms of the axis that moves."""
-    dims = w.n - 1
+    """Maximum of the reduced objective F over the closed box: the first of
+    the end points (``_box_ends``) with the largest F, unless a walk of the
+    multistart coordinate ascent from uniform draws in the box ends strictly
+    higher.  A candidate recomputes only the log-terms of the axis that
+    moves.  Raises ``InputError`` unless ``ReducedProblem.representable``."""
     rp = ReducedProblem.of(w)
-    upper = rp.upper
-    pad = _BOX_PADDING
-    best_u = np.minimum(1.0 / upper, 1.0 - pad)  # constant point
-    best_val = float(rp.F(*rp.log_products(best_u * upper)))
+    ends = np.array(_box_ends(rp))
+    vals = rp.F(*rp.log_products(ends))
+    k = int(np.argmax(vals))
+    best_val, best_y = float(vals[k]), ends[k]
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(pad, 1.0 - pad, dims)
+        return rng.uniform(0.0, 1.0, w.n - 1)
 
     lines = functools.partial(_LinesF, rp)
-    for val, u in _multistart(lines, config, draw, 0.25, pad, 1.0 - pad):
+    for val, u in _multistart(lines, config, draw, 0.25, 0.0, 1.0):
         if val > best_val:
-            best_val, best_u = val, u
-    return SearchResult(
-        best_value=best_val,
-        best_point=tuple(float(v) for v in best_u * upper),
-        trials_run=config.trials,
-        seed=config.seed,
-    )
+            best_val, best_y = val, u * rp.upper
+    return SearchResult(best_val, tuple(best_y.tolist()), config.trials, config.seed)
 
 
 def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> SearchResult:

@@ -13,7 +13,12 @@ and at the default trials for s in {-1, 0, 0.5, 2}, with the sequence's own
 ``--seed``; ``verify`` on one sample, log-uniform in [1e-3, 1e3] per entry
 from a second seed, for s in {-1, 0, 1e-12, 0.5, 2}; ``scan`` of its head
 over the tails from half to three times the critical weight; and
-``gen-weights`` of its head.  Every command runs through
+``gen-weights`` of its head.  Then 35 ``certify`` commands near w*, the
+least tail at which the maximum of F exceeds 1 + 1e-9: seven heads of
+5..11 entries (n = 6..12) log-uniform in [0.5, 2], each with the tails
+w* (1 + delta) for delta in {-1e-3, 1e-7, 1e-5, 1e-3, 1e-2}.  w* comes
+from bisection on this checkout's ``curve_max_F`` in a child process, so
+both sides run the same files.  Every command runs through
 ``mixedmeans.cli.run`` in one child process per checkout, the two side by
 side.  The script prints how many of the commands differ in stdout or exit
 code, then each that does, with its route (``certify``), verdict
@@ -42,6 +47,27 @@ WEIGHTS = 170
 EXPONENTS = ("-1", "0", "0.5", "2")
 VERIFY_EXPONENTS = ("-1", "0", "1e-12", "0.5", "2")
 TAILS = ((0.3, 0.9), (1.0, 1.0), (1.0 + 1e-6, 1.0 + 1e-4), (1.0, 1.6), (2.0, 3.0))
+NEAR_W_STAR = (-1e-3, 1e-7, 1e-5, 1e-3, 1e-2)
+
+# Reads a JSON list of heads on stdin and writes a JSON list of their w*:
+# the upper end of a bisection bracket, from the critical weight up.
+W_STAR = """
+import json, sys
+from mixedmeans import WeightSequence, critical_weight, curve_max_F
+def refuted(head, tail):
+    return curve_max_F(WeightSequence(head + [tail])).best_value > 1.0 + 1e-9
+out = []
+for head in json.load(sys.stdin):
+    lo = critical_weight(head)
+    hi = 2.0 * lo
+    while not refuted(head, hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if refuted(head, mid) else (mid, hi)
+    out.append(hi)
+json.dump(out, sys.stdout)
+"""
 
 # Reads a JSON list of argument lists on stdin, runs each through cli.run,
 # and writes a JSON list of [exit code, stdout].
@@ -81,16 +107,29 @@ def corpus(directory: Path) -> list[list[str]]:
         commands += [["verify", str(path), str(x), f"--s={s}"] for s in VERIFY_EXPONENTS]
         commands.append(["scan", str(h), "--range", f"{critical / 2}:{critical * 3}"])
         commands.append(["gen-weights", str(h)])
+    rng = np.random.default_rng(5)
+    heads = [np.exp(rng.uniform(math.log(0.5), math.log(2.0), 5 + j)).tolist() for j in range(7)]
+    for j, (head, w_star) in enumerate(zip(heads, _child(SRC, W_STAR, heads))):
+        for k, delta in enumerate(NEAR_W_STAR):
+            path = directory / f"near{j}-{k}.json"
+            path.write_text(json.dumps({"w": [*head, w_star * (1.0 + delta)]}))
+            commands.append(["certify", str(path)])
     return commands
+
+
+def _child(src: Path, script: str, payload):
+    """The JSON that ``script`` writes, given ``payload`` as JSON on stdin,
+    run with ``src`` as the package."""
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+        input=json.dumps(payload), capture_output=True, text=True, check=True,
+    )
+    return json.loads(child.stdout)
 
 
 def outputs(src: Path, commands) -> list:
     """[exit code, stdout] of each command, run with ``src`` as the package."""
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD], env=dict(os.environ, PYTHONPATH=str(src)),
-        input=json.dumps(commands), capture_output=True, text=True, check=True,
-    )
-    return json.loads(child.stdout)
+    return _child(src, CHILD, commands)
 
 
 def _verdict(code: int, stdout: str):

@@ -3,8 +3,9 @@
 This is the one-point-at-a-time greedy coordinate ascent, with the
 per-trial loops of ``violation_search`` and ``multistart_max_F`` around it.
 On each coordinate and step size it walks one way, the first that wins,
-and stops at the first step that does not.  The batched search must return
-results equal to these, field by field.
+and stops at the first step that does not.  The maximum of F starts from
+the point 1, the origin and the top corner, and walks the closed box.  The
+batched search must return results equal to these, field by field.
 """
 import math
 
@@ -13,7 +14,7 @@ import numpy as np
 from mixedmeans import SearchResult, WeightSequence
 from mixedmeans.conditions import ReducedProblem
 from mixedmeans.functionals import _rado_increment_precise, _top_increment, _violates
-from mixedmeans.search import _BOX_PADDING, _LOG10_RANGE, _trial_rng
+from mixedmeans.search import _LOG10_RANGE, _trial_rng
 
 
 def coordinate_ascent(fun, z, steps, lo, hi, local_steps, max_moves=50):
@@ -44,21 +45,24 @@ def multistart_max_F(w: WeightSequence, config) -> SearchResult:
     rp = ReducedProblem(w)
     upper = rp.upper
 
-    def fun(u):
-        return float(rp.F(*rp.log_products(u * upper)))
+    def fun(y):
+        return float(rp.F(*rp.log_products(y)))
 
-    pad = _BOX_PADDING
-    best_val = fun(np.minimum(1.0 / upper, 1.0 - pad))  # constant point
-    best_u = np.minimum(1.0 / upper, 1.0 - pad)
+    best_val, best_y = -math.inf, None
+    for y in (np.ones(dims), np.zeros(dims), upper):  # the point 1 and two corners
+        if (val := fun(y)) > best_val:
+            best_val, best_y = val, y
     for t in range(config.trials):
         rng = _trial_rng(config.seed, t)
-        u = rng.uniform(pad, 1.0 - pad, dims)
-        val, u = coordinate_ascent(fun, u, 0.25, pad, 1.0 - pad, config.local_steps)
+        u = rng.uniform(0.0, 1.0, dims)
+        val, u = coordinate_ascent(
+            lambda u: fun(u * upper), u, 0.25, 0.0, 1.0, config.local_steps
+        )
         if val > best_val:
-            best_val, best_u = val, u
+            best_val, best_y = val, u * upper
     return SearchResult(
         best_value=best_val,
-        best_point=tuple(float(v) for v in best_u * upper),
+        best_point=tuple(float(v) for v in best_y),
         trials_run=config.trials,
         seed=config.seed,
     )

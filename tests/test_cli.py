@@ -121,6 +121,18 @@ class TestCertify:
         assert data["numeric_max"]["value"] > 1.0
 
 
+    def test_corner_maximum_past_w_star(self, capsys, tmp_path):
+        # seven weights: the multistart route, which once read 1.0 inside
+        # the box where F at the origin corner exceeds 1
+        p = tmp_path / "w7.json"
+        p.write_text('{"w": [1, 1, 1, 1, 1, 1, 3.0125]}')
+        code, out, _ = invoke(capsys, ["certify", str(p)])
+        assert code == 2
+        data = json.loads(out)
+        assert data["route"] == "refuted-numeric"
+        assert data["numeric_max"]["value"] == pytest.approx(1.000466, abs=1e-6)
+        assert data["numeric_max"]["argmax"] == [0.0] * 6
+
     def test_stdout_is_strict_json(self, capsys, tmp_path):
         # tail weights far apart underflow an exponent of F to 0, which the
         # numeric route refuses
@@ -694,6 +706,22 @@ class TestParserReuse:
             if code == 1:
                 assert out == "" and len(err.splitlines()) == 1
         assert cli._build_parser() is cli._build_parser()
+
+
+class TestHelp:
+    def test_top_level_help_prints_plain_names(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = invoke(capsys, ["-h"])
+        assert (code, err) == (0, "")
+        assert "``" not in out
+        assert "Subcommands mirror the library: means, check, certify," in out
+        listed = [  # the rows indented by four spaces: one per subcommand
+            line.split()[0] for line in out.splitlines()
+            if line.startswith("    ") and not line.startswith("     ")
+        ]
+        assert listed == [
+            "means", "check", "certify", "verify", "search", "scan", "gen-weights"
+        ]
 
 
 # argv with a known subcommand name first goes to that subcommand's parser

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -8,15 +9,19 @@ import dense_lattice
 import oracle
 from mixedmeans import (
     InputError,
+    SearchConfig,
     WeightSequence,
     YPoint,
     boundary_bound,
     box_upper,
     certify,
+    critical_weight,
+    curve_max_F,
     eliminate_last,
     find_stationary_d,
     gao_conditions,
     interior_bound,
+    multistart_max_F,
     objective_F,
     objective_g,
     product_form_lhs,
@@ -500,6 +505,23 @@ class TestFindStationaryD:
         assert find_stationary_d(WeightSequence([1, 1, 4.0004])) == [1.0]
 
 
+def _w_star(head) -> float:
+    """The least tail weight at which ``curve_max_F`` exceeds 1 + 1e-9, by
+    bisection from the critical weight: the upper end of the last bracket."""
+
+    def refuted(tail):
+        return curve_max_F(WeightSequence(np.append(head, tail))).best_value > 1.0 + 1e-9
+
+    lo = critical_weight(head)
+    hi = 2.0 * lo
+    while not refuted(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if refuted(mid) else (mid, hi)
+    return hi
+
+
 class TestCertify:
     def test_holland_route(self):
         cert = certify(WeightSequence([1, 1, 3]))
@@ -523,10 +545,28 @@ class TestCertify:
         assert cert.numeric_max["value"] > 1.0 + 1e-9
 
     def test_numeric_route_refuses_unrepresentable_tables(self):
-        # beta_1 underflows to 0; the box bound W_3/W_2 rounds to 1
+        # beta_1 underflows to 0; the box bound W_3/W_2 rounds to 1; both
+        # numeric routes refuse at every n
+        multistart = functools.partial(multistart_max_F, config=SearchConfig(trials=1))
         for ws in ([1, 1e-300, 1e300], [1, 2, 1e-300, 4], [1] * 5 + [1e-300, 9]):
-            with pytest.raises(InputError, match="out of float64 range"):
-                certify(WeightSequence(ws))
+            for route in (certify, curve_max_F, multistart):
+                with pytest.raises(InputError, match="out of float64 range"):
+                    route(WeightSequence(ws))
+
+    def test_near_w_star_verdicts_equal_the_curve(self):
+        # past w*, the least tail at which the curve refutes, max F sits at
+        # the origin corner: the multistart reads it from the end points too
+        rng = np.random.default_rng(5)
+        refuted = []
+        for j in range(10):
+            head = log_uniform(rng, 0.5, 2.0, 5 + j % 7)
+            w_star = _w_star(head)
+            for delta in (-1e-3, 1e-7, 1e-5, 1e-3, 1e-2):
+                w = WeightSequence(np.append(head, w_star * (1.0 + delta)))
+                want = curve_max_F(w).best_value > 1.0 + 1e-9
+                assert (certify(w).route == "refuted-numeric") == want, (w.w, delta)
+                refuted.append(want)
+        assert 0 < sum(refuted) < len(refuted)
 
     def test_pair_always_holland(self):
         cert = certify(WeightSequence([1, 100]))
