@@ -72,6 +72,14 @@ def _exp(v: float) -> float:
         return math.inf
 
 
+def _square(v: float, name: str) -> float:
+    """v**2, or an ``OverflowError`` that names the square ``name``."""
+    try:
+        return v**2
+    except OverflowError:
+        raise OverflowError(f"{name} exceeds float64") from None
+
+
 class NotApplicableError(ValueError):
     """The condition does not apply to this input (e.g. n too small, or a
     threshold whose defining denominator is not positive)."""
@@ -128,7 +136,7 @@ def holland_condition(w: WeightSequence) -> ConditionReport:
     if w.n < 2:
         raise InputError("need at least two weights")
     S_n2 = float(w.S[-3]) if w.n >= 3 else 0.0
-    margin = float(w.W[-2]) ** 2 - float(w.w[-1]) * S_n2
+    margin = _square(float(w.W[-2]), "holland margin: W_{n-1}^2") - float(w.w[-1]) * S_n2
     return ConditionReport(
         name="holland",
         holds=margin >= 0.0,
@@ -142,7 +150,7 @@ def _excess(w: WeightSequence) -> float:
     as (w_n / W_{n-1}) (S_{n-2} / W_{n-1}) - 1 where W_{n-1}^2 is below the
     normal floats (W_{n-1} below ~1.5e-154), so that it never divides by 0."""
     w_n, S_n2, W_n1 = float(w.w[-1]), float(w.S[-3]), float(w.W[-2])
-    if (square := W_n1**2) >= sys.float_info.min:
+    if (square := _square(W_n1, "gao excess: W_{n-1}^2")) >= sys.float_info.min:
         return w_n * S_n2 / square - 1.0
     return (w_n / W_n1) * (S_n2 / W_n1) - 1.0
 
@@ -451,7 +459,7 @@ def critical_weight(head) -> float:
     leaves float64, a square that overflows raises ``OverflowError``, and a
     quotient that overflows or underflows to 0 ``InputError``."""
     w = _head_weights(head)
-    value = float(w.W[-1]) ** 2 / float(w.S[-2])
+    value = _square(float(w.W[-1]), "critical weight: W_{n-1}^2") / float(w.S[-2])
     if not 0.0 < value < math.inf:
         raise InputError("the critical weight is out of float64 range")
     return value

@@ -1,13 +1,12 @@
 """Numeric oracles: the maximum of the reduced objective F over the closed
-box from its end points and the curve of its critical points
-(``curve_max_F``, for boxes of up to four dimensions in ``certify`` and for
-every n in ``scan``), from the same end points and a multistart ascent of
-F beyond, and a multistart violation search in data space.  The route
-policy that decides when they run (``reduction.certify``,
-``reduction.weight_scan``) lives in the reduction module, which imports
-this one.  F, the curve and its roots (``ReducedProblem.curve_roots``, on
-the grid ``curve_grid``) are read from the table
-``conditions.ReducedProblem``, built once per weight sequence.
+box from its candidates, the end points and the roots of the curve of its
+critical points (``curve_max_F``), the same maximum raised where a
+multistart ascent of F ends strictly higher (``multistart_max_F``), and a
+multistart violation search in data space.  The route policy that decides
+when they run (``reduction.certify``, ``reduction.weight_scan``) lives in
+the reduction module, which imports this one.  F, the curve and its roots
+(``ReducedProblem.curve_roots``, on the grid ``curve_grid``) are read from
+the table ``conditions.ReducedProblem``, built once per weight sequence.
 
 All randomness flows through a counter-based generator keyed by
 (seed, trial), so results are reproducible and independent of evaluation
@@ -38,21 +37,12 @@ from .functionals import _confirmed_violation, _orientation, _top_increment, _to
 from .means import InputError, WeightSequence
 
 __all__ = [
-    "GRID_DIM_LIMIT",
     "SearchConfig",
     "SearchResult",
     "curve_max_F",
     "multistart_max_F",
     "violation_search",
 ]
-
-# The box dimensions up to which certify takes the curve maximum.  The curve
-# serves every n (scan uses it for all), but with it at n >= 6 certify-mix
-# went from 975-1030 to 6456-6836 ops/s and its peak RSS from 56-57 to
-# 128-140 MB (20-s runs, 2-core host), past the benchmark's +10% bound, as
-# perfbench's run_passes keeps every output until the run ends: multistart
-# goes on there.
-GRID_DIM_LIMIT = 4
 
 # A walk moves at most _MAX_MOVES steps along one coordinate at one step
 # size.  Its rounds look 4, 8, 16, ... steps ahead on each side, and at
@@ -114,15 +104,6 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _box_ends(rp: ReducedProblem) -> list:
-    """The first candidates of both maxima of F, as rows: the point 1, the
-    origin and the top corner of the closed box.  Raises ``InputError``
-    unless the table is ``ReducedProblem.representable``."""
-    if not rp.representable:
-        raise InputError(OUT_OF_RANGE)
-    return [[1.0] * rp.upper.size, [0.0] * rp.upper.size, rp.upper.tolist()]
-
-
 def curve_max_F(w: WeightSequence) -> SearchResult:
     """Maximum of the reduced objective F over the closed box.
 
@@ -139,13 +120,16 @@ def curve_max_F(w: WeightSequence) -> SearchResult:
     log G_1 - t: the local maxima of phi are roots of R, which is strictly
     monotone past ``ReducedProblem.monotone_ends`` (``ReducedProblem.curve_roots``).
 
-    The result is the first of the end points (``_box_ends``) and Q at
-    every root with the largest table F (``objective_F`` at ``best_point``
-    bit for bit); ``trials_run`` counts the points of the curve evaluated.
-    Raises ``InputError`` unless the table is ``ReducedProblem.representable``.
+    The result is the first of the point 1, the origin, the top corner and
+    Q at every root with the largest table F (``objective_F`` at
+    ``best_point`` bit for bit); ``trials_run`` counts the points of the
+    curve evaluated.  Raises ``InputError`` unless ``ReducedProblem.representable``.
     """
     rp = ReducedProblem.of(w)
-    ends, (roots, evaluations) = _box_ends(rp), rp.curve_roots  # raises first
+    if not rp.representable:
+        raise InputError(OUT_OF_RANGE)
+    roots, evaluations = rp.curve_roots
+    ends = [[1.0] * rp.upper.size, [0.0] * rp.upper.size, rp.upper.tolist()]
     Y = np.array(ends + [rp.curve_log_q(t) for t in roots])  # log Q at the roots
     np.minimum(np.exp(Y[3:], out=Y[3:]), rp.upper, out=Y[3:])
     vals = rp.F(*rp.log_products(Y))
@@ -292,16 +276,14 @@ def _multistart(lines, config: SearchConfig, draw, steps, lo, hi, scalar=None):
 
 
 def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
-    """Maximum of the reduced objective F over the closed box: the first of
-    the end points (``_box_ends``) with the largest F, unless a walk of the
-    multistart coordinate ascent from uniform draws in the box ends strictly
-    higher.  A candidate recomputes only the log-terms of the axis that
-    moves.  Raises ``InputError`` unless ``ReducedProblem.representable``."""
+    """Maximum of the reduced objective F over the closed box: the result of
+    ``curve_max_F``, unless a walk of the multistart coordinate ascent from
+    uniform draws in the box ends strictly higher.  A candidate recomputes
+    only the log-terms of the axis that moves.  Raises ``InputError`` unless
+    ``ReducedProblem.representable``."""
     rp = ReducedProblem.of(w)
-    ends = np.array(_box_ends(rp))
-    vals = rp.F(*rp.log_products(ends))
-    k = int(np.argmax(vals))
-    best_val, best_y = float(vals[k]), ends[k]
+    curve = curve_max_F(w)
+    best_val, best_y = curve.best_value, curve.best_point
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 1.0, w.n - 1)
@@ -309,8 +291,8 @@ def multistart_max_F(w: WeightSequence, config: SearchConfig) -> SearchResult:
     lines = functools.partial(_LinesF, rp)
     for val, u in _multistart(lines, config, draw, 0.25, 0.0, 1.0):
         if val > best_val:
-            best_val, best_y = val, u * rp.upper
-    return SearchResult(best_val, tuple(best_y.tolist()), config.trials, config.seed)
+            best_val, best_y = val, tuple((u * rp.upper).tolist())
+    return SearchResult(best_val, best_y, config.trials, config.seed)
 
 
 def violation_search(w: WeightSequence, s: float, config: SearchConfig) -> SearchResult:

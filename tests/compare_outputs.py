@@ -18,7 +18,11 @@ least tail at which the maximum of F exceeds 1 + 1e-9: seven heads of
 5..11 entries (n = 6..12) log-uniform in [0.5, 2], each with the tails
 w* (1 + delta) for delta in {-1e-3, 1e-7, 1e-5, 1e-3, 1e-2}.  w* comes
 from bisection on this checkout's ``curve_max_F`` in a child process, so
-both sides run the same files.  Every command runs through
+both sides run the same files.  Then 20 ``certify`` commands at n = 6..10
+whose maximum of F lies at a root of the curve, not at an end point of the
+box (``sampling.interior_maximum_weights``: heads log-uniform in [0.05,
+20], tails 1-3 critical weights, from ``default_rng(7)``); the commands
+above never reach one at n >= 6.  Every command runs through
 ``mixedmeans.cli.run`` in one child process per checkout, the two side by
 side.  The script prints how many of the commands differ in stdout or exit
 code, then each that does, with its route (``certify``), verdict
@@ -42,8 +46,10 @@ from pathlib import Path
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 WEIGHTS = 170
+INTERIOR = 20
 EXPONENTS = ("-1", "0", "0.5", "2")
 VERIFY_EXPONENTS = ("-1", "0", "1e-12", "0.5", "2")
 TAILS = ((0.3, 0.9), (1.0, 1.0), (1.0 + 1e-6, 1.0 + 1e-4), (1.0, 1.6), (2.0, 3.0))
@@ -67,6 +73,14 @@ for head in json.load(sys.stdin):
         lo, hi = (lo, mid) if refuted(head, mid) else (mid, hi)
     out.append(hi)
 json.dump(out, sys.stdout)
+"""
+
+# Reads a count on stdin and writes a JSON list of that many weight
+# sequences with their maximum of F at a root of the curve.
+INTERIOR_MAXIMA = """
+import json, sys
+from sampling import interior_maximum_weights
+json.dump([w.w.tolist() for w in interior_maximum_weights(json.load(sys.stdin))], sys.stdout)
 """
 
 # Reads a JSON list of argument lists on stdin, runs each through cli.run,
@@ -114,14 +128,19 @@ def corpus(directory: Path) -> list[list[str]]:
             path = directory / f"near{j}-{k}.json"
             path.write_text(json.dumps({"w": [*head, w_star * (1.0 + delta)]}))
             commands.append(["certify", str(path)])
+    for j, w in enumerate(_child(SRC, INTERIOR_MAXIMA, INTERIOR)):
+        path = directory / f"interior{j}.json"
+        path.write_text(json.dumps({"w": w}))
+        commands.append(["certify", str(path)])
     return commands
 
 
 def _child(src: Path, script: str, payload):
     """The JSON that ``script`` writes, given ``payload`` as JSON on stdin,
-    run with ``src`` as the package."""
+    run with ``src`` as the package and this checkout's test helpers."""
+    path = os.pathsep.join((str(src), str(TESTS)))
     child = subprocess.run(
-        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
         input=json.dumps(payload), capture_output=True, text=True, check=True,
     )
     return json.loads(child.stdout)

@@ -4,8 +4,10 @@ This is the one-point-at-a-time greedy coordinate ascent, with the
 per-trial loops of ``violation_search`` and ``multistart_max_F`` around it.
 On each coordinate and step size it walks one way, the first that wins,
 and stops at the first step that does not.  The maximum of F starts from
-the point 1, the origin and the top corner, and walks the closed box.  The
-batched search must return results equal to these, field by field.
+the candidates of the curve maximum, the first with the largest F: the
+point 1, the origin, the top corner, then Q at each root of the curve.  Its
+walks run in the closed box.  The batched search must return results equal
+to these, field by field.
 """
 import math
 
@@ -49,7 +51,9 @@ def multistart_max_F(w: WeightSequence, config) -> SearchResult:
         return float(rp.F(*rp.log_products(y)))
 
     best_val, best_y = -math.inf, None
-    for y in (np.ones(dims), np.zeros(dims), upper):  # the point 1 and two corners
+    candidates = [np.ones(dims), np.zeros(dims), upper]  # the point 1 and two corners
+    candidates += [np.minimum(np.exp(rp.curve_log_q(t)), upper) for t in rp.curve_roots[0]]
+    for y in candidates:
         if (val := fun(y)) > best_val:
             best_val, best_y = val, y
     for t in range(config.trials):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from checkout import run_python
 from mixedmeans import (
     WeightSequence,
+    box_upper,
     cli,
     critical_weight,
     objective_F,
@@ -132,6 +133,23 @@ class TestCertify:
         assert data["route"] == "refuted-numeric"
         assert data["numeric_max"]["value"] == pytest.approx(1.000466, abs=1e-6)
         assert data["numeric_max"]["argmax"] == [0.0] * 6
+
+    def test_interior_maximum_past_four_dimensions(self, capsys, tmp_path):
+        # six weights: the walks, which once started from the end points
+        # alone and read 1.041079819881161 at the top corner, below F at a
+        # root of the curve (1.04135708068957814 at 50 digits)
+        ws = [2.7993285535122063, 0.2716166005458789, 2.8861416248703335,
+              0.3521955305907724, 16.849979481705617, 86.20955247511634]
+        p = tmp_path / "w6.json"
+        p.write_text(json.dumps({"w": ws}))
+        code, out, _ = invoke(capsys, ["certify", str(p)])
+        assert code == 2
+        data = json.loads(out)
+        curve = search.curve_max_F(WeightSequence(ws))
+        assert data["numeric_max"]["value"] == curve.best_value == 1.0413570806895784
+        argmax = data["numeric_max"]["argmax"]
+        assert argmax == list(curve.best_point)
+        assert argmax not in ([1.0] * 5, [0.0] * 5, box_upper(WeightSequence(ws)).tolist())
 
     def test_stdout_is_strict_json(self, capsys, tmp_path):
         # tail weights far apart underflow an exponent of F to 0, which the
@@ -467,6 +485,19 @@ class TestErrorPaths:
         wide = tmp_path / "wide.json"
         wide.write_text('{"w": [1, 1e-300, 1e300]}')
         self._one_line_error(capsys, ["gen-weights", str(wide)])
+        # W_2^2 = 1e600 leaves float64: the diagnostic names the square, not
+        # the errno of float ** 2
+        square, head = tmp_path / "square.json", tmp_path / "head.json"
+        square.write_text('{"w": [1e300, 1e-300, 1]}')
+        head.write_text('{"w": [1e300, 1e-300]}')
+        for argv, name in (
+            (["check", str(square)], "holland margin: W_{n-1}^2"),
+            (["certify", str(square)], "holland margin: W_{n-1}^2"),
+            (["scan", str(head), "--range", "1:2", "--steps", "2"], "holland margin: W_{n-1}^2"),
+            (["gen-weights", str(head)], "critical weight: W_{n-1}^2"),
+        ):
+            err = self._one_line_error(capsys, argv)
+            assert name in err and "(34," not in err, (argv, err)
 
     def test_overflow_without_warnings(self, tmp_path):
         # in a fresh process, so numpy warnings reach stderr uncaptured

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -214,6 +215,17 @@ class TestDZero:
     def test_boundary_raises(self):
         with pytest.raises(NotApplicableError):
             d_zero(WeightSequence([1, 1, 4]))
+
+    def test_square_overflow_is_named(self):
+        # W_2^2 = 1e600: each square names itself, not the errno of float ** 2
+        w = WeightSequence([1e300, 1e-300, 1])
+        for call, name in (
+            (holland_condition, "holland margin: W_{n-1}^2"),
+            (d_zero, "gao excess: W_{n-1}^2"),
+            (lambda w: critical_weight(w.w[:-1]), "critical weight: W_{n-1}^2"),
+        ):
+            with pytest.raises(OverflowError, match=r"^" + re.escape(name)):
+                call(w)
 
 
 class TestCriticalWeight:

@@ -38,7 +38,7 @@ from mixedmeans.functionals import (
     _top_lines,
 )
 from mixedmeans.reduction import SCAN_FIELDS, find_stationary_d
-from sampling import log_uniform, random_samples, random_weights
+from sampling import interior_maximum_weights, log_uniform, random_samples, random_weights
 
 
 class TestGridMaxF:
@@ -77,7 +77,8 @@ class TestGridMaxF:
     def test_constant_point_and_corners_are_candidates(self):
         # each is returned exactly where it is the first maximum: the point 1
         # for tails up to the refutation threshold, the origin for heavier
-        # ones; the multistart reads the same end points, bit for bit
+        # ones; the multistart starts from the curve's result, so it reads
+        # them too
         for ws, point in (
             ([1, 1, 4.05], (1.0, 1.0)),
             ([1, 1, 4.5], (1.0, 1.0)),
@@ -110,13 +111,20 @@ class TestGridMaxF:
         assert checked > 1000
 
     def test_at_least_multistart(self):
-        # beyond four box dimensions; both take the same end points first,
-        # and 1e-15 relative: a walk may end a rounding above a root's value
+        # beyond four box dimensions.  The multistart starts from the curve's
+        # result and leaves it only where a walk ends strictly higher: never
+        # lower, the same point where no walk wins, and 1e-15 relative above,
+        # as a walk may end a rounding above a root's value.  The last 20
+        # tables have their maximum at a root, which the walks do not reach.
         rng = np.random.default_rng(62)
-        for j in range(45):
-            w = random_weights(rng, 6 + j % 15, 0.2, 8.0)
-            want = multistart_max_F(w, SearchConfig(seed=j)).best_value
-            assert curve_max_F(w).best_value >= want * (1.0 - 1e-15), (w.w, want)
+        tables = [random_weights(rng, 6 + j % 15, 0.2, 8.0) for j in range(45)]
+        for j, w in enumerate(tables + interior_maximum_weights(20)):
+            curve = curve_max_F(w)
+            walks = multistart_max_F(w, SearchConfig(seed=j))
+            assert walks.best_value >= curve.best_value, (w.w, walks, curve)
+            assert curve.best_value >= walks.best_value * (1.0 - 1e-15), (w.w, walks)
+            if walks.best_value == curve.best_value:
+                assert walks.best_point == curve.best_point, w.w
 
 
 @functools.lru_cache(maxsize=None)
@@ -556,8 +564,9 @@ class TestSerialReference:
 
     def test_multistart_max_F(self):
         rng = np.random.default_rng(71)
-        for j, n in enumerate((6, 6, 7, 7, 9, 12, 20)):
-            w = random_weights(rng, n, 0.2, 8.0)
+        tables = [random_weights(rng, n, 0.2, 8.0) for n in (6, 6, 7, 7, 9, 12, 20)]
+        # the last two start from a root of the curve
+        for j, w in enumerate(tables + interior_maximum_weights(2)):
             cfg = SearchConfig(seed=j, trials=40, local_steps=6 + j)
             assert multistart_max_F(w, cfg) == _serial(
                 "multistart_max_F", tuple(w.w.tolist()), cfg
