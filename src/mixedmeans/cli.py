@@ -174,9 +174,11 @@ def _cmd_gen_weights(args) -> int:
 
 
 def _finite(text: str) -> float:
-    """argparse type of the exponent options: a finite float."""
+    """argparse type of the exponents: finite, |value| <= 1e300 (|s log x| < 1e303)."""
     if not math.isfinite(value := float(text)):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if abs(value) > 1e300:
+        raise argparse.ArgumentTypeError(f"magnitude above 1e300: {text!r}")
     return value
 
 

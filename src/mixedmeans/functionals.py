@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from .conditions import ReducedProblem
-from .means import InputError, WeightSequence, _log_means, as_samples
+from .means import _SMALL_R, InputError, WeightSequence, _log_means, as_samples
 
 __all__ = [
     "rado_value",
@@ -92,11 +92,13 @@ def _top_lines(w: WeightSequence, s: float):
     from -inf or -0.0, which add exactly (no term is -0.0), and the terms of
     the later entries free of c; ``at(c)`` repeats the batch's operations from
     i on, in one loop for s = 0 (which negates, and takes ``_logaddexp``'s
-    three branches inline: x + log 2 on a tie) and one for s != 0.  Its one
-    ``np.exp(out, out)`` call, ``out`` positional, may warn; ``math.exp``
-    can differ."""
+    three branches inline: x + log 2 on a tie) and one for |s| >= _SMALL_R;
+    None between (no copy of the log1p branch).  Its one ``np.exp(out, out)``
+    call, ``out`` positional, may warn; ``math.exp`` can differ."""
     if s == 1.0:
         return lambda z, i: lambda c: -0.0
+    if 0.0 < abs(s) < _SMALL_R:
+        return None
     lw, lW, ww, W = (a.tolist() for a in (w.log_w, w.log_W, w.w, w.W))
     lae, flip, exp, log1p, log2 = _logaddexp, -_orientation(s), math.exp, math.log1p, math.log(2.0)
 

@@ -6,9 +6,9 @@ Everything here is a pure function of validated, read-only arrays.  Products
 of powers are evaluated in the log domain throughout: exponents built from
 prefix-weight ratios become extreme for skewed weight sequences and direct
 products overflow or underflow long before the result does.
-``_log_means``, the logs of the running r-means of exp(z), forms the
-running means here and in ``functionals`` (whose ``_top_lines`` repeats it
-on floats).
+``_log_means``, the logs of the running r-means of exp(z), is the one float
+formula for an r-mean, here and in ``functionals`` (whose ``_top_lines``
+repeats it on floats where r = 0 or |r| >= ``_SMALL_R``).
 """
 from __future__ import annotations
 
@@ -32,6 +32,11 @@ NORMALIZATION_TOL = 1e-12
 # Entry types that numpy reads as numbers but a JSON vector of numbers never
 # holds; a set of exact types, for a check at C speed.
 _NOT_NUMBERS = frozenset((bool, np.bool_, str))
+
+# Below _SMALL_R, |r z| < 0.75 for every z = log x (|log x| <= 744.5), so
+# ``_log_means`` takes its log1p branch, whose rounding does not grow like 1/|r|,
+# on r alone.  From it on, log-sum-exp / r keeps its bits: 2e-13 relative at 1e-3.
+_SMALL_R = 1e-3
 
 
 class InputError(ValueError):
@@ -90,10 +95,6 @@ class WeightSequence:
     def total(self) -> float:
         return float(self.W[-1])
 
-    def normalized(self) -> np.ndarray:
-        """w / W_n, a probability vector."""
-        return self.w / self.W[-1]
-
     def __len__(self) -> int:
         return self.n
 
@@ -110,37 +111,31 @@ def as_samples(x, n: int | None = None) -> np.ndarray:
 
 
 def power_mean(q, x, r: float) -> float:
-    """Generalized weighted power mean (sum_i q_i x_i^r)^(1/r).
+    """Generalized weighted power mean (sum_i q_i x_i^r)^(1/r), by ``_log_means``.
 
     ``q`` must be a probability vector (positive, summing to 1 within
     1e-12).  ``r = 0`` is the exact geometric-mean branch, not a small-r
     approximation.
     """
     q = _positive_array(q, "probability weights")
-    x = as_samples(x)
-    if q.shape != x.shape:
-        raise InputError("weights and samples must have equal length")
+    x = as_samples(x, q.size)
     if abs(float(q.sum()) - 1.0) > NORMALIZATION_TOL:
         raise InputError("probability weights must sum to 1 within 1e-12")
-    log_x = np.log(x)
-    if r == 0.0:
-        return float(math.exp(float(q @ log_x)))
-    a = r * log_x
-    if np.abs(a).max() <= 1.0:  # log1p keeps the digits of a log-sum near 0
-        return float(math.exp(math.log1p(float(q @ np.expm1(a))) / r))
-    m = float(a.max())  # the shift keeps exp from overflowing
-    return float(math.exp((math.log(float(q @ np.exp(a - m))) + m) / r))
+    return math.exp(_log_means(WeightSequence(q), np.log(x), r)[-1])
 
 
 def _log_means(w: WeightSequence, z: np.ndarray, r: float) -> np.ndarray:
     """The logs of the running r-means of exp(z) along the last axis of z,
     shape (..., n): entry i is the log of the r-mean of exp(z_1..z_{i+1})
-    under the weights w_1..w_{i+1} normalized by W_{i+1}.  Every sum runs in
-    index order, so a row of a batch gives the same bits as a call on it."""
+    under the weights w_1..w_{i+1} normalized by W_{i+1}; log1p of a mean of
+    expm1 where 0 < |r| < ``_SMALL_R``.  Every sum runs in index order, so a
+    row of a batch gives the same bits as a call on it."""
     if r == 0.0:
         return np.cumsum(w.w * z, axis=-1) / w.W
     if r == 1.0:  # r z and / r are exact at r = 1
         return np.logaddexp.accumulate(w.log_w + z, axis=-1) - w.log_W
+    if abs(r) < _SMALL_R:
+        return np.log1p(np.cumsum(w.w * np.expm1(r * z), axis=-1) / w.W) / r
     return (np.logaddexp.accumulate(w.log_w + r * z, axis=-1) - w.log_W) / r
 
 
@@ -155,9 +150,9 @@ def partial_mean_sequence(w: WeightSequence, x, r: float) -> np.ndarray:
 
 
 def mixed_mean(w: WeightSequence, x, outer: float, inner: float) -> float:
-    """Outer power mean of the running inner-mean sequence."""
-    inner_means = partial_mean_sequence(w, x, inner)
-    return power_mean(w.normalized(), inner_means, outer)
+    """Outer power mean of the running inner means, in logs throughout."""
+    z = np.log(as_samples(x, w.n))
+    return math.exp(_log_means(w, _log_means(w, z, inner), outer)[-1])
 
 
 def identity_residuals(w: WeightSequence, x) -> tuple[float, float]:

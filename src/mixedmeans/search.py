@@ -17,11 +17,12 @@ winning steps.  A candidate of the reduced objective recomputes only the
 log-terms of the axis that moves.  The violation search walks in log-data
 on the level-n increment in the direct form ``functionals._top_increment``.
 A block of at most ``_LIST_WALKS`` trials walks each alone from its first
-point, on scalar lines of it (lists of floats), step by step; a larger
-block takes array rounds to the end.  Either way the walks reach exactly
-the points and values of the serial one-point walk.  A violation passes
-``functionals._violates`` in floats, then at 50 digits, by the rule
-``verify`` applies too (``functionals._confirmed_violation``).
+point, on scalar lines of it (``functionals._top_lines``), step by step; a
+larger block, or any at 0 < |s| < 1e-3, takes array rounds to the end.
+Either way the walks reach exactly the points and values of the serial
+one-point walk.  A violation passes ``functionals._violates`` in floats,
+then at 50 digits, by the rule ``verify`` applies too
+(``functionals._confirmed_violation``).
 """
 from __future__ import annotations
 

@@ -1,19 +1,20 @@
 """Compare the stdout of ``certify``, ``check``, ``search``, ``verify``,
-``scan`` and ``gen-weights`` between this checkout's ``src/`` and another's,
-on a seeded corpus of weight sequences.
+``means``, ``scan`` and ``gen-weights`` between this checkout's ``src/`` and
+another's, on a seeded corpus of weight sequences.
 
     python tests/compare_outputs.py OTHER_SRC
 
 Each of 170 weight sequences drawn from a fixed seed (n = 2..9: a head
 log-uniform in [0.5, 2] and a tail below, at, just above or well above the
-critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives seventeen
+critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives twenty
 commands: ``certify``; ``check``, whose stdout holds the Gao margins of
 every sequence, not only where Holland fails; ``search`` at ``--trials 1``
 and at the default trials for s in {-1, 0, 0.5, 2}, with the sequence's own
 ``--seed``; ``verify`` on one sample, log-uniform in [1e-3, 1e3] per entry
-from a second seed, for s in {-1, 0, 1e-12, 0.5, 2}; ``scan`` of its head
-over the tails from half to three times the critical weight; and
-``gen-weights`` of its head.  Then 35 ``certify`` commands near w*, the
+from a second seed, for s in {-1, 0, 1e-12, 0.5, 2, 1e-300}; ``scan`` of its
+head over the tails from half to three times the critical weight;
+``gen-weights`` of its head; and ``means`` on the same sample at (r, s) =
+(1, 0) and (1, 1e-12).  Then 35 ``certify`` commands near w*, the
 least tail at which the maximum of F exceeds 1 + 1e-9: seven heads of
 5..11 entries (n = 6..12) log-uniform in [0.5, 2], each with the tails
 w* (1 + delta) for delta in {-1e-3, 1e-7, 1e-5, 1e-3, 1e-2}.  w* comes
@@ -27,9 +28,9 @@ above never reach one at n >= 6.  Every command runs through
 side.  The script prints how many of the commands differ in stdout or exit
 code, then each that does, with its route (``certify``), verdict
 (``check``, ``search``, ``verify``) or exit code on both sides and how many
-ulp apart its value is (``numeric_max.value``, ``best_value`` or the
-critical weight of ``gen-weights``).  It exits 0 whatever the count, and
-fails only if a child does.
+ulp apart its value is (``numeric_max.value``, ``best_value``, the
+critical weight of ``gen-weights``, or the number of ``means`` furthest
+apart).  It exits 0 whatever the count, and fails only if a child does.
 """
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ SRC = TESTS.parent / "src"
 WEIGHTS = 170
 INTERIOR = 20
 EXPONENTS = ("-1", "0", "0.5", "2")
-VERIFY_EXPONENTS = ("-1", "0", "1e-12", "0.5", "2")
+VERIFY_EXPONENTS = ("-1", "0", "1e-12", "0.5", "2", "1e-300")
+MEANS_EXPONENTS = ("0", "1e-12")  # s, at r = 1
 TAILS = ((0.3, 0.9), (1.0, 1.0), (1.0 + 1e-6, 1.0 + 1e-4), (1.0, 1.6), (2.0, 3.0))
 NEAR_W_STAR = (-1e-3, 1e-7, 1e-5, 1e-3, 1e-2)
 
@@ -121,6 +123,7 @@ def corpus(directory: Path) -> list[list[str]]:
         commands += [["verify", str(path), str(x), f"--s={s}"] for s in VERIFY_EXPONENTS]
         commands.append(["scan", str(h), "--range", f"{critical / 2}:{critical * 3}"])
         commands.append(["gen-weights", str(h)])
+        commands += [["means", str(path), str(x), "--r=1", f"--s={s}"] for s in MEANS_EXPONENTS]
     rng = np.random.default_rng(5)
     heads = [np.exp(rng.uniform(math.log(0.5), math.log(2.0), 5 + j)).tolist() for j in range(7)]
     for j, (head, w_star) in enumerate(zip(heads, _child(SRC, W_STAR, heads))):
@@ -152,20 +155,24 @@ def outputs(src: Path, commands) -> list:
 
 
 def _verdict(code: int, stdout: str):
-    """The route or verdict of one output and its value (None if it has none)."""
+    """The route or verdict of one output and its values (None if it has none)."""
     try:
         doc = json.loads(stdout)
     except ValueError:
         return f"exit {code}", None
     if isinstance(doc, float):  # gen-weights
-        return f"exit {code}", doc
+        return f"exit {code}", [doc]
     if "gao" in doc:  # check
         return "holds" if code == 0 else "fails", None
     if "route" in doc:
-        return doc["route"], (doc["numeric_max"] or {}).get("value")
+        value = (doc["numeric_max"] or {}).get("value")
+        return doc["route"], None if value is None else [value]
     if "levels" in doc:
         return "violation" if code == 2 else "no violation", None
-    return "violation" if doc["violation"] else "no violation", doc["best_value"]
+    if "mixed_s_of_r" in doc:  # means
+        values = doc["partial_means_r"] + doc["partial_means_s"]
+        return f"exit {code}", values + [doc["mixed_s_of_r"], doc["mixed_r_of_s"]]
+    return "violation" if doc["violation"] else "no violation", [doc["best_value"]]
 
 
 def _ulps(a: float, b: float) -> int:
@@ -191,7 +198,10 @@ def main(argv=None) -> int:
     print(f"{len(differ)} of {len(commands)} stdouts differ")
     for command, one, two in differ:
         (route, value), (other, other_value) = _verdict(*one), _verdict(*two)
-        apart = "no value" if None in (value, other_value) else f"{_ulps(value, other_value)} ulp"
+        if None in (value, other_value) or len(value) != len(other_value):
+            apart = "no value"
+        else:
+            apart = f"{max(map(_ulps, value, other_value))} ulp"
         name = " ".join(Path(a).name if a.endswith(".json") else a for a in command)
         print(f"  {name}: {route} / {other}, {apart}")
     return 0

@@ -10,7 +10,9 @@ DPS = 50
 
 
 def _mpf(v):
-    return mpmath.mpf(float(v))
+    """A float64 value exactly, or an mpf as it is: rounding a weight w_j / W_i
+    or a running mean to float64 would cost digits that r -> 0 magnifies."""
+    return v if isinstance(v, mpmath.mpf) else mpmath.mpf(float(v))
 
 
 def power_mean(q, x, r):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from checkout import run_python
 from mixedmeans import (
     WeightSequence,
@@ -21,7 +22,6 @@ from mixedmeans import (
     popoviciu_increment,
     rado_increment,
     search,
-    violation_tolerance,
 )
 from mixedmeans.cli import run
 from mixedmeans.functionals import _rado_increment_precise
@@ -70,6 +70,16 @@ class TestMeans:
         assert data["partial_means_r"] == pytest.approx([1.0, 1.5, 2.0])
         assert data["mixed_s_of_r"] == pytest.approx(1.4422495703074083)
         assert data["mixed_r_of_s"] == pytest.approx(1.4104447184017448)
+
+    def test_small_s_near_the_float_limit(self, capsys, tmp_path):
+        # the running s-means of data near the float64 limit, at s near 0
+        wf, xf = tmp_path / "w.json", tmp_path / "x.json"
+        wf.write_text('{"w": [1, 1]}')
+        xf.write_text('{"x": [1e308, 1.7e308]}')
+        code, out, _ = invoke(capsys, ["means", str(wf), str(xf), "--s", "1e-12"])
+        assert code == 0
+        want = [float(v) for v in oracle.partial_means([1, 1], [1e308, 1.7e308], 1e-12)]
+        assert json.loads(out)["partial_means_s"] == pytest.approx(want, rel=1e-12)
 
     def test_length_mismatch_exits_one(self, capsys, files, tmp_path):
         short = tmp_path / "short.json"
@@ -230,15 +240,29 @@ class TestVerify:
 
 
     def test_violation_made_up_by_rounding_exits_zero(self, capsys, files, tmp_path):
-        # At s = 1e-12 the level-2 increment reads -8.5e-5 in floats, past
-        # the tolerance 6.0e-7, but +6.8e-5 at 50 digits: no violation
+        # At s = 1e-12 the level-2 increment is +6.8e-5 at 50 digits, and the
+        # float agrees with it.  The path where the floats flag a level and 50
+        # digits clear it is tested on a made-up row in test_functionals.
         xf = tmp_path / "x.json"
         xf.write_text('{"x": [1.154, 1.119, 201.511]}')
         w, x = WeightSequence([1, 1, 1]), [1.154, 1.119, 201.511]
         code, out, _ = invoke(capsys, ["verify", files["w111"], str(xf), "--s", "1e-12"])
         assert code == 0
-        assert json.loads(out)["levels"][0]["rado_increment"] < -violation_tolerance(w, x)
-        assert _rado_increment_precise(w, x, 1e-12, 2) == pytest.approx(6.8e-5, rel=0.05)
+        want = _rado_increment_precise(w, x, 1e-12, 2)
+        got = json.loads(out)["levels"][0]["rado_increment"]
+        assert abs(got - want) <= 1e-13 * w.total * max(x)
+        assert want == pytest.approx(6.8e-5, rel=0.05)
+
+    def test_tiny_s_prints_the_geometric_levels(self, capsys, files, tmp_path):
+        # s = 1e-300 differs from s = 0 far below float64 precision
+        xf = tmp_path / "x.json"
+        xf.write_text('{"x": [1.154, 1.119, 201.511]}')
+        levels = []
+        for s in ("0", "1e-300"):
+            code, out, _ = invoke(capsys, ["verify", files["w111"], str(xf), "--s", s])
+            assert code == 0
+            levels.append([lv["rado_increment"] for lv in json.loads(out)["levels"]])
+        assert levels[1] == pytest.approx(levels[0], rel=1e-12)
 
 
 class TestSearch:
@@ -688,6 +712,18 @@ class TestErrorPaths:
                 assert code in (0, 2) and err == ""
                 if spaced[0] != "search":  # the search does not echo s
                     assert json.loads(out)[option[2:]] == float(value)
+
+    def test_exponent_beyond_1e300(self, capsys, files):
+        # past 1e300, s log x can overflow; up to it, it never does
+        for value in ("1e308", "-1e301"):
+            for option, argv in self._exponent_argvs(files, value):
+                err = self._one_line_error(capsys, argv)
+                assert f"argument {option}: magnitude above 1e300: '{value}'" in err
+        for value in ("1e300", "-1e300"):
+            for option, argv in self._exponent_argvs(files, value):
+                trials = ["--trials", "2"] if argv[0] == "search" else []
+                code, out, err = invoke(capsys, argv + trials)
+                assert code in (0, 2) and err == "" and json.loads(out)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_exponent(self, capsys, monkeypatch, files, value):

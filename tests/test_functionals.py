@@ -14,11 +14,15 @@ from mixedmeans import (
     violation_tolerance,
 )
 from mixedmeans.functionals import (
+    _confirmed_violation,
     _orientation,
     _rado_increment_precise,
+    _rado_increments,
     _top_increment,
     _top_lines,
+    _violates,
 )
+from mixedmeans.means import _SMALL_R
 from sampling import nanjundiah_weights, random_samples, random_weights
 
 
@@ -99,6 +103,33 @@ class TestRadoIncrement:
         want = _rado_increment_precise(w, x, 0.0, 2)
         assert _rado_increment_precise(w, x, s, 2) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [1e-300, -1e-300, 1e-12, -1e-12, 1e-9, 1e-6, 9.99e-4])
+    def test_every_level_at_small_s_matches_precise(self, s):
+        # 0 < |s| < _SMALL_R, where the running s-means are log1p of a mean of
+        # expm1, whose rounding does not grow like 1/|s|.  60 tables, n =
+        # 2..11, weights log-uniform in [0.1, 10], data in [1e-3, 1e3].
+        rng = np.random.default_rng(28)
+        for j in range(60):
+            n = 2 + j % 10
+            w, x = random_weights(rng, n), random_samples(rng, n)
+            got = _rado_increments(w, np.log(x), s).tolist()
+            want = [_rado_increment_precise(w, x, s, k) for k in range(2, n + 1)]
+            bound = 1e-13 * w.total * x.max()
+            assert all(abs(a - b) <= bound for a, b in zip(got, want))
+
+    def test_float_violation_cleared_at_50_digits(self):
+        # A made-up float row whose level 2 breaks the rule, where the 50-digit
+        # value, +6.79e-5, clears it; and a row that flags the true violation
+        # of [0.001, 1, 1000] under weights 1, 1, 6, which is confirmed.
+        w, x = WeightSequence([1, 1, 1]), [1.154, 1.119, 201.511]
+        row = np.array([-8.5e-5, 4.724])
+        assert _violates(w, x, 1e-12, row).tolist() == [True, False]
+        assert not _confirmed_violation(w, x, 1e-12, row, 2)
+        w, x = WeightSequence([1, 1, 6]), [0.001, 1.0, 1000.0]
+        row = _rado_increments(w, np.log(x), 0.0)
+        assert _violates(w, x, 0.0, row).tolist() == [False, True]
+        assert _confirmed_violation(w, x, 0.0, row, 2)
+
 
 class TestTopIncrement:
     """The search objective: the level-n increment in the direct form, on
@@ -137,7 +168,7 @@ class TestTopIncrement:
             w = random_weights(rng, n)
             Z = np.stack([self._log_data(rng, n, j % 2 == 1) for j in range(12)])
             Z = Z.reshape(3, 4, n)
-            for s in (*self.EXPONENTS, 1.0):
+            for s in (*self.EXPONENTS, 1.0, 1e-9, -1e-12):
                 batch = _top_increment(w, Z, s)
                 assert batch.shape == (3, 4)
                 for index in np.ndindex(3, 4):
@@ -164,6 +195,14 @@ class TestTopIncrement:
         # the search builds its lines first and leaves the error to the batch
         for s in (0.0, 0.5, 1.0):
             _top_lines(WeightSequence([2]), s)
+
+    def test_no_scalar_lines_at_small_s(self):
+        # _top_lines has no copy of _log_means' log1p branch: the search
+        # walks in array rounds there
+        w = WeightSequence([1, 2, 3])
+        probes = (0.0, -0.0, 1e-300, -1e-12, 1e-9, 9.99e-4, -9.99e-4, 1e-3, -1e-3, 1.0, 2.0)
+        for s in probes:
+            assert (_top_lines(w, s) is None) == (0.0 < abs(s) < _SMALL_R)
 
     @staticmethod
     def _check_line(line, w, z, i, cs, s):

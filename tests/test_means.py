@@ -110,6 +110,19 @@ class TestPowerMean:
                 got = power_mean(q, x, r)
             assert got == pytest.approx(float(oracle.power_mean(q, x, r)), rel=1e-14)
 
+    @pytest.mark.parametrize("r", [1e-3, -1e-3, 1e-2, -1e-2])
+    def test_log_sum_exp_exponent_matches_oracle(self, r):
+        # From |r| = 1e-3 on, the mean is log-sum-exp / r, whose rounding
+        # grows like 1/|r|.  Dyadic weights, as above.
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            k = rng.integers(1, 2**17, n)
+            k[-1] = 2**20 - k[:-1].sum()
+            q, x = k / 2**20, random_samples(rng, n)
+            got = power_mean(q, x, r)
+            assert got == pytest.approx(float(oracle.power_mean(q, x, r)), rel=1e-12)
+
     def test_continuity_at_zero(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -184,6 +197,23 @@ class TestMixedMean:
             outer, inner = rng.uniform(-2, 2, 2)
             got = mixed_mean(w, np.full(n, c), float(outer), float(inner))
             assert got == pytest.approx(c, rel=1e-13)
+
+
+class TestSmallExponents:
+    @pytest.mark.parametrize("r", [1e-12, -1e-12, 1e-300])
+    def test_running_and_mixed_means_match_oracle(self, monkeypatch, r):
+        # v**r = 1 + r log v + ...: the oracle keeps a mean only past the
+        # digits that r takes, so it works at 50 + ceil(-log10 |r|) digits.
+        monkeypatch.setattr(oracle, "DPS", 50 + math.ceil(-math.log10(abs(r))))
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            w, x = random_weights(rng, n), random_samples(rng, n)
+            want = [float(v) for v in oracle.partial_means(w.w, x, r)]
+            np.testing.assert_allclose(partial_mean_sequence(w, x, r), want, rtol=1e-12)
+            for outer, inner in ((r, 1.0), (1.0, r), (r, r), (0.0, r)):
+                want = float(oracle.mixed_mean(w.w, x, outer, inner))
+                assert mixed_mean(w, x, outer, inner) == pytest.approx(want, rel=1e-12)
 
 
 class TestIdentityResiduals:

@@ -562,6 +562,15 @@ class TestSerialReference:
                 "violation_search", tuple(w.w.tolist()), s, cfg
             )
 
+    def test_lone_search_at_small_s(self):
+        # 0 < |s| < 1e-3: no scalar lines, so a lone trial walks in array rounds
+        rng = np.random.default_rng(76)
+        for n in range(2, 8):
+            w = random_weights(rng, n, 0.2, 8.0)
+            cfg = SearchConfig(seed=n, trials=1)
+            assert _top_lines(w, 1e-9) is None
+            assert violation_search(w, 1e-9, cfg) == serial_search.violation_search(w, 1e-9, cfg)
+
     def test_multistart_max_F(self):
         rng = np.random.default_rng(71)
         tables = [random_weights(rng, n, 0.2, 8.0) for n in (6, 6, 7, 7, 9, 12, 20)]
