@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from .conditions import ReducedProblem
-from .means import _SMALL_R, InputError, WeightSequence, _log_means, as_samples
+from .means import InputError, WeightSequence, _log_means, as_samples
 
 __all__ = [
     "rado_value",
@@ -56,9 +56,10 @@ def _rado_increments(w: WeightSequence, z: np.ndarray, s: float, k: int = 2):
 def _top_increment(w: WeightSequence, z: np.ndarray, s: float) -> np.ndarray:
     """``rado_increment`` at level n bit for bit, from three exps; log-data
     of shape (..., n).  The violation search maximizes it times
-    ``-_orientation(s)``.  Contract: ``_top_lines`` repeats these operations
-    on floats with the same bits, NaN and infinities included; change both
-    or neither."""
+    ``-_orientation(s)``.  Contract: at s = 0, ``_top_lines`` repeats these
+    operations on floats with the same bits, NaN and infinities included;
+    change both or neither.  At every other s the search reads this batch
+    alone."""
     return _rado_increments(w, z, s, w.n)[..., 0]
 
 
@@ -85,58 +86,45 @@ def _orientation(s: float) -> float:
 
 
 def _top_lines(w: WeightSequence, s: float):
-    """Scalar lines of ``-_orientation(s) * _top_increment``, the violation
-    search's objective (n >= 2): ``_top_lines(w, s)(z, i)`` maps c to its
+    """Scalar lines of ``-_top_increment`` at s = 0, the violation search's
+    objective there (n >= 2): ``_top_lines(w, 0.0)(z, i)`` maps c to its
     value at the row ``z``, a list of floats, with entry i set to c, bit for
     bit.  A line keeps the sums for log A, O and M over the entries before i,
     from -inf or -0.0, which add exactly (no term is -0.0), and the terms of
     the later entries free of c; ``at(c)`` repeats the batch's operations from
-    i on, in one loop for s = 0 (which negates, and takes ``_logaddexp``'s
-    three branches inline: x + log 2 on a tie) and one for |s| >= _SMALL_R;
-    None between (no copy of the log1p branch).  Its one ``np.exp(out, out)``
-    call, ``out`` positional, may warn; ``math.exp`` can differ."""
-    if s == 1.0:
-        return lambda z, i: lambda c: -0.0
-    if 0.0 < abs(s) < _SMALL_R:
+    i on, with ``_logaddexp``'s three branches inline (x + log 2 on a tie).
+    None at every s != 0, where the search walks in array rounds.  Its one
+    ``np.exp(out, out)`` call, ``out`` positional, may warn; ``math.exp`` can
+    differ."""
+    if s != 0.0:
         return None
     lw, lW, ww, W = (a.tolist() for a in (w.log_w, w.log_W, w.w, w.W))
-    lae, flip, exp, log1p, log2 = _logaddexp, -_orientation(s), math.exp, math.log1p, math.log(2.0)
+    lae, exp, log1p, log2 = _logaddexp, math.exp, math.log1p, math.log(2.0)
 
     def line(z, i):
-        a, o = -math.inf, -math.inf if s else -0.0
-        m, u = o, lw if s else ww  # O sums lw_j + s log A_j in logs, or ww_j log A_j
-        rows = [(lw[j] + z[j], u[j], lW[j], lw[j] + s * z[j] if s else u[j] * z[j])
-                for j in range(len(z))]
+        a, o = -math.inf, -0.0
+        m = o  # O sums ww_j log A_j, and M sums ww_j z_j
+        rows = [(lw[j] + z[j], ww[j], lW[j], ww[j] * z[j]) for j in range(len(z))]
         for ka, uj, lWj, km in rows[:i]:
             a = lae(a, ka)
-            o, m = (lae(o, uj + s * (a - lWj)), lae(m, km)) if s else (o + uj * (a - lWj), m + km)
-        W_n, W_p, w_n, lW_n, lW_p = W[-1], W[-2], ww[-1], lW[-1], lW[-2]  # n >= 2 here
-        lw_i, u_i, lW_i, tail, out = lw[i], u[i], lW[i], rows[i + 1 :], np.empty(3)
-        if s:
-            def at(c):
-                a_ = lae(a, lw_i + c)
-                p, o_, m_ = o, lae(o, u_i + s * (a_ - lW_i)), lae(m, lw_i + s * c)
-                for ka, uj, lWj, km in tail:
-                    a_ = lae(a_, ka)
-                    p, o_, m_ = o_, lae(o_, uj + s * (a_ - lWj)), lae(m_, km)
-                out[0], out[1], out[2] = (p - lW_p) / s, (o_ - lW_n) / s, (m_ - lW_n) / s
-                e_p, e_n, e_m = np.exp(out, out).tolist()
-                return flip * (W_n * e_n - W_p * e_p - w_n * e_m)
-        else:
-            def at(c):
-                ka = lw_i + c
-                d = a - ka  # a_ = _logaddexp(a, ka), and a_ = _logaddexp(a_, ka) below
-                a_ = (a + log1p(exp(-d)) if d > 0 else ka + log1p(exp(d)) if d < 0
-                      else a + log2 if a == ka else d)
-                p, o_, m_ = o, o + u_i * (a_ - lW_i), m + u_i * c
-                for ka, uj, lWj, km in tail:
-                    d = a_ - ka
-                    a_ = (a_ + log1p(exp(-d)) if d > 0 else ka + log1p(exp(d)) if d < 0
-                          else a_ + log2 if a_ == ka else d)
-                    p, o_, m_ = o_, o_ + uj * (a_ - lWj), m_ + km
-                out[0], out[1], out[2] = p / W_p, o_ / W_n, m_ / W_n
-                e_p, e_n, e_m = np.exp(out, out).tolist()
-                return -(W_n * e_n - W_p * e_p - w_n * e_m)
+            o, m = o + uj * (a - lWj), m + km
+        W_n, W_p, w_n = W[-1], W[-2], ww[-1]  # n >= 2 here
+        lw_i, u_i, lW_i, tail, out = lw[i], ww[i], lW[i], rows[i + 1 :], np.empty(3)
+
+        def at(c):
+            ka = lw_i + c
+            d = a - ka  # a_ = _logaddexp(a, ka), and a_ = _logaddexp(a_, ka) below
+            a_ = (a + log1p(exp(-d)) if d > 0 else ka + log1p(exp(d)) if d < 0
+                  else a + log2 if a == ka else d)
+            p, o_, m_ = o, o + u_i * (a_ - lW_i), m + u_i * c
+            for ka, uj, lWj, km in tail:
+                d = a_ - ka
+                a_ = (a_ + log1p(exp(-d)) if d > 0 else ka + log1p(exp(d)) if d < 0
+                      else a_ + log2 if a_ == ka else d)
+                p, o_, m_ = o_, o_ + uj * (a_ - lWj), m_ + km
+            out[0], out[1], out[2] = p / W_p, o_ / W_n, m_ / W_n
+            e_p, e_n, e_m = np.exp(out, out).tolist()
+            return -(W_n * e_n - W_p * e_p - w_n * e_m)
         return at
 
     return line

@@ -8,11 +8,12 @@ prefix-weight ratios become extreme for skewed weight sequences and direct
 products overflow or underflow long before the result does.
 ``_log_means``, the logs of the running r-means of exp(z), is the one float
 formula for an r-mean, here and in ``functionals`` (whose ``_top_lines``
-repeats it on floats where r = 0 or |r| >= ``_SMALL_R``).
+repeats its r = 0 branch on floats, for the search at s = 0).
 """
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -37,6 +38,11 @@ _NOT_NUMBERS = frozenset((bool, np.bool_, str))
 # ``_log_means`` takes its log1p branch, whose rounding does not grow like 1/|r|,
 # on r alone.  From it on, log-sum-exp / r keeps its bits: 2e-13 relative at 1e-3.
 _SMALL_R = 1e-3
+
+# Below _TINY_R, the least normal float64, r z keeps only a few bits, and the
+# r-mean differs from the geometric mean by at most |r| 745**2 / 2 < 1e-302 in
+# the log: ``_log_means`` reads such r as 0.  Every normal r keeps its bits.
+_TINY_R = sys.float_info.min
 
 
 class InputError(ValueError):
@@ -115,7 +121,7 @@ def power_mean(q, x, r: float) -> float:
 
     ``q`` must be a probability vector (positive, summing to 1 within
     1e-12).  ``r = 0`` is the exact geometric-mean branch, not a small-r
-    approximation.
+    approximation; so is every |r| below 2.2e-308 (``_TINY_R``).
     """
     q = _positive_array(q, "probability weights")
     x = as_samples(x, q.size)
@@ -128,9 +134,10 @@ def _log_means(w: WeightSequence, z: np.ndarray, r: float) -> np.ndarray:
     """The logs of the running r-means of exp(z) along the last axis of z,
     shape (..., n): entry i is the log of the r-mean of exp(z_1..z_{i+1})
     under the weights w_1..w_{i+1} normalized by W_{i+1}; log1p of a mean of
-    expm1 where 0 < |r| < ``_SMALL_R``.  Every sum runs in index order, so a
-    row of a batch gives the same bits as a call on it."""
-    if r == 0.0:
+    expm1 where ``_TINY_R`` <= |r| < ``_SMALL_R``, and the geometric mean
+    below.  Every sum runs in index order, so a row of a batch gives the same
+    bits as a call on it."""
+    if abs(r) < _TINY_R:
         return np.cumsum(w.w * z, axis=-1) / w.W
     if r == 1.0:  # r z and / r are exact at r = 1
         return np.logaddexp.accumulate(w.log_w + z, axis=-1) - w.log_W

@@ -16,13 +16,13 @@ next steps of every walk in one array call, and each walk takes its run of
 winning steps.  A candidate of the reduced objective recomputes only the
 log-terms of the axis that moves.  The violation search walks in log-data
 on the level-n increment in the direct form ``functionals._top_increment``.
-A block of at most ``_LIST_WALKS`` trials walks each alone from its first
-point, on scalar lines of it (``functionals._top_lines``), step by step; a
-larger block, or any at 0 < |s| < 1e-3, takes array rounds to the end.
-Either way the walks reach exactly the points and values of the serial
-one-point walk.  A violation passes ``functionals._violates`` in floats,
-then at 50 digits, by the rule ``verify`` applies too
-(``functionals._confirmed_violation``).
+At s = 0, the paper's inequality, a block of at most ``_LIST_WALKS`` trials
+walks each alone from its first point, on scalar lines of it
+(``functionals._top_lines``), step by step; a larger block, or any at
+another s, takes array rounds to the end.  Either way the walks reach
+exactly the points and values of the serial one-point walk.  A violation
+passes ``functionals._violates`` in floats, then at 50 digits, by the rule
+``verify`` applies too (``functionals._confirmed_violation``).
 """
 from __future__ import annotations
 
@@ -49,9 +49,9 @@ __all__ = [
 # size.  Its rounds look 4, 8, 16, ... steps ahead on each side, and at
 # least _ROUND steps summed over their rows: a small round costs mostly
 # fixed overhead.  A block of at most _LIST_WALKS trials with a scalar line
-# walks each alone (see _multistart): at n = 3..25 and s in {-1, 0, 0.5, 2}
-# that took a median 0.6x the time of array rounds at 4 trials, 0.9-1.0x at
-# 8, 1.03-1.1x at 9-12, 1.25-1.3x at 16.  A round's candidates and an
+# (s = 0) walks each alone (see _multistart): at n = 3..25 that took a median
+# 0.18x the time of array rounds at 1 trial, 0.5x at 4, 0.8x at 8, 0.9x at 9,
+# 1.1x at 12 and 1.2x at 16 (2-core host).  A round's candidates and an
 # evaluation's rows stay under _CELL_CAP float64 elements, for any trial
 # count.
 _MAX_MOVES = 50

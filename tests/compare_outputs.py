@@ -6,15 +6,16 @@ another's, on a seeded corpus of weight sequences.
 
 Each of 170 weight sequences drawn from a fixed seed (n = 2..9: a head
 log-uniform in [0.5, 2] and a tail below, at, just above or well above the
-critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives twenty
-commands: ``certify``; ``check``, whose stdout holds the Gao margins of
-every sequence, not only where Holland fails; ``search`` at ``--trials 1``
-and at the default trials for s in {-1, 0, 0.5, 2}, with the sequence's own
-``--seed``; ``verify`` on one sample, log-uniform in [1e-3, 1e3] per entry
-from a second seed, for s in {-1, 0, 1e-12, 0.5, 2, 1e-300}; ``scan`` of its
-head over the tails from half to three times the critical weight;
-``gen-weights`` of its head; and ``means`` on the same sample at (r, s) =
-(1, 0) and (1, 1e-12).  Then 35 ``certify`` commands near w*, the
+critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives 26 commands:
+``certify``; ``check``, whose stdout holds the Gao margins of every
+sequence, not only where Holland fails; ``search`` at ``--trials`` 1, 8
+(the most trials that walk alone at s = 0) and 200, the default, for s in
+{-1, 0, 0.5, 2}, with the sequence's own ``--seed``; ``verify`` on one
+sample, log-uniform in [1e-3, 1e3] per entry from a second seed, for s in
+{-1, 0, 1e-12, 0.5, 2, 1e-300, 5e-324}; ``scan`` of its head over the tails
+from half to three times the critical weight; ``gen-weights`` of its head;
+and ``means`` on the same sample at (r, s) = (1, 0), (1, 1e-12) and
+(1, 5e-324).  Then 35 ``certify`` commands near w*, the
 least tail at which the maximum of F exceeds 1 + 1e-9: seven heads of
 5..11 entries (n = 6..12) log-uniform in [0.5, 2], each with the tails
 w* (1 + delta) for delta in {-1e-3, 1e-7, 1e-5, 1e-3, 1e-2}.  w* comes
@@ -23,14 +24,15 @@ both sides run the same files.  Then 20 ``certify`` commands at n = 6..10
 whose maximum of F lies at a root of the curve, not at an end point of the
 box (``sampling.interior_maximum_weights``: heads log-uniform in [0.05,
 20], tails 1-3 critical weights, from ``default_rng(7)``); the commands
-above never reach one at n >= 6.  Every command runs through
-``mixedmeans.cli.run`` in one child process per checkout, the two side by
-side.  The script prints how many of the commands differ in stdout or exit
-code, then each that does, with its route (``certify``), verdict
-(``check``, ``search``, ``verify``) or exit code on both sides and how many
-ulp apart its value is (``numeric_max.value``, ``best_value``, the
-critical weight of ``gen-weights``, or the number of ``means`` furthest
-apart).  It exits 0 whatever the count, and fails only if a child does.
+above never reach one at n >= 6.  That makes 4475 commands.  Every command
+runs through ``mixedmeans.cli.run`` in one child process per checkout, the
+two side by side.  The script prints how many of the commands differ in
+stdout or exit code, then each that does, with its route (``certify``),
+verdict (``check``, ``search``, ``verify``) or exit code on both sides and
+how many ulp apart its value is (``numeric_max.value``, ``best_value``, the
+critical weight of ``gen-weights``, or the number of ``verify`` or ``means``
+furthest apart).  It exits 0 whatever the count, and fails only if a child
+does.
 """
 from __future__ import annotations
 
@@ -52,8 +54,8 @@ SRC = TESTS.parent / "src"
 WEIGHTS = 170
 INTERIOR = 20
 EXPONENTS = ("-1", "0", "0.5", "2")
-VERIFY_EXPONENTS = ("-1", "0", "1e-12", "0.5", "2", "1e-300")
-MEANS_EXPONENTS = ("0", "1e-12")  # s, at r = 1
+VERIFY_EXPONENTS = ("-1", "0", "1e-12", "0.5", "2", "1e-300", "5e-324")
+MEANS_EXPONENTS = ("0", "1e-12", "5e-324")  # s, at r = 1
 TAILS = ((0.3, 0.9), (1.0, 1.0), (1.0 + 1e-6, 1.0 + 1e-4), (1.0, 1.6), (2.0, 3.0))
 NEAR_W_STAR = (-1e-3, 1e-7, 1e-5, 1e-3, 1e-2)
 
@@ -115,7 +117,7 @@ def corpus(directory: Path) -> list[list[str]]:
         x.write_text(json.dumps({"x": np.exp(log_x).tolist()}))
         h.write_text(json.dumps({"w": head.tolist()}))
         commands += [["certify", str(path)], ["check", str(path)]]
-        for trials in ("1", "200"):
+        for trials in ("1", "8", "200"):
             for s in EXPONENTS:
                 commands.append(
                     ["search", str(path), f"--s={s}", "--trials", trials, "--seed", str(j)]
@@ -168,7 +170,8 @@ def _verdict(code: int, stdout: str):
         value = (doc["numeric_max"] or {}).get("value")
         return doc["route"], None if value is None else [value]
     if "levels" in doc:
-        return "violation" if code == 2 else "no violation", None
+        values = [v for level in doc["levels"] for k, v in level.items() if k != "k"]
+        return "violation" if code == 2 else "no violation", values
     if "mixed_s_of_r" in doc:  # means
         values = doc["partial_means_r"] + doc["partial_means_s"]
         return f"exit {code}", values + [doc["mixed_s_of_r"], doc["mixed_r_of_s"]]

@@ -123,6 +123,18 @@ class TestPowerMean:
             got = power_mean(q, x, r)
             assert got == pytest.approx(float(oracle.power_mean(q, x, r)), rel=1e-12)
 
+    @pytest.mark.parametrize("r", [5e-324, -5e-324, 1e-310])
+    def test_subnormal_exponent_is_geometric(self, r):
+        # below the least normal float r log x keeps only a few bits: the
+        # mean is the geometric mean, bit for bit
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            q = rng.uniform(0.1, 1.0, n)
+            q /= q.sum()
+            x = random_samples(rng, n)
+            assert power_mean(q, x, r) == power_mean(q, x, 0.0)
+
     def test_continuity_at_zero(self):
         rng = np.random.default_rng(13)
         for _ in range(20):

@@ -445,6 +445,21 @@ class TestViolationSearch:
             < -1e-6
         )
 
+    @pytest.mark.parametrize("s", [5e-324, -5e-324, 1e-310])
+    def test_subnormal_s_searches_as_zero(self, s):
+        # Below the least normal float the running s-means are the geometric
+        # ones: the walk in array rounds reaches what the s = 0 walk on scalar
+        # lines does, and the 50-digit check at s confirms the same violation.
+        rng = np.random.default_rng(78)
+        tables = [random_weights(rng, n, 0.2, 8.0) for n in range(2, 8)]
+        tables.append(WeightSequence([1, 1, 6]))
+        for j, w in enumerate(tables):
+            for trials in (1, 12):
+                cfg = SearchConfig(seed=j, trials=trials)
+                got = violation_search(w, s, cfg)
+                assert got == violation_search(w, 0.0, cfg)
+        assert got.violation
+
     def test_violation_at_small_scale(self):
         # The walk ends at data of scale ~1e-5, where the increment is
         # -3e-7: far beyond violation_tolerance (~1.6e-13), so a violation,
@@ -836,20 +851,51 @@ class TestSerialReference:
             monkeypatch.setattr(search, "_LIST_WALKS", list_walks)
         rng = np.random.default_rng(74)
         skipped = 0
-        for n, s in ((2, 0.0), (3, 0.0), (4, 2.0), (5, 0.5), (6, -1.0)):
+        for n in range(2, 7):  # lone walks run at s = 0 only
             w = random_weights(rng, n, 0.2, 8.0)
 
             def fun(Z):
-                return -_orientation(s) * _top_increment(w, Z, s)
+                return -_top_increment(w, Z, 0.0)
 
             def draw(rng):
                 return rng.uniform(-3.0, 3.0, n) * math.log(10.0)
 
             skipped += self._lone_walks(
-                monkeypatch, fun, _top_lines(w, s), draw, SearchConfig(seed=n, trials=trials),
+                monkeypatch, fun, _top_lines(w, 0.0), draw, SearchConfig(seed=n, trials=trials),
                 math.log(2.0), math.log(1e-6), math.log(1e6),
             )
         assert skipped > 0
+
+    @pytest.mark.parametrize("s", [-3.0, -1.0, 1e-3, 0.5, 1.0, 2.0, 40.0, 1e308, -1e308])
+    def test_lone_walks_off_zero_take_array_rounds(self, s):
+        # No scalar lines at s != 0: a lone trial walks in array rounds, to
+        # the points and values of the serial walk, NaN included where
+        # s * log A overflows, and -0.0 at s = 1
+        rng = np.random.default_rng(77)
+        weights = [random_weights(rng, n, 0.2, 8.0) for n in range(2, 9)]
+        weights.append(WeightSequence([1, 1e-300, 1e300]))
+        for j, w in enumerate(weights):
+            assert _top_lines(w, s) is None
+
+            def fun(Z):
+                return -_orientation(s) * _top_increment(w, Z, s)
+
+            def draw(rng):
+                return rng.uniform(-3.0, 3.0, w.n) * math.log(10.0)
+
+            cfg, steps = SearchConfig(seed=j, trials=1), math.log(2.0)
+            lo, hi = math.log(1e-6), math.log(1e6)
+            [(val, z)] = search._multistart(
+                lambda Z: functools.partial(search._values, fun),
+                cfg, draw, steps, lo, hi, _top_lines(w, s),
+            )
+            with np.errstate(all="ignore"):
+                ref_val, ref_z = serial_search.coordinate_ascent(
+                    lambda z: float(fun(z[None])[0]), draw(search._trial_rng(j, 0)),
+                    steps, lo, hi, cfg.local_steps,
+                )
+            assert np.array_equal([val, *z], [ref_val, *ref_z], equal_nan=True)
+            assert math.copysign(1.0, val) == math.copysign(1.0, ref_val)
 
     @pytest.mark.parametrize("trials", [1, 3])
     def test_lone_walks_skip_clamps(self, monkeypatch, trials):
