@@ -203,11 +203,13 @@ def _rado_increment_precise(w: WeightSequence, x, s: float, k: int) -> float:
     pass, with O_m the s-mean of the running arithmetic means A_1..A_m and
     M_k the s-mean of x_1..x_k: only those three means are formed.  At 0 <
     |s| < 1 it works at 50 + ceil(-log10 |s|) digits, since v**s = 1 + s log v
-    + ... keeps the increment only past the digits that |s| takes."""
+    + ... keeps the increment only past the digits that |s| takes.  Powers
+    are exp of s log v, also where 1/s is an integer, which mpmath would
+    raise by repeated squaring at all those digits."""
     with mpmath.workdps(50 + (math.ceil(-math.log10(abs(s))) if 0.0 < abs(s) < 1.0 else 0)):
-        s = mpmath.mpf(s)
-        term = mpmath.log if s == 0 else (lambda v: v**s)
-        mean = mpmath.exp if s == 0 else (lambda v: v ** (1 / s))  # inverse of term
+        s, exp, log = mpmath.mpf(s), mpmath.exp, mpmath.log
+        term = log if s == 0 else (lambda v: exp(s * log(v)))
+        mean = exp if s == 0 else (lambda v: exp(log(v) / s))  # inverse of term
         W = Sx = Sv = SA = mpmath.mpf(0)
         for wi, xi in zip(w.w[:k].tolist(), np.asarray(x, dtype=float)[:k].tolist()):
             wi, xi, W_prev, SA_prev = mpmath.mpf(wi), mpmath.mpf(xi), W, SA

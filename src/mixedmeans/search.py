@@ -46,16 +46,14 @@ __all__ = [
 ]
 
 # A walk moves at most _MAX_MOVES steps along one coordinate at one step
-# size.  Its rounds look 4, 8, 16, ... steps ahead on each side, and at
-# least _ROUND steps summed over their rows: a small round costs mostly
-# fixed overhead.  A block of at most _LIST_WALKS trials with a scalar line
-# (s = 0) walks each alone (see _multistart): at n = 3..25 that took a median
-# 0.18x the time of array rounds at 1 trial, 0.5x at 4, 0.8x at 8, 0.9x at 9,
-# 1.1x at 12 and 1.2x at 16 (2-core host).  A round's candidates and an
-# evaluation's rows stay under _CELL_CAP float64 elements, for any trial
-# count.
+# size.  Its rounds look 4, 8, 16, ... steps ahead on each side.  A block of
+# at most _LIST_WALKS trials with a scalar line (s = 0) walks each alone (see
+# _multistart): at n = 3..25 that took a median 0.21x the time of array
+# rounds at 1 trial, 0.57x at 4, 0.9x at 8, 0.95x at 10 and 1.2x at 16, but
+# at n = 50 and 100 1.04x at 6, 1.09x at 8 and 1.14x at 10 (2-core host):
+# no one count fits every n.  A round's candidates and an evaluation's rows
+# stay under _CELL_CAP float64 elements, for any trial count.
 _MAX_MOVES = 50
-_ROUND = 32
 _LIST_WALKS = 8
 _CELL_CAP = 1 << 16
 
@@ -215,7 +213,7 @@ def _climb(evaluate, Z, best, i, step, lo, hi) -> None:
     k, left = 2, _MAX_MOVES
     while act.size and left:
         A, sides, r = act.size, steps.shape[1], np.arange(act.size)
-        k = min(max(2 * k, _ROUND // A), left)
+        k = min(2 * k, left)
         line = np.empty((A, sides, k + 1))
         line[:, :, 1:] = steps[..., None]
         line[:, :, 0] = Z[act, i][:, None]

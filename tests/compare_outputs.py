@@ -6,16 +6,19 @@ another's, on a seeded corpus of weight sequences.
 
 Each of 170 weight sequences drawn from a fixed seed (n = 2..9: a head
 log-uniform in [0.5, 2] and a tail below, at, just above or well above the
-critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives 26 commands:
+critical weight W_{n-1}^2/S_{n-2}, or w_1 for n = 2) gives 30 commands:
 ``certify``; ``check``, whose stdout holds the Gao margins of every
-sequence, not only where Holland fails; ``search`` at ``--trials`` 1, 8
-(the most trials that walk alone at s = 0) and 200, the default, for s in
-{-1, 0, 0.5, 2}, with the sequence's own ``--seed``; ``verify`` on one
+sequence, not only where Holland fails; ``search`` at ``--trials`` 1, L
+and L + 1, where L is this checkout's ``search._LIST_WALKS`` (the most
+trials that walk alone at s = 0), and 200, the default, for s in {-1, 0,
+0.5, 2}, with the sequence's own ``--seed``; ``verify`` on one
 sample, log-uniform in [1e-3, 1e3] per entry from a second seed, for s in
 {-1, 0, 1e-12, 0.5, 2, 1e-300, 5e-324}; ``scan`` of its head over the tails
 from half to three times the critical weight; ``gen-weights`` of its head;
 and ``means`` on the same sample at (r, s) = (1, 0), (1, 1e-12) and
-(1, 5e-324).  Then 35 ``certify`` commands near w*, the
+(1, 5e-324).  Then ``search --trials 1`` at s = 0.5 and 2 on four longer
+sequences, n = 20, 40, 70 and 100, drawn the same way: there one walk's
+array rounds run over many coordinates.  Then 35 ``certify`` commands near w*, the
 least tail at which the maximum of F exceeds 1 + 1e-9: seven heads of
 5..11 entries (n = 6..12) log-uniform in [0.5, 2], each with the tails
 w* (1 + delta) for delta in {-1e-3, 1e-7, 1e-5, 1e-3, 1e-2}.  w* comes
@@ -24,7 +27,7 @@ both sides run the same files.  Then 20 ``certify`` commands at n = 6..10
 whose maximum of F lies at a root of the curve, not at an end point of the
 box (``sampling.interior_maximum_weights``: heads log-uniform in [0.05,
 20], tails 1-3 critical weights, from ``default_rng(7)``); the commands
-above never reach one at n >= 6.  That makes 4475 commands.  Every command
+above never reach one at n >= 6.  That makes 5163 commands.  Every command
 runs through ``mixedmeans.cli.run`` in one child process per checkout, the
 two side by side.  The script prints how many of the commands differ in
 stdout or exit code, then each that does, with its route (``certify``),
@@ -58,6 +61,8 @@ VERIFY_EXPONENTS = ("-1", "0", "1e-12", "0.5", "2", "1e-300", "5e-324")
 MEANS_EXPONENTS = ("0", "1e-12", "5e-324")  # s, at r = 1
 TAILS = ((0.3, 0.9), (1.0, 1.0), (1.0 + 1e-6, 1.0 + 1e-4), (1.0, 1.6), (2.0, 3.0))
 NEAR_W_STAR = (-1e-3, 1e-7, 1e-5, 1e-3, 1e-2)
+LONG = (20, 40, 70, 100)  # n of the sequences searched at one trial off s = 0
+LONG_EXPONENTS = ("0.5", "2")
 
 # Reads a JSON list of heads on stdin and writes a JSON list of their w*:
 # the upper end of a bisection bracket, from the critical weight up.
@@ -78,6 +83,9 @@ for head in json.load(sys.stdin):
     out.append(hi)
 json.dump(out, sys.stdout)
 """
+
+# Writes the most trials that walk alone at s = 0.
+LIST_WALKS = "from mixedmeans import search; print(search._LIST_WALKS)"
 
 # Reads a count on stdin and writes a JSON list of that many weight
 # sequences with their maximum of F at a root of the curve.
@@ -102,22 +110,29 @@ json.dump(out, sys.stdout)
 """
 
 
+def _head_and_tail(rng, j: int, size: int):
+    """Sequence ``j``'s head, log-uniform in [0.5, 2], its critical weight and
+    its tail, from the tail range ``TAILS[j % len(TAILS)]``."""
+    head = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size))
+    W = np.cumsum(head)
+    critical = W[-1] ** 2 / np.cumsum(W)[-2] if head.size > 1 else head[0]
+    return head, critical, critical * rng.uniform(*TAILS[j % len(TAILS)])
+
+
 def corpus(directory: Path) -> list[list[str]]:
     """The commands on ``WEIGHTS`` weight files written to ``directory``."""
     rng, samples = np.random.default_rng(0), np.random.default_rng(1)
+    list_walks = _child(SRC, LIST_WALKS, None)
     commands = []
     for j in range(WEIGHTS):
-        head = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 1 + j % 8))
-        W = np.cumsum(head)
-        critical = W[-1] ** 2 / np.cumsum(W)[-2] if head.size > 1 else head[0]
-        tail = critical * rng.uniform(*TAILS[j % len(TAILS)])
+        head, critical, tail = _head_and_tail(rng, j, 1 + j % 8)
         path, x, h = (directory / f"{kind}{j}.json" for kind in "wxh")
         path.write_text(json.dumps({"w": [*head.tolist(), float(tail)]}))
         log_x = samples.uniform(-math.log(1e3), math.log(1e3), head.size + 1)
         x.write_text(json.dumps({"x": np.exp(log_x).tolist()}))
         h.write_text(json.dumps({"w": head.tolist()}))
         commands += [["certify", str(path)], ["check", str(path)]]
-        for trials in ("1", "8", "200"):
+        for trials in map(str, (1, list_walks, list_walks + 1, 200)):
             for s in EXPONENTS:
                 commands.append(
                     ["search", str(path), f"--s={s}", "--trials", trials, "--seed", str(j)]
@@ -126,6 +141,15 @@ def corpus(directory: Path) -> list[list[str]]:
         commands.append(["scan", str(h), "--range", f"{critical / 2}:{critical * 3}"])
         commands.append(["gen-weights", str(h)])
         commands += [["means", str(path), str(x), "--r=1", f"--s={s}"] for s in MEANS_EXPONENTS]
+    rng = np.random.default_rng(6)
+    for j, n in enumerate(LONG):
+        head, _, tail = _head_and_tail(rng, j, n - 1)
+        path = directory / f"long{n}.json"
+        path.write_text(json.dumps({"w": [*head.tolist(), float(tail)]}))
+        commands += [
+            ["search", str(path), f"--s={s}", "--trials", "1", "--seed", str(j)]
+            for s in LONG_EXPONENTS
+        ]
     rng = np.random.default_rng(5)
     heads = [np.exp(rng.uniform(math.log(0.5), math.log(2.0), 5 + j)).tolist() for j in range(7)]
     for j, (head, w_star) in enumerate(zip(heads, _child(SRC, W_STAR, heads))):

@@ -102,6 +102,17 @@ class TestRadoIncrement:
         want = _rado_increment_precise(w, x, 0.0, 2)
         assert _rado_increment_precise(w, x, s, 2) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [2.0**-1074, 2.0**-1000])
+    def test_precise_increment_at_power_of_two_s(self, s):
+        # 1/s is an integer here, and the powers are still exp of s log v:
+        # every level is the s = 0 level, from which it differs by less than
+        # 1e-300 relative (n = 2, 5 and 11)
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 11):
+            w, x = random_weights(rng, n), random_samples(rng, n)
+            for k in range(2, n + 1):
+                assert _rado_increment_precise(w, x, s, k) == _rado_increment_precise(w, x, 0.0, k)
+
     @pytest.mark.parametrize("s", [1e-300, -1e-300, 1e-12, -1e-12, 1e-9, 1e-6, 9.99e-4])
     def test_every_level_at_small_s_matches_precise(self, s):
         # 0 < |s| < _SMALL_R, where the running s-means are log1p of a mean of
@@ -120,8 +131,8 @@ class TestRadoIncrement:
     def test_subnormal_s_reads_as_zero(self, s):
         # r z keeps only a few bits below the least normal float: the levels
         # are the s = 0 levels bit for bit on 60 tables (n = 2..11), and on
-        # the first five within 2e-15 W_n max x of 50 digits at s (at
-        # s = 2**-1074 a 50-digit level takes ~50 ms).
+        # the first five within 2e-15 W_n max x of 50 digits at s (which
+        # works at 374 digits at s = 2**-1074).
         rng = np.random.default_rng(0)
         for j in range(60):
             n = 2 + j % 10

@@ -1,10 +1,13 @@
 """The package's import graph: every import at module top, no cycle among
-its modules, and no scipy at run time."""
+its modules, one list of public names, and no scipy at run time."""
 import ast
 import graphlib
 import json
+import types
 
+import mixedmeans
 from checkout import SRC, run_python
+from mixedmeans import conditions, functionals, means, reduction, search
 
 PACKAGE = SRC / "mixedmeans"
 MODULES = {p.stem: ast.parse(p.read_text(), str(p)) for p in PACKAGE.glob("*.py")}
@@ -53,6 +56,15 @@ def test_no_module_cycle():
     assert graph["reduction"] >= {"search", "conditions", "means"}
     assert "reduction" not in graph["search"]
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError
+
+
+def test_public_names_are_the_modules_all():
+    public = {
+        name for name, value in vars(mixedmeans).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    modules = (means, functionals, conditions, reduction, search)
+    assert public == set().union(*(m.__all__ for m in modules))
 
 
 _NO_SCIPY = """

@@ -334,6 +334,28 @@ class TestCurveOracle:
                         checked += 1
         assert checked > 1000
 
+    def test_origin_corner_sign_matches_the_curve(self):
+        # The conjectured threshold: max F > 1 exactly where F(0) > 1, with
+        # log F(0) = log_corners[1] / r.  600 open tables (not Holland, not
+        # Gao, representable), n = 3..12, heads log-uniform in [0.05, 20],
+        # tails 1-4 critical weights.  A table that breaks either direction
+        # is a counterexample to the conjecture.
+        rng = np.random.default_rng(21)
+        refuted = tables = 0
+        while tables < 600:
+            head = log_uniform(rng, 0.05, 20.0, int(rng.integers(2, 12)))
+            w = WeightSequence(np.append(head, critical_weight(head) * rng.uniform(1.0, 4.0)))
+            rp = ReducedProblem.of(w)
+            if holland_condition(w).holds or gao_conditions(w).holds or not rp.representable:
+                continue
+            tables += 1
+            log_f0 = rp.log_corners[1] / rp.r
+            curve_refutes = curve_max_F(w).best_value > 1.0 + 1e-9
+            assert not curve_refutes or log_f0 > 0.0, w.w
+            assert curve_refutes or not log_f0 > 1e-9, w.w
+            refuted += curve_refutes
+        assert 0 < refuted < tables
+
 
 def _lattice_cases():
     """Weights and resolutions for the lattice maxima: random weights and,
@@ -674,7 +696,6 @@ class TestSerialReference:
         # its step back lands off the lattice and would win; it stops.  Alone,
         # each walk has the whole budget of _MAX_MOVES.
         monkeypatch.setattr(search, "_MAX_MOVES", 7)
-        monkeypatch.setattr(search, "_ROUND", 1)
         step, starts, backs, tops = 0.1, (0.61, -0.45), [], []
         for start, moves in zip(starts, (4, 1)):
             line = [start]
@@ -716,32 +737,35 @@ class TestSerialReference:
         for t, z in enumerate(Z.tolist()):
             Z[t, 0], best[t] = search._walk(line(z, 0), z[0], float(best[t]), step, -5.0, 5.0)
 
-    def test_climb_evaluates_one_side_after_the_first_round(self, monkeypatch):
+    def test_climb_evaluates_one_side_after_the_first_round(self):
         # The first round takes k steps on each side of every walk; after it,
         # each walk's side is fixed and a round takes its k steps on that
-        # side only.  Row 0 climbs to 3 and row 1 down to -3 over several
-        # rounds, row 2 sits on the peak at 3 and stops in the first.
-        monkeypatch.setattr(search, "_ROUND", 1)
-        rows = []
-
+        # side only, whatever the number of walks.  Row 0 climbs to 3 and
+        # row 1 down to -3 over several rounds, row 2 sits on the peak at 3
+        # and stops in the first.  k = 4 on both sides, then 8, 16 and the 22
+        # moves left on one side.
         def fun(Z):
             return -abs(abs(Z[:, 0]) - 3.0)
 
-        def evaluate(Z, owner, i, pos):
-            rows.append(np.bincount(owner, minlength=len(Z)).tolist())
-            return search._values(fun, Z, owner, i, pos)
+        for starts, want in (
+            ((0.05, -0.05, 3.0), [[8, 8, 8], [8, 8, 0], [16, 16, 0], [22, 22, 0]]),
+            ((0.05,), [[8], [8], [16], [22]]),
+        ):
+            rows = []
 
-        starts = (0.05, -0.05, 3.0)
-        Z = np.array(starts)[:, None]
-        best = fun(Z)
-        search._climb(evaluate, Z, best, 0, 0.1, -5.0, 5.0)
-        # k = 4 on both sides, then 8, 16 and the 22 moves left on one side
-        assert rows == [[8, 8, 8], [8, 8, 0], [16, 16, 0], [22, 22, 0]]
-        for t, start in enumerate(starts):
-            ref_val, ref_z = serial_search.coordinate_ascent(
-                lambda z: float(fun(z[None])[0]), np.array([start]), 0.1, -5.0, 5.0, 1,
-            )
-            assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
+            def evaluate(Z, owner, i, pos):
+                rows.append(np.bincount(owner, minlength=len(Z)).tolist())
+                return search._values(fun, Z, owner, i, pos)
+
+            Z = np.array(starts)[:, None]
+            best = fun(Z)
+            search._climb(evaluate, Z, best, 0, 0.1, -5.0, 5.0)
+            assert rows == want
+            for t, start in enumerate(starts):
+                ref_val, ref_z = serial_search.coordinate_ascent(
+                    lambda z: float(fun(z[None])[0]), np.array([start]), 0.1, -5.0, 5.0, 1,
+                )
+                assert (best[t], Z[t, 0]) == (ref_val, ref_z[0])
 
     @pytest.mark.parametrize("alone", [False, True], ids=["arrays", "walk"])
     def test_budget_cuts_run(self, monkeypatch, alone):
@@ -754,7 +778,6 @@ class TestSerialReference:
         # is the first of the - line: the walk keeps its side and stops.
         # Alone, row 0 stops after its seventh move too.
         monkeypatch.setattr(search, "_MAX_MOVES", 7)
-        monkeypatch.setattr(search, "_ROUND", 1)
         step, starts, lines = 0.1, (0.31, -0.45, -0.33, 1.61), []
         for start, moves in zip(starts, (7, 1, 0, 4)):
             lines.append([start])
@@ -872,7 +895,7 @@ class TestSerialReference:
         # the points and values of the serial walk, NaN included where
         # s * log A overflows, and -0.0 at s = 1
         rng = np.random.default_rng(77)
-        weights = [random_weights(rng, n, 0.2, 8.0) for n in range(2, 9)]
+        weights = [random_weights(rng, n, 0.2, 8.0) for n in (*range(2, 9), 20, 100)]
         weights.append(WeightSequence([1, 1e-300, 1e300]))
         for j, w in enumerate(weights):
             assert _top_lines(w, s) is None
